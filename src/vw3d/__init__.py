@@ -3,7 +3,7 @@ gauge theory: Bethe-vacua graded dimensions, elliptic-surface partition
 q-series, reference Floer-type series, and Grassmann-exact BRST closure
 checks."""
 
-from .series import ExactComplex, PuiseuxSeries, series_arith, series_invert
+from .series import ExactComplex, PuiseuxSeries
 from .ratexpr import RationalExpr, rational_eval, T, X, Y, Z
 from .roots import ComplexPolynomial, poly_roots
 from .bethe import (
@@ -31,7 +31,7 @@ from .brst import get_table, random_state, apply_q, check_closure, calibrate_sig
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactComplex", "PuiseuxSeries", "series_arith", "series_invert",
+    "ExactComplex", "PuiseuxSeries",
     "RationalExpr", "rational_eval", "T", "X", "Y", "Z",
     "ComplexPolynomial", "poly_roots",
     "build_bethe", "admissible_roots", "s_squared", "verlinde_sum",

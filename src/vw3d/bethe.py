@@ -8,9 +8,17 @@ variable z is
 
 Clearing denominators gives a degree-12 polynomial whose admissible solutions
 (z not fixed by the Weyl reflection z -> 1/z, i.e. z != +-1) label the ten
-vacua.  Each vacuum carries a one-loop weight S^2 assembled from the dilaton,
-gauge and superpotential-Hessian factors, and the genus-g graded dimension is
-the sum of S^{2-2g} over the ten vacua.
+vacua.  In w = z^2 it factors exactly,
+
+    P(w) = (1 - (txy)^2) (w^2 - 1) (w^2 - u_- w + 1) (w^2 - u_+ w + 1),
+
+with u_- = -(txy - tx - ty - t - xy - x - y + 1)/(txy + 1) and
+u_+ = (txy + tx + ty - t + xy - x - y - 1)/(txy - 1), so the vacua are
+z = +-i and z = (+-sqrt(u+2) +- sqrt(u-2))/2 for u in {u_-, u_+}: closed
+forms with exact rational radicands, no root search.  Each vacuum carries a
+one-loop weight S^2 assembled from the dilaton, gauge and
+superpotential-Hessian factors, and the genus-g graded dimension is the sum
+of S^{2-2g} over the ten vacua.
 
 Closed forms for the weights (generic, the x=y specialization, the g=0 sum
 and its y=x simplification) are provided as RationalExpr trees for direct
@@ -19,6 +27,7 @@ evaluation and exact series expansion.
 
 from __future__ import annotations
 
+import cmath
 import random
 import time
 from dataclasses import dataclass
@@ -26,7 +35,7 @@ from fractions import Fraction
 
 from .ratexpr import T, X, Y, Const, PoleError, rational_eval
 from .roots import ComplexPolynomial, poly_roots
-from .series import PuiseuxSeries, SeriesError
+from .series import PuiseuxSeries, SeriesError, _as_fraction, poly_mul
 
 __all__ = [
     "HiggsSector",
@@ -53,12 +62,11 @@ __all__ = [
     "ClassAssignmentError",
 ]
 
-ADMISSIBLE_DELTA = 1e-6
 CLASS_MULTIPLICITIES = (2, 4, 4)
 
 
 class DegenerateParameterError(ArithmeticError):
-    """Root collision or count mismatch: parameters sit on a singular locus."""
+    """Parameters sit on a singular locus: vacua merge or leave the count of ten."""
 
 
 class ClassAssignmentError(ArithmeticError):
@@ -78,14 +86,16 @@ class HiggsSector:
 class BetheRoot:
     z: complex
     weyl_partner_index: int
-    admissible: bool
 
 
 @dataclass(frozen=True)
 class BetheSystem:
+    """The saddle polynomial in z and the exact (u_-, u_+) of its quadratic
+    factors w^2 - u w + 1 in w = z^2."""
+
     sectors: tuple
     polynomial: ComplexPolynomial
-    delta: float = ADMISSIBLE_DELTA
+    traces: tuple
 
     @property
     def params(self):
@@ -99,29 +109,17 @@ class SMatrixValue:
     class_label: str | None = None
 
 
-def _to_fraction(value):
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    return Fraction(value).limit_denominator(10**15)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def build_bethe(params, delta=ADMISSIBLE_DELTA):
+def build_bethe(params):
     """Assemble the cleared degree-12 saddle polynomial at (x, y, t).
 
     Parameters are positive reals away from {0, 1}; the expansion is done in
     exact rationals and only cast to floats inside the polynomial container.
+    The ten vacua are distinct exactly when txy != 1, u_- != 2 (merging with
+    z = +-1), u_+ != -2 (merging with z = +-i) and u_- != u_+, i.e.
+    (tx-1)(ty-1)(xy-1) != 0; each is decided in exact arithmetic.  (u_- = -2
+    and u_+ = 2 would need a parameter equal to -1 or 1.)
     """
-    x, y, t = (_to_fraction(params[k]) for k in ("x", "y", "t"))
+    x, y, t = (_as_fraction(params[k]) for k in ("x", "y", "t"))
     for name, p in (("x", x), ("y", y), ("t", t)):
         if p <= 0 or p == 1:
             raise DegenerateParameterError(f"parameter {name}={p} on a singular locus")
@@ -130,51 +128,56 @@ def build_bethe(params, delta=ADMISSIBLE_DELTA):
         HiggsSector(0, "y", y),
         HiggsSector(0, "t", t),
     )
+    txy = t * x * y
+    if txy == 1:
+        raise DegenerateParameterError("leading coefficient vanishes (t*x*y = 1)")
+    u_minus = -(txy - t * x - t * y - t - x * y - x - y + 1) / (txy + 1)
+    u_plus = (txy + t * x + t * y - t + x * y - x - y - 1) / (txy - 1)
+    if u_minus == 2:
+        raise DegenerateParameterError("vacua merge with z = +-1 (u_- = 2)")
+    if u_plus == -2:
+        raise DegenerateParameterError("vacua merge with z = +-i (u_+ = -2)")
+    if u_minus == u_plus:
+        raise DegenerateParameterError("vacua merge pairwise ((tx-1)(ty-1)(xy-1) = 0)")
     # In w = z^2: A(w) = prod (p - w), B(w) = prod (p w - 1); P = A^2 - B^2.
     a_poly = [Fraction(1)]
     b_poly = [Fraction(1)]
     for p in (t, x, y):
-        a_poly = _poly_mul(a_poly, [p, Fraction(-1)])
-        b_poly = _poly_mul(b_poly, [Fraction(-1), p])
-    a2 = _poly_mul(a_poly, a_poly)
-    b2 = _poly_mul(b_poly, b_poly)
-    w_coeffs = [ca - cb for ca, cb in zip(a2, b2)]
-    if w_coeffs[-1] == 0:
-        raise DegenerateParameterError("leading coefficient vanishes (t*x*y = 1)")
+        a_poly = poly_mul(a_poly, [p, Fraction(-1)])
+        b_poly = poly_mul(b_poly, [Fraction(-1), p])
+    a2 = poly_mul(a_poly, a_poly)
+    b2 = poly_mul(b_poly, b_poly)
     z_coeffs = []
-    for c in w_coeffs:
-        z_coeffs.append(c)
-        z_coeffs.append(Fraction(0))
+    for ca, cb in zip(a2, b2):
+        z_coeffs += [ca - cb, Fraction(0)]
     z_coeffs.pop()  # no z^13 slot
     poly = ComplexPolynomial(tuple(complex(c) for c in z_coeffs))
-    return BetheSystem(sectors=sectors, polynomial=poly, delta=delta)
+    return BetheSystem(sectors=sectors, polynomial=poly, traces=(u_minus, u_plus))
 
 
-def admissible_roots(system, tol=1e-9):
-    """The ten Weyl-paired admissible roots (z = +-1 excluded).
+def _root_key(z):
+    return (round(z.real, 12), round(z.imag, 12))
 
-    Both members of each pair {z, 1/z} are kept; the genus sums below run
-    over individual roots, not Weyl orbits.
+
+def admissible_roots(system):
+    """The ten Weyl-paired admissible roots (z = +-1 excluded), in closed form.
+
+    For each u, z = (sqrt(u+2) + sqrt(u-2))/2 has Weyl partner 1/z =
+    2/(sqrt(u+2) + sqrt(u-2)), and -z, -1/z are the other pair; both
+    square roots point into the same closed quadrant, so the sum never
+    cancels.  Both members of each pair {z, 1/z} are kept; the genus sums
+    below run over individual roots, not Weyl orbits.  Roots come in the
+    canonical (re, im) order.
     """
-    roots = poly_roots(system.polynomial, tol=tol)
-    delta = system.delta
-    n = len(roots)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(roots[i] - roots[j]) <= 2 * delta:
-                raise DegenerateParameterError(
-                    f"roots {roots[i]} and {roots[j]} closer than 2*delta")
-    kept = [z for z in roots if abs(z - 1) > delta and abs(z + 1) > delta]
-    if len(kept) != 10 or n != 12:
-        raise DegenerateParameterError(
-            f"expected 12 roots with 10 admissible, found {n} and {len(kept)}")
-    out = []
-    for i, z in enumerate(kept):
-        partner = min(range(len(kept)), key=lambda j: abs(z * kept[j] - 1))
-        if abs(z * kept[partner] - 1) > delta:
-            raise DegenerateParameterError(f"no Weyl partner for root {z}")
-        out.append(BetheRoot(z=z, weyl_partner_index=partner, admissible=True))
-    return out
+    vacua = []
+    for u in system.traces:
+        z = (cmath.sqrt(float(u + 2)) + cmath.sqrt(float(u - 2))) / 2
+        vacua += [z, 1 / z, -z, -1 / z]
+    vacua += [1j, -1j]
+    # vacua[i] and vacua[i ^ 1] are Weyl partners
+    order = sorted(range(10), key=lambda i: _root_key(vacua[i]))
+    rank = {i: k for k, i in enumerate(order)}
+    return [BetheRoot(z=vacua[i], weyl_partner_index=rank[i ^ 1]) for i in order]
 
 
 def _dilaton_factor(p, w, r_charge, eps_pole):
@@ -440,12 +443,16 @@ def _real_if_close(z):
 
 
 def point_report(params, genera=(0, 1, 2), eps_pole=1e-12):
-    """JSON-ready report: roots, admissible set, weights, genus sums."""
+    """JSON-ready report: roots, admissible set, weights, genus sums.
+
+    "roots" lists all twelve roots of the saddle polynomial: the ten vacua
+    and the Weyl-fixed z = +-1, in the canonical (re, im) order.
+    """
     system = build_bethe(params)
     roots = admissible_roots(system)
     classify = system.params["x"] == system.params["y"]
     values = [s_squared(r, system, eps_pole, classify=classify) for r in roots]
-    all_roots = poly_roots(system.polynomial)
+    all_roots = sorted([r.z for r in roots] + [1.0 + 0j, -1.0 + 0j], key=_root_key)
     point = {k: float(v) for k, v in system.params.items()}
     closed = {"genus0_generic": rational_eval(s2s1_generic_expr(), point).real}
     if classify:
@@ -471,8 +478,10 @@ def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
     """Seeded stability sweep: root counts, Weyl pairing, multiset match.
 
     Draws n_points parameter triples uniformly from (low, high)^3, runs the
-    pipeline at each, and accumulates the worst deviations; `ok` requires 12
-    roots with both unit roots present, 10 admissible, and the weight
+    pipeline at each, and accumulates the worst deviations.  The numeric
+    roots of the saddle polynomial are an independent cross-check of the
+    closed-form vacua: `ok` requires 12 roots with both unit roots present,
+    every vacuum within 1e-8 of one of them, Weyl pairing, and the weight
     multiset to match the generic closed forms with multiplicities (2,4,4).
     """
     rng = random.Random(seed)
@@ -488,7 +497,7 @@ def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
         counts_ok &= any(abs(z - 1) < 1e-8 for z in roots)
         counts_ok &= any(abs(z + 1) < 1e-8 for z in roots)
         admissible = admissible_roots(system)
-        counts_ok &= len(admissible) == 10
+        counts_ok &= all(min(abs(r.z - z) for z in roots) < 1e-8 for r in admissible)
         for r in admissible:
             worst_weyl = max(worst_weyl,
                              abs(r.z * admissible[r.weyl_partner_index].z - 1))

@@ -33,7 +33,6 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     output: str = "text"
     order: int = 20
-    tolerance: float = 1e-9
     seed: int = 0
 
 
@@ -251,8 +250,7 @@ def _residual_entry(kind, state_index, residuals):
 
 def _config_dict(config):
     return {"command": config.command, "order": config.order,
-            "tolerance": config.tolerance, "seed": config.seed,
-            "parameters": config.parameters}
+            "seed": config.seed, "parameters": config.parameters}
 
 
 def build_parser():
@@ -260,7 +258,6 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--order", type=int, default=None,
                         help="series truncation order (default 20 or $VW3D_ORDER)")
-    common.add_argument("--tol", type=float, default=1e-9)
     common.add_argument("--seed", type=int, default=0)
     parser = argparse.ArgumentParser(
         prog="vw3d",
@@ -321,7 +318,6 @@ def main(argv=None):
                     if k not in ("command", "json") and v is not None},
         output="json" if args.json else "text",
         order=args.order if args.order is not None else _default_order(),
-        tolerance=args.tol,
         seed=args.seed,
     )
     try:

@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .series import ExactComplex, PuiseuxSeries
+from .series import ExactComplex, PuiseuxSeries, poly_pow
 
 __all__ = [
     "QSeries",
     "BasicClass",
     "KahlerTopology",
-    "EtaThetaBank",
     "eta24_series",
     "g_series",
     "sw_data_en",
@@ -65,19 +64,6 @@ def _euler_factor_coeffs(order):
     return coeffs
 
 
-def _dense_mul(a, b, order):
-    out = [0] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca == 0 or i > order:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            if cb:
-                out[i + j] += ca * cb
-    return out
-
-
 def _dense_inv(a, order):
     # a[0] must be 1; standard recurrence for the reciprocal power series
     out = [0] * (order + 1)
@@ -93,17 +79,7 @@ def _dense_inv(a, order):
 
 def eta24_series(order=20):
     """eta(q)^24 = q prod (1 - q^n)^24, exact integers, through q^{order}."""
-    base = _euler_factor_coeffs(order)
-    power = [1] + [0] * order
-    acc = base
-    n = 24
-    # square-and-multiply on dense integer lists
-    while n:
-        if n & 1:
-            power = _dense_mul(power, acc, order)
-        n >>= 1
-        if n:
-            acc = _dense_mul(acc, acc, order)
+    power = poly_pow(_euler_factor_coeffs(order), 24, order)
     terms = {k + 1: ExactComplex(c) for k, c in enumerate(power) if c}
     return QSeries(terms, order + 1)
 
@@ -112,16 +88,9 @@ def g_series(order=20):
     """G(q) = 1/eta^24 = q^{-1} (1 + 24 q + 324 q^2 + ...), exact."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    base = _euler_factor_coeffs(order + 1)
-    e24 = [1] + [0] * (order + 1)
-    acc = base
-    n = 24
-    while n:
-        if n & 1:
-            e24 = _dense_mul(e24, acc, order + 1)
-        n >>= 1
-        if n:
-            acc = _dense_mul(acc, acc, order + 1)
+    e24 = [0] * (order + 2)
+    for (e,), c in eta24_series(order + 1).terms.items():
+        e24[e // Q_DEN - 1] = int(c.re)
     inv = _dense_inv(e24, order + 1)
     terms = {k - 1: ExactComplex(c) for k, c in enumerate(inv) if c}
     return QSeries(terms, order)
@@ -159,29 +128,6 @@ class KahlerTopology:
     @property
     def theta_eta_exponent(self):
         return -2 * self.chi - 3 * self.sigma
-
-
-@dataclass(frozen=True)
-class EtaThetaBank:
-    """G at the three arguments; theta series stay undefined (never needed
-    while every theta exponent vanishes)."""
-
-    eta24: PuiseuxSeries
-    g_q2: PuiseuxSeries
-    g_qhalf: PuiseuxSeries
-    g_mqhalf: PuiseuxSeries
-    theta0: None = None
-    theta1: None = None
-
-
-def make_bank(order):
-    g = g_series(order)
-    return EtaThetaBank(
-        eta24=eta24_series(order),
-        g_q2=g.substitute_power("q", 2),
-        g_qhalf=g.substitute_power("q", Fraction(1, 2)),
-        g_mqhalf=g.substitute_power("q", Fraction(1, 2), sign=-1),
-    )
 
 
 def sw_data_en(n):
@@ -223,12 +169,12 @@ def z_vw_kahler(top, order=20):
     # internal padding: the Laurent tails of G(q^2)^exp1 and G(q^{1/2})^exp1
     # eat into the certified box
     internal = 2 * order + 2 * exp1 + 4
-    bank = make_bank(internal)
+    g = g_series(internal)
     sign1 = (-1) ** ((top.chi + top.sigma) // 4)
     quarter = Fraction(1, 4)
-    term_q2 = (bank.g_q2 * quarter) ** exp1
-    term_h = (bank.g_qhalf * quarter) ** exp1
-    term_mh = (bank.g_mqhalf * quarter) ** exp1
+    term_q2 = (g.substitute_power("q", 2) * quarter) ** exp1
+    term_h = (g.substitute_power("q", Fraction(1, 2)) * quarter) ** exp1
+    term_mh = (g.substitute_power("q", Fraction(1, 2), sign=-1) * quarter) ** exp1
     sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
     sw_all = sum(c.sw for c in top.basic_classes)
     pref = Fraction(2 ** (1 - top.b1))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .series import ExactComplex, PuiseuxSeries, SeriesError
+from .series import ExactComplex, PuiseuxSeries, SeriesError, poly_divmod, poly_mul, poly_pow
 
 __all__ = [
     "Tower",
@@ -134,39 +134,6 @@ def hf_plus(manifold, order=20, p=None, g=None, h=None):
 # ----------------------------------------------------------------------
 # moduli of rank-2 bundles
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_pow(base, n):
-    out = [Fraction(1)]
-    acc = list(base)
-    while n:
-        if n & 1:
-            out = _poly_mul(out, acc)
-        n >>= 1
-        if n:
-            acc = _poly_mul(acc, acc)
-    return out
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        q[k] = c
-        if c:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    return q, num
-
-
 def hn_poincare(g):
     """Poincare polynomial of the fixed-determinant rank-2 moduli over a
     genus-g surface: ((1+t^3)^{2g} - t^{2g}(1+t)^{2g}) / ((1-t^2)(1-t^4)).
@@ -176,16 +143,16 @@ def hn_poincare(g):
     """
     if g < 2:
         raise ValueError("formula applies for g >= 2")
-    num = _poly_pow([Fraction(1), Fraction(0), Fraction(0), Fraction(1)], 2 * g)
-    shift = _poly_pow([Fraction(1), Fraction(1)], 2 * g)
+    num = poly_pow([Fraction(1), Fraction(0), Fraction(0), Fraction(1)], 2 * g)
+    shift = poly_pow([Fraction(1), Fraction(1)], 2 * g)
     shifted = [Fraction(0)] * (2 * g) + shift
     num = [a - b for a, b in zip(num + [Fraction(0)] * len(shifted),
                                  shifted + [Fraction(0)] * len(num))]
     while num and num[-1] == 0:
         num.pop()
-    den = _poly_mul([Fraction(1), Fraction(0), Fraction(-1)],
-                    [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1)])
-    q, rem = _poly_divmod(num, den)
+    den = poly_mul([Fraction(1), Fraction(0), Fraction(-1)],
+                   [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1)])
+    q, rem = poly_divmod(num, den)
     if any(rem):
         raise ArithmeticError("moduli Poincare division left a remainder")
     assert len(q) - 1 == 6 * g - 6
@@ -203,8 +170,8 @@ def gl_vs_sl_cohomology(N, g, order=20):
     i.e. (1+t)^{2g} times the moduli Poincare polynomial.  Only N = 2."""
     if N != 2:
         raise ValueError("only rank 2 is tabulated")
-    torus = _poly_pow([Fraction(1), Fraction(1)], 2 * g)
-    total = _poly_mul(torus, hn_poincare(g))
+    torus = poly_pow([Fraction(1), Fraction(1)], 2 * g)
+    total = poly_mul(torus, hn_poincare(g))
     return _t_series({k: ExactComplex(c) for k, c in enumerate(total) if c}, order)
 
 

@@ -2,7 +2,9 @@
 
 Roots come from companion-matrix eigenvalues (numpy), tightened by a few
 guarded Newton steps, and are returned in a canonical order (real part, then
-imaginary part, rounded to 12 digits) so runs are reproducible.
+imaginary part, rounded to 12 digits) so runs are reproducible.  The Bethe
+vacua themselves are closed forms (`vw3d.bethe`); this general solver is
+their independent numeric cross-check.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _residual(coeffs, z):
     return abs(value) / scale if scale else abs(value)
 
 
-def poly_roots(poly, tol=1e-9, polish=True):
+def poly_roots(poly, tol=1e-9):
     """All `degree` roots (with multiplicity), canonically ordered.
 
     Each root satisfies |p(z)| / sum_k |c_k||z|^k <= tol; on failure a
@@ -95,20 +97,19 @@ def poly_roots(poly, tol=1e-9, polish=True):
     roots = []
     for z in raw:
         z = complex(z)
-        if polish:
-            for _ in range(3):
-                pv = poly(z)
-                dv = poly.derivative_at(z)
-                if dv == 0:
-                    break
-                step = pv / dv
-                if abs(step) > 1e-2 * max(1.0, abs(z)):
-                    break  # double-root plateau; Newton would wander
-                z2 = z - step
-                if _residual(coeffs, z2) <= _residual(coeffs, z):
-                    z = z2
-                else:
-                    break
+        for _ in range(3):
+            pv = poly(z)
+            dv = poly.derivative_at(z)
+            if dv == 0:
+                break
+            step = pv / dv
+            if abs(step) > 1e-2 * max(1.0, abs(z)):
+                break  # double-root plateau; Newton would wander
+            z2 = z - step
+            if _residual(coeffs, z2) <= _residual(coeffs, z):
+                z = z2
+            else:
+                break
         roots.append(z)
     worst = max(_residual(coeffs, z) for z in roots)
     if worst > tol:

@@ -21,6 +21,9 @@ __all__ = [
     "SeriesError",
     "VARIABLE_ORDER",
     "default_denominator",
+    "poly_mul",
+    "poly_pow",
+    "poly_divmod",
 ]
 
 # Canonical variable order; every series uses a subsequence of this.
@@ -579,18 +582,49 @@ class PuiseuxSeries:
         return f"PuiseuxSeries[{','.join(self.variables)}; 1/{self.den}]({body})"
 
 
-def series_arith(a, b, kind):
-    """Binary arithmetic dispatcher kept as an explicit named operation."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    raise SeriesError(f"unknown arithmetic kind {kind!r}")
+# ----------------------------------------------------------------------
+# dense univariate polynomials: coefficient lists, ascending powers
 
 
-def series_invert(a, order=None):
-    """Inverse of `a`; optionally restrict the result to `order` first."""
-    inv = a.invert()
+def poly_mul(a, b, order=None):
+    """Product of two coefficient lists, truncated to degree <= `order` if given.
+
+    Zero coefficients are skipped, so sparse factors such as the Euler
+    product cost only their nonzero terms.
+    """
+    size = len(a) + len(b) - 1
     if order is not None:
-        inv = inv.truncate(order)
-    return inv
+        size = min(size, order + 1)
+    out = [0] * size
+    for i, ca in enumerate(a[:size]):
+        if ca:
+            for j, cb in enumerate(b[:size - i]):
+                if cb:
+                    out[i + j] += ca * cb
+    return out
+
+
+def poly_pow(base, n, order=None):
+    """base**n by square-and-multiply, truncated like `poly_mul`."""
+    out = [1]
+    acc = list(base)
+    while n:
+        if n & 1:
+            out = poly_mul(out, acc, order)
+        n >>= 1
+        if n:
+            acc = poly_mul(acc, acc, order)
+    return out
+
+
+def poly_divmod(num, den):
+    """Quotient and remainder of exact (Fraction) coefficient lists."""
+    num = list(num)
+    q = [Fraction(0)] * (len(num) - len(den) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        c = num[k + len(den) - 1] / den[-1]
+        q[k] = c
+        if c:
+            for j, d in enumerate(den):
+                num[k + j] -= c * d
+    return q, num

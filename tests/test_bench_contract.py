@@ -1,0 +1,61 @@
+"""The traced benchmark wraps vw3d functions by name; keep those names alive.
+
+`bench/layers.py` looks up every layer function it times.  A renamed or
+deleted function would otherwise only surface when the traced benchmark
+runs; here it fails in well under a second.
+"""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import layers  # noqa: E402
+
+from vw3d import bethe, elliptic  # noqa: E402
+
+
+def _traced(calls):
+    """Install a fresh tracer, run `calls` with it enabled, return it."""
+    tracer = layers.make_tracer()
+    try:
+        tracer.install(layers.namespaces())
+        tracer.enabled = True
+        calls()
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+    return tracer
+
+
+def test_every_traced_function_is_bound():
+    tracer = layers.make_tracer()
+    try:
+        tracer.install(layers.namespaces())
+        bound = {id(original) for _, _, original in tracer._patched}
+    finally:
+        tracer.uninstall()
+    unbound = [fn.__qualname__ for fn, _ in tracer._wrappers if id(fn) not in bound]
+    assert not unbound
+
+
+def test_bethe_layers_see_calls():
+    def calls():
+        bethe.point_report({"x": 0.3, "y": 0.7, "t": 0.11})
+        bethe.sweep_report(1)
+
+    snap = _traced(calls).snapshot()
+    expected = set(layers.EXPECTED["bethe_sweep"]) - {"cli.main"}
+    assert [name for name in expected if not snap["calls"].get(name)] == []
+
+
+def test_qseries_layers_see_calls():
+    def calls():
+        elliptic.z_vw_kahler(elliptic.sw_data_en(4), order=2)
+        elliptic.z_vw_kahler(elliptic.sw_data_en(2), order=2).invert()
+
+    snap = _traced(calls).snapshot()
+    seen = dict(snap["calls"], **snap["counters"])
+    expected = set(layers.EXPECTED["qseries"]) - {"cli.main", "elliptic.gluing_check"}
+    assert [name for name in expected if not seen.get(name)] == []

@@ -23,6 +23,8 @@ from vw3d.bethe import (
     verlinde_sum,
 )
 from vw3d.ratexpr import rational_eval
+from vw3d.roots import poly_roots
+from vw3d.series import poly_mul
 
 GENERIC = {"x": 0.3, "y": 0.7, "t": 0.11}
 
@@ -63,6 +65,38 @@ class TestBuild:
         with pytest.raises(DegenerateParameterError):
             build_bethe({"x": 1.0, "y": 0.5, "t": 0.25})
 
+    @pytest.mark.parametrize("x, y, t", [
+        (2, Fraction(1, 2), Fraction(3, 10)),       # xy = 1: u_- = u_+
+        (2, 2, Fraction(5, 7)),                     # u_- = 2: vacua meet z = +-1
+        (2, 2, Fraction(1, 5)),                     # u_+ = -2: vacua meet z = +-i
+        (Fraction(1, 2), Fraction(3, 10), 2),       # tx = 1: u_- = u_+
+    ])
+    def test_merging_vacua_rejected_exactly(self, x, y, t):
+        with pytest.raises(DegenerateParameterError):
+            verlinde_sum(1, {"x": x, "y": y, "t": t})
+
+    def test_palindromic_factorisation_exact(self):
+        # A(w)^2 - B(w)^2 = (1 - (txy)^2)(w^2 - 1)(w^2 - u_- w + 1)(w^2 - u_+ w + 1)
+        rng = random.Random(7)
+        for _ in range(50):
+            x, y, t = (Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(3))
+            if 1 in (x, y, t) or t * x * y == 1:
+                continue
+            a = b = [Fraction(1)]
+            for p in (t, x, y):
+                a = poly_mul(a, [p, -1])
+                b = poly_mul(b, [-1, p])
+            lhs = [ca - cb for ca, cb in zip(poly_mul(a, a), poly_mul(b, b))]
+            txy = t * x * y
+            u_minus = -(txy - t * x - t * y - t - x * y - x - y + 1) / (txy + 1)
+            u_plus = (txy + t * x + t * y - t + x * y - x - y - 1) / (txy - 1)
+            rhs = [1 - txy ** 2]
+            for factor in ([-1, 0, 1], [1, -u_minus, 1], [1, -u_plus, 1]):
+                rhs = poly_mul(rhs, factor)
+            assert lhs == rhs
+            system = build_bethe({"x": x, "y": y, "t": t})
+            assert system.traces == (u_minus, u_plus)
+
 
 class TestAdmissible:
     def test_ten_admissible_with_weyl_pairs(self):
@@ -82,11 +116,16 @@ class TestAdmissible:
         assert 1.0 + 0j not in kept and -1.0 + 0j not in kept
 
     def test_stability_sweep(self):
+        # the numeric solver stays as an independent check of the closed forms
         rng = random.Random(123)
         for _ in range(30):
             params = {k: rng.uniform(0.05, 0.95) for k in ("x", "y", "t")}
-            roots = admissible_roots(build_bethe(params))
+            system = build_bethe(params)
+            roots = admissible_roots(system)
             assert len(roots) == 10
+            numeric = poly_roots(system.polynomial)
+            for r in roots:
+                assert min(abs(r.z - z) for z in numeric) < 1e-8
 
 
 def _sorted_key(z):
@@ -153,6 +192,14 @@ class TestVerlindeSum:
         direct = verlinde_sum(3, params)
         closed = closed_form_value(3, 0.35, 0.15)
         assert abs(direct - closed) <= 1e-7 * abs(closed)
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_genus_two_near_unit_point(self, eps):
+        # the criterion-4 path (x, t) = (1 - 2 eps, 1 - eps) at y = x
+        x, t = 1 - 2 * eps, 1 - eps
+        direct = verlinde_sum(2, {"x": x, "y": x, "t": t})
+        closed = closed_form_value(2, x, t)
+        assert abs(direct - closed) <= 1e-9 * abs(closed)
 
     def test_higher_genus_generic_point(self):
         direct = verlinde_sum(2, GENERIC)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError, series_arith, series_invert
+from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError
 
 
 def t_poly(coeffs, order=21):
@@ -45,7 +45,7 @@ class TestArithmetic:
     def test_difference_of_squares(self):
         one_plus = t_poly({0: 1, 1: 1})
         one_minus = t_poly({0: 1, 1: -1})
-        assert series_arith(one_plus, one_minus, "mul") == t_poly({0: 1, 2: -1})
+        assert one_plus * one_minus == t_poly({0: 1, 2: -1})
 
     def test_half_exponent_product(self):
         h = PuiseuxSeries.monomial(("t",), {"t": Fraction(1, 2)}, 1)
@@ -65,16 +65,16 @@ class TestArithmetic:
 
 class TestInvert:
     def test_geometric(self):
-        inv = series_invert(t_poly({0: 1, 1: -1}, order=8))
+        inv = t_poly({0: 1, 1: -1}, order=8).invert()
         assert inv == t_poly({k: 1 for k in range(8)}, order=8)
 
     def test_boson_tower(self):
-        inv = series_invert(t_poly({0: 1, 2: -1}, order=10))
+        inv = t_poly({0: 1, 2: -1}, order=10).invert()
         assert inv == t_poly({k: 1 for k in range(0, 10, 2)}, order=10)
 
     def test_laurent_inverse_multiplies_back(self):
         g_low = q_poly({-1: 1, 0: 24, 1: 324, 2: 3200, 3: 25650}, order=11)
-        inv = series_invert(g_low)
+        inv = g_low.invert()
         prod = g_low * inv
         assert prod.coefficient({"q": 0}) == 1
         assert all(e == (0,) for e in prod.terms)
@@ -86,11 +86,11 @@ class TestInvert:
 
     def test_zero_rejected(self):
         with pytest.raises(SeriesError):
-            series_invert(t_poly({}, order=4))
+            t_poly({}, order=4).invert()
 
     def test_involution(self):
         a = t_poly({0: 2, 1: 3, 3: -1}, order=9)
-        assert series_invert(series_invert(a)) == a
+        assert a.invert().invert() == a
 
 
 def _random_series(rng, order=6):
