@@ -181,11 +181,14 @@ def admissible_roots(system):
 
 
 def _dilaton_factor(p, w, r_charge, eps_pole):
-    num = float(p) ** 1.5 * w
-    den = (float(p) - 1.0) * (float(p) - w) * (float(p) * w - 1.0)
-    if abs(den) < eps_pole:
-        raise PoleError(f"dilaton denominator {den} below {eps_pole}")
-    base = num / den
+    # Each linear factor is tested on its own: near (1, 1) the product is
+    # far below eps_pole while no factor is near a pole.
+    p = float(p)
+    factors = (p - 1.0, p - w, p * w - 1.0)
+    nearest = min(abs(f) for f in factors)
+    if nearest < eps_pole:
+        raise PoleError(f"dilaton factor {nearest} below {eps_pole}")
+    base = p ** 1.5 * w / (factors[0] * factors[1] * factors[2])
     return base ** (r_charge - 1)
 
 
@@ -448,6 +451,8 @@ def point_report(params, genera=(0, 1, 2), eps_pole=1e-12):
     "roots" lists all twelve roots of the saddle polynomial: the ten vacua
     and the Weyl-fixed z = +-1, in the canonical (re, im) order.
     """
+    if min(genera) < 0:
+        raise ValueError("genus must be a nonnegative integer")
     system = build_bethe(params)
     roots = admissible_roots(system)
     classify = system.params["x"] == system.params["y"]
@@ -484,6 +489,8 @@ def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
     every vacuum within 1e-8 of one of them, Weyl pairing, and the weight
     multiset to match the generic closed forms with multiplicities (2,4,4).
     """
+    if n_points < 1:
+        raise ValueError("a stability sweep needs at least one point")
     rng = random.Random(seed)
     start = time.monotonic()
     worst_weyl = 0.0

@@ -36,11 +36,18 @@ class RunConfig:
     seed: int = 0
 
 
-def _default_order():
-    try:
-        return int(os.environ.get("VW3D_ORDER", "20"))
-    except ValueError:
-        return 20
+def _order(args):
+    """--order, else $VW3D_ORDER, else 20; at least 1 for every subcommand."""
+    order = args.order
+    if order is None:
+        raw = os.environ.get("VW3D_ORDER", "20")
+        try:
+            order = int(raw)
+        except ValueError:
+            raise ValueError(f"VW3D_ORDER must be an integer, got {raw!r}") from None
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    return order
 
 
 def _emit(config, report, text_lines):
@@ -59,7 +66,7 @@ def _series_text(series):
 # verlinde
 
 def _cmd_verlinde(args, config):
-    if args.sweep:
+    if args.sweep is not None:
         rep = bethe.sweep_report(args.sweep, seed=config.seed)
         report = {"config": _config_dict(config), "mode": "sweep", **rep}
         lines = [f"# stability sweep over {args.sweep} seeded points",
@@ -129,11 +136,17 @@ def _cmd_elliptic(args, config):
 def _parse_hf(text):
     if text in ("S2xS1", "s2xs1"):
         return ("S2xS1", {})
-    if text.lower().startswith("lens:"):
-        return ("lens", {"p": int(text.split(":", 1)[1])})
-    if text.lower().startswith("sigma:"):
-        g, h = text.split(":", 1)[1].split(",")
-        return ("SigmaGxS1", {"g": int(g), "h": int(h)})
+    kind, _, values = text.partition(":")
+    kind = kind.lower()
+    try:
+        if kind == "lens":
+            return ("lens", {"p": int(values)})
+        if kind == "sigma":
+            g, h = (int(v) for v in values.split(","))
+            return ("SigmaGxS1", {"g": g, "h": h})
+    except ValueError:
+        form = "lens:p" if kind == "lens" else "sigma:g,h"
+        raise ValueError(f"bad manifold {text!r}: expected {form} with integers") from None
     raise ValueError(f"unknown manifold {text!r} "
                      "(use S2xS1, lens:p, or sigma:g,h)")
 
@@ -190,6 +203,8 @@ def _cmd_floer(args, config):
 # brst
 
 def _cmd_brst(args, config):
+    if args.states < 1:
+        raise ValueError("--states must be at least 1")
     table = brst.get_table(args.table)
     exit_code = EXIT_OK
     report = {"config": _config_dict(config), "table": args.table, "checks": []}
@@ -312,15 +327,15 @@ _HANDLERS = {
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        parameters={k: v for k, v in sorted(vars(args).items())
-                    if k not in ("command", "json") and v is not None},
-        output="json" if args.json else "text",
-        order=args.order if args.order is not None else _default_order(),
-        seed=args.seed,
-    )
     try:
+        config = RunConfig(
+            command=args.command,
+            parameters={k: v for k, v in sorted(vars(args).items())
+                        if k not in ("command", "json") and v is not None},
+            output="json" if args.json else "text",
+            order=_order(args),
+            seed=args.seed,
+        )
         report, lines, code = _HANDLERS[args.command](args, config)
     except (ValueError, KeyError, brst.RuleMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -64,19 +64,6 @@ def _euler_factor_coeffs(order):
     return coeffs
 
 
-def _dense_inv(a, order):
-    # a[0] must be 1; standard recurrence for the reciprocal power series
-    out = [0] * (order + 1)
-    out[0] = 1
-    for n in range(1, order + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            if a[k]:
-                acc += a[k] * out[n - k]
-        out[n] = -acc
-    return out
-
-
 def eta24_series(order=20):
     """eta(q)^24 = q prod (1 - q^n)^24, exact integers, through q^{order}."""
     power = poly_pow(_euler_factor_coeffs(order), 24, order)
@@ -90,8 +77,8 @@ def g_series(order=20):
         raise ValueError("order must be at least 1")
     e24 = [0] * (order + 2)
     for (e,), c in eta24_series(order + 1).terms.items():
-        e24[e // Q_DEN - 1] = int(c.re)
-    inv = _dense_inv(e24, order + 1)
+        e24[e // Q_DEN - 1] = c.re.numerator
+    inv = poly_pow(e24, -1, order + 1)
     terms = {k - 1: ExactComplex(c) for k, c in enumerate(inv) if c}
     return QSeries(terms, order)
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add, ge
 
 __all__ = [
     "ExactComplex",
@@ -76,12 +77,16 @@ class ExactComplex:
     def coerce(value):
         if isinstance(value, ExactComplex):
             return value
+        if isinstance(value, Fraction):
+            return _real(value)
         if isinstance(value, complex):
             return ExactComplex(_as_fraction(value.real), _as_fraction(value.imag))
         return ExactComplex(value)
 
     def __add__(self, other):
         other = ExactComplex.coerce(other)
+        if not (self.im or other.im):
+            return _real(self.re + other.re)
         return ExactComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -97,6 +102,8 @@ class ExactComplex:
 
     def __mul__(self, other):
         other = ExactComplex.coerce(other)
+        if not (self.im or other.im):
+            return _real(self.re * other.re)
         return ExactComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -127,7 +134,7 @@ class ExactComplex:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.re or self.im)
 
     def conjugate(self):
         return ExactComplex(self.re, -self.im)
@@ -154,6 +161,17 @@ class ExactComplex:
         if rn is None or rd is None:
             raise SeriesError(f"{value} is not a perfect rational square")
         return Fraction(rn, rd)
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _real(value):
+    """The ExactComplex `value` + 0i for a Fraction `value`, without coercion."""
+    z = object.__new__(ExactComplex)
+    object.__setattr__(z, "re", value)
+    object.__setattr__(z, "im", _FRACTION_ZERO)
+    return z
 
 
 def _isqrt_exact(n):
@@ -203,7 +221,7 @@ class PuiseuxSeries:
             exps = tuple(exps)
             if len(exps) != len(variables):
                 raise SeriesError("exponent arity mismatch")
-            if any(e >= c for e, c in zip(exps, cutoff)):
+            if any(map(ge, exps, cutoff)):
                 continue
             clean[exps] = coeff
         object.__setattr__(self, "variables", variables)
@@ -355,17 +373,20 @@ class PuiseuxSeries:
         # O(min(cutoff_a + val_b, cutoff_b + val_a)) componentwise.
         cutoff = tuple(min(ca + eb, cb + ea)
                        for ca, cb, ea, eb in zip(a.cutoff, b.cutoff, va, vb))
-        terms = {}
-        for ea, cae in a.terms.items():
-            for eb, cbe in b.terms.items():
-                exps = tuple(i + j for i, j in zip(ea, eb))
-                if any(e >= c for e, c in zip(exps, cutoff)):
-                    continue
-                s = terms.get(exps, ZERO) + cae * cbe
-                if s:
-                    terms[exps] = s
-                else:
-                    terms.pop(exps, None)
+        if any(c.im for c in a.terms.values()) or any(c.im for c in b.terms.values()):
+            terms = {}
+            for ea, cae in a.terms.items():
+                for eb, cbe in b.terms.items():
+                    exps = tuple(i + j for i, j in zip(ea, eb))
+                    if any(e >= c for e, c in zip(exps, cutoff)):
+                        continue
+                    s = terms.get(exps, ZERO) + cae * cbe
+                    if s:
+                        terms[exps] = s
+                    else:
+                        terms.pop(exps, None)
+        else:
+            terms = _real_product(a.terms, b.terms, cutoff)
         return PuiseuxSeries(a.variables, a.den, terms, cutoff)
 
     __rmul__ = __mul__
@@ -582,6 +603,42 @@ class PuiseuxSeries:
         return f"PuiseuxSeries[{','.join(self.variables)}; 1/{self.den}]({body})"
 
 
+def _lift(terms):
+    """Real coefficients as integer numerators over their common denominator."""
+    den = lcm(*(c.re.denominator for c in terms.values()))
+    return [(e, c.re.numerator * (den // c.re.denominator)) for e, c in terms.items()], den
+
+
+def _real_product(ta, tb, cutoff):
+    """Terms of the product of two real-coefficient term maps below `cutoff`.
+
+    The convolution runs on integer numerators; each nonzero output
+    coefficient is reduced to lowest terms once, at the end.
+    """
+    na, da = _lift(ta)
+    nb, db = _lift(tb)
+    acc = {}
+    if len(cutoff) == 1:
+        (cut,) = cutoff
+        nb = sorted((eb, y) for (eb,), y in nb)
+        for (ea,), x in na:
+            lim = cut - ea
+            for eb, y in nb:
+                if eb >= lim:
+                    break
+                e = ea + eb
+                acc[e] = acc.get(e, 0) + x * y
+        acc = {(e,): n for e, n in acc.items()}
+    else:
+        for ea, x in na:
+            for eb, y in nb:
+                e = tuple(map(add, ea, eb))
+                if not any(map(ge, e, cutoff)):
+                    acc[e] = acc.get(e, 0) + x * y
+    den = da * db
+    return {e: _real(Fraction(n, den)) for e, n in acc.items() if n}
+
+
 # ----------------------------------------------------------------------
 # dense univariate polynomials: coefficient lists, ascending powers
 
@@ -604,17 +661,37 @@ def poly_mul(a, b, order=None):
     return out
 
 
-def poly_pow(base, n, order=None):
-    """base**n by square-and-multiply, truncated like `poly_mul`."""
-    out = [1]
-    acc = list(base)
-    while n:
-        if n & 1:
-            out = poly_mul(out, acc, order)
-        n >>= 1
-        if n:
-            acc = poly_mul(acc, acc, order)
-    return out
+def poly_pow(base, k, order=None):
+    """base**k for any integer k, truncated to degree <= `order` if given.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): with a = base
+    and B = a**k, n a_0 B_n = sum_{j=1}^{n} ((k+1) j - n) a_j B_{n-j}.  Only
+    nonzero a_j are visited, so the sparse Euler product costs O(n sqrt n).
+    Leading zeros of `base` shift the result.  A negative k needs a_0 != 0
+    and an `order`.  Integer bases give integers when k >= 0 or a_0 = +-1.
+    """
+    shift = next((i for i, c in enumerate(base) if c), None)
+    if k < 0 and (shift != 0 or order is None):
+        raise SeriesError("a negative power needs a nonzero constant term and an order")
+    size = order + 1 if k < 0 else (len(base) - 1) * k + 1
+    if order is not None:
+        size = min(size, order + 1)
+    lead = 0 if shift is None else shift * k
+    if k == 0 or shift is None or lead >= size:
+        return [1 if k == 0 else 0] + [0] * (size - 1)
+    a = base[shift:shift + size - lead]
+    a0 = a[0]
+    exact = all(isinstance(c, int) for c in a) and (k >= 0 or a0 in (1, -1))
+    nonzero = [(j, c) for j, c in enumerate(a) if j and c]
+    out = [a0 ** abs(k) if exact else Fraction(a0) ** k]
+    for n in range(1, size - lead):
+        acc = 0
+        for j, c in nonzero:
+            if j > n:
+                break
+            acc += ((k + 1) * j - n) * c * out[n - j]
+        out.append(acc // (n * a0) if exact else Fraction(acc) / (n * a0))
+    return [0] * lead + out
 
 
 def poly_divmod(num, den):

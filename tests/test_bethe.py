@@ -193,12 +193,23 @@ class TestVerlindeSum:
         closed = closed_form_value(3, 0.35, 0.15)
         assert abs(direct - closed) <= 1e-7 * abs(closed)
 
-    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 3e-5])
     def test_genus_two_near_unit_point(self, eps):
         # the criterion-4 path (x, t) = (1 - 2 eps, 1 - eps) at y = x
         x, t = 1 - 2 * eps, 1 - eps
         direct = verlinde_sum(2, {"x": x, "y": x, "t": t})
         closed = closed_form_value(2, x, t)
+        assert abs(direct - closed) <= 1e-9 * abs(closed)
+
+    def test_genus_two_finite_below_closed_form_threshold(self):
+        # At eps = 1e-5 the closed form trips ratexpr's absolute 1e-12 pole
+        # threshold; the pipeline must stay finite and agree with it once
+        # that threshold is lowered.
+        eps = 1e-5
+        x, t = 1 - 2 * eps, 1 - eps
+        direct = verlinde_sum(2, {"x": x, "y": x, "t": t})
+        assert np.isfinite(direct)
+        closed = closed_form_value(2, x, t, eps_pole=1e-30)
         assert abs(direct - closed) <= 1e-9 * abs(closed)
 
     def test_higher_genus_generic_point(self):

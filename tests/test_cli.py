@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -129,3 +130,68 @@ class TestReproducibility:
         _, out, _ = run_cli(capsys, "floer", "--molien", "--json")
         parsed = json.loads(out)
         assert parsed["config"]["order"] == 5
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv,message", [
+        (("verlinde", "--g", "-1", "--x", ".3", "--y", ".7", "--t", ".11"), "genus"),
+        (("verlinde", "--sweep", "-1"), "at least one point"),
+        (("verlinde", "--sweep", "0", "--x", ".3", "--y", ".7", "--t", ".11"),
+         "at least one point"),
+        (("verlinde", "--g", "0", "--series", "--order", "0"), "order must be at least 1"),
+        (("elliptic", "--n", "2", "--order", "0"), "order must be at least 1"),
+        (("elliptic", "--n", "2", "--order", "-3"), "order must be at least 1"),
+        (("floer", "--molien", "--order", "0"), "order must be at least 1"),
+        (("brst", "--table", "abelian", "--order", "0"), "order must be at least 1"),
+        (("brst", "--table", "abelian", "--states", "0", "--strict"), "--states"),
+        (("floer", "--hf", "sigma:x"), "sigma:g,h"),
+        (("floer", "--hf", "lens:x"), "lens:p"),
+    ])
+    def test_rejected_with_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PRECONDITION
+        assert message in err
+        assert out == ""
+
+    @pytest.mark.parametrize("value,message", [("abc", "VW3D_ORDER"),
+                                               ("0", "order must be at least 1")])
+    def test_bad_order_variable(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("VW3D_ORDER", value)
+        code, out, err = run_cli(capsys, "floer", "--molien")
+        assert code == EXIT_PRECONDITION
+        assert message in err
+        assert out == ""
+
+
+# SHA-256 of the --json output of the README commands whose results are
+# exact.  Any change to an exact result, or to the JSON layout, shows here;
+# update a digest only for an intended change of output.
+JSON_DIGESTS = [
+    ("verlinde --g 0 --series --order 6",
+     "67ccfbfa4f9fb74ec51c33be58e4b58c68574089a9201c21a586006c62dd888c"),
+    ("verlinde --g 2 --limit R2 --order 5",
+     "dc68fabe0d92f70c6f894c18340a4b12f5b6f4c5a6aa77db57a733515154530e"),
+    ("elliptic --n 2 --order 4",
+     "941154178b73e764da15dae67ae3c412ce0c760e066f7868d70fd16b9eec1f7d"),
+    ("elliptic --n 6 --gluing",
+     "43aec248cf73c82dcd6a3e8649fd90e47b328f7770b9292a0658353f93a33820"),
+    ("floer --hf S2xS1",
+     "769140f8ed709efa3a816d4739b14fec5b52e5f81a2cbefc9839176cb06c7c32"),
+    ("floer --hf sigma:3,1",
+     "b6dc641553470d3adf3bc19778ad705b1f0af1c794144eba07077998319d5aac"),
+    ("floer --molien --order 10",
+     "85b02d0f861aaaff1f16f243e5245fcec8a41959894db6d366923642330f418e"),
+    ("floer --brieskorn Sigma237 --conjecture",
+     "a46dc3bb50b1d7319535fcde51a05477032656c05bf70951c0026f9cdc7eb7fd"),
+    ("brst --table abelian --check Q2",
+     "5c7e20e81437b825c781209ec6378441c7318d6dbaf21e6743d1975e9664c740"),
+]
+
+
+class TestJsonDigests:
+    @pytest.mark.parametrize("command,digest", JSON_DIGESTS)
+    def test_json_output_is_pinned(self, capsys, monkeypatch, command, digest):
+        monkeypatch.delenv("VW3D_ORDER", raising=False)
+        code, out, _ = run_cli(capsys, *command.split(), "--json")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from operator import add, lt
 
 import pytest
 
-from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError
+from vw3d.elliptic import eta24_series, g_series
+from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError, poly_mul, poly_pow
 
 
 def t_poly(coeffs, order=21):
@@ -118,6 +120,120 @@ class TestRingAxioms:
             s = _random_series(rng) * _random_series(rng)
             assert all(c for c in s.terms.values())
             assert all(e[i] < s.cutoff[i] for e in s.terms for i in range(len(e)))
+
+
+def schoolbook_product(a, b):
+    """Reference product: the ExactComplex double loop under the sound cutoff."""
+    a, b = PuiseuxSeries._align(a, b)
+    va, vb = a._valuations(), b._valuations()
+    if va is None or vb is None:
+        return {}, tuple(map(min, a.cutoff, b.cutoff))
+    cutoff = tuple(min(ca + eb, cb + ea)
+                   for ca, cb, ea, eb in zip(a.cutoff, b.cutoff, va, vb))
+    terms = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(map(add, ea, eb))
+            if all(map(lt, e, cutoff)):
+                terms[e] = terms.get(e, ExactComplex(0)) + ca * cb
+    return {e: c for e, c in terms.items() if c}, cutoff
+
+
+def _random_coeff(rng, kind):
+    re = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 8)))
+    if kind == "real":
+        return ExactComplex(re)
+    return ExactComplex(re, Fraction(rng.randint(-2, 2), rng.choice((1, 4))))
+
+
+def _random_operand(rng, variables, den, kind):
+    """Random series; small coefficients so that sums often cancel to 0."""
+    low, high = (-2 * den, 8 * den) if den == 24 else (-2, 10)
+    step = rng.choice((1, den // 2, den)) if den > 2 else 1
+    cutoff = tuple(rng.randint(high // 2, high) for _ in variables)
+    if rng.random() < 0.1:
+        return PuiseuxSeries(variables, den, {}, cutoff)
+    terms = {}
+    for _ in range(rng.randint(1, 12)):
+        exps = tuple(rng.randrange(low, high, step) for _ in variables)
+        terms[exps] = _random_coeff(rng, kind)
+    return PuiseuxSeries(variables, den, terms, cutoff)
+
+
+class TestRealFastPath:
+    """The integer-numerator product against the schoolbook ExactComplex loop."""
+
+    @pytest.mark.parametrize("variables,den", [(("q",), 24), (("t", "x"), 2)])
+    @pytest.mark.parametrize("kinds", [("real", "real"), ("complex", "complex"),
+                                       ("real", "complex")])
+    def test_random_products(self, variables, den, kinds):
+        rng = random.Random(f"{variables}{kinds}")
+        for _ in range(60):
+            a = _random_operand(rng, variables, den, kinds[0])
+            b = _random_operand(rng, variables, den, kinds[1])
+            terms, cutoff = schoolbook_product(a, b)
+            prod = a * b
+            assert prod.terms == terms
+            assert prod.cutoff == cutoff
+            assert all(c for c in prod.terms.values())
+
+    def test_cancellation_to_exact_zero(self):
+        # (1 + t^{1/2} x)(1 - t^{1/2} x) = 1 - t x^2: the cross terms cancel
+        one = PuiseuxSeries.constant(1, ("t", "x"), order=6)
+        tx = PuiseuxSeries.monomial(("t", "x"), {"t": Fraction(1, 2), "x": 1}, order=6)
+        prod = (one + tx) * (one - tx)
+        assert prod.terms == {(0, 0): ExactComplex(1), (2, 4): ExactComplex(-1)}
+        q = q_poly({-1: Fraction(1, 3), 1: Fraction(2, 3)})
+        r = q_poly({-1: Fraction(-3, 2), 1: 3})
+        assert (q * r).terms == schoolbook_product(q, r)[0]
+        assert (q * r).coefficient({"q": 0}) == 0
+
+    def test_truncated_zero_operand(self):
+        zero = PuiseuxSeries(("q",), 24, {}, (48,))
+        prod = zero * q_poly({-1: 1, 0: 24}, order=5)
+        assert prod.is_zero() and prod.cutoff == (48,)
+
+
+def _reciprocal(a, order):
+    out = [Fraction(1) / a[0]]
+    for n in range(1, order + 1):
+        acc = sum(a[j] * out[n - j] for j in range(1, min(n, len(a) - 1) + 1))
+        out.append(-acc / a[0])
+    return out
+
+
+class TestPolyPow:
+    @pytest.mark.parametrize("k", range(-3, 9))
+    def test_miller_matches_repeated_products(self, k):
+        order = 9
+        bases = ([1, -2, 0, 5], [3, 1, -1], [-1, 0, 0, 4],
+                 [Fraction(2, 3), Fraction(-1, 2), 0, Fraction(5, 7)])
+        for base in bases:
+            factor = base if k >= 0 else _reciprocal(base, order)
+            truncated, full = [1], [1]
+            for _ in range(abs(k)):
+                truncated = poly_mul(truncated, factor, order)
+                full = poly_mul(full, factor)
+            assert poly_pow(base, k, order) == truncated
+            if k >= 0:
+                assert poly_pow(base, k) == full
+
+    def test_integer_results_stay_integers(self):
+        assert poly_pow([1, 1], 3) == [1, 3, 3, 1]
+        assert all(isinstance(c, int) for c in poly_pow([1, -3, 2], -2, 12))
+        assert poly_pow([0, 0, 1, 1], 2, 5) == [0, 0, 0, 0, 1, 2]
+
+    def test_negative_power_needs_unit_and_order(self):
+        with pytest.raises(SeriesError):
+            poly_pow([0, 1], -1, 5)
+        with pytest.raises(SeriesError):
+            poly_pow([1, 1], -1)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 40, 133, 270])
+    def test_g_times_eta24_is_one(self, order):
+        prod = g_series(order) * eta24_series(order + 1)
+        assert prod.terms == {(0,): ExactComplex(1)}
+        assert prod.cutoff == ((order + 2) * 24,)
 
 
 class TestVariableMerging:
