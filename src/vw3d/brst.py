@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .grassmann import GrassmannElement, grassmann_mul, lie_bracket
+from .grassmann import GrassmannElement, grassmann_mul, koszul_sign, lie_bracket
 from .series import ExactComplex
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "q_squared_residual",
     "check_closure",
     "check_twistor",
+    "residual_report",
     "closure_pairs",
     "calibrate_signs",
     "RuleMissingError",
@@ -537,7 +538,7 @@ def _rule_image(state, rule, op_index, slot, comp, conv):
     return out
 
 
-def _resolve_which(table, which):
+def _resolve_which(which):
     """Accept 'Q', 'Qp', ('Q', a), ('Qbar', a); return (family, op_index)."""
     if isinstance(which, str):
         return which, None
@@ -549,7 +550,7 @@ def apply_q(state, which, conv=None):
     """One application of a BRST operator: the state of Q-images."""
     table = state.table
     conv = conv or default_convention(table)
-    family, op_index = _resolve_which(table, which)
+    family, op_index = _resolve_which(which)
     out = {}
     for key in table.state_keys():
         fname, slot, comp = key
@@ -584,7 +585,6 @@ def _shifted_state(state, images, gen_index):
 
 
 def _extract_theta(element, gen_index):
-    from .grassmann import koszul_sign
     bit = 1 << gen_index
     terms = {}
     for mask, comps in element.terms.items():
@@ -595,39 +595,40 @@ def _extract_theta(element, gen_index):
     return GrassmannElement(element.ncomp, (element.parity + 1) % 2, terms)
 
 
-def compose(state, which_outer, which_inner, conv=None):
-    """Values of Q_outer(Q_inner X) on the state, exactly."""
+def compose(state, which_outer, which_inner, conv=None, outer=None):
+    """Values of Q_outer(Q_inner X) on the state, exactly.
+
+    outer: the images Q_outer X on the state, when already computed.
+    """
     conv = conv or default_convention(state.table)
-    images_outer = apply_q(state, which_outer, conv).values
+    if outer is None:
+        outer = apply_q(state, which_outer, conv).values
     gen_index = state.n_generators
-    shifted = _shifted_state(state, images_outer, gen_index)
+    shifted = _shifted_state(state, outer, gen_index)
     inner_images = apply_q(shifted, which_inner, conv).values
     return {key: _extract_theta(val, gen_index) for key, val in inner_images.items()}
 
 
-def anticommutator(state, which1, which2, conv=None):
-    a = compose(state, which1, which2, conv)
-    b = compose(state, which2, which1, conv)
-    return {key: a[key] + b[key] for key in a}
+def _compose_sum(state, weights, conv):
+    """Sum of w * Q_a(Q_b X) over weights {(a, b): w}; each Q_a X is computed once."""
+    outer, total = {}, {}
+    for (a, b), w in weights.items():
+        if a not in outer:
+            outer[a] = apply_q(state, a, conv).values
+        for key, value in compose(state, a, b, conv, outer[a]).items():
+            value = value if w == 1 else value.scale(w)
+            total[key] = total[key] + value if key in total else value
+    return total
 
 
 def q_squared_residual(state, which="Q", conv=None, param_field=None, fields=None):
     """Q(Q X) - sigma i [X, param] per field; param None means expected zero."""
-    table = state.table
-    conv = conv or default_convention(table)
+    conv = conv or default_convention(state.table)
     images = compose(state, which, which, conv)
     if param_field is not None:
-        lam = state.values[(param_field, (), 0)]
-        expected = gauge_variation(state, lam, conv).values
-    else:
-        expected = {key: GrassmannElement.zero(table.ncomp) for key in images}
-    report = {}
-    for key, value in images.items():
-        if fields is not None and key[0] not in fields:
-            continue
-        residual = value - expected[key]
-        report[key] = residual
-    return report
+        expected = gauge_variation(state, state.values[(param_field, (), 0)], conv).values
+        images = {key: value - expected[key] for key, value in images.items()}
+    return {key: value for key, value in images.items() if fields is None or key[0] in fields}
 
 
 # ----------------------------------------------------------------------
@@ -636,21 +637,17 @@ def q_squared_residual(state, which="Q", conv=None, param_field=None, fields=Non
 def _solve_exact(rows):
     """Gaussian elimination over ExactComplex.
 
-    rows: list of (coefficients tuple, rhs).  Returns (solution list or None,
-    consistent bool); free variables are set to zero.
+    rows: list of (coefficients tuple, rhs).  Returns the solution list with
+    free variables set to zero; an inconsistent system leaves a residual.
     """
     if not rows:
-        return [], True
+        return []
     n = len(rows[0][0])
     mat = [list(r[0]) + [r[1]] for r in rows]
     pivots = []
     row = 0
     for col in range(n):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
@@ -664,41 +661,33 @@ def _solve_exact(rows):
         row += 1
         if row == len(mat):
             break
-    consistent = all(not r[n] for r in mat[row:])
     solution = [ExactComplex(0)] * n
     for r, col in enumerate(pivots):
         solution[col] = mat[r][n]
-    return solution, consistent
+    return solution
 
 
-def _gauge_basis(state, op_pair):
-    """Candidate gauge parameters for a closure pair, from the state itself."""
+def _gauge_basis(state, a, b):
+    """Candidate gauge parameters for the pair of operator indices (a, b)."""
     table = state.table
     basis = []
-    (fam1, a), (fam2, b) = op_pair
     if table.fields.get("phi") and table.fields["phi"].indices == 2:
         slot = tuple(sorted((a, b)))
         basis.append((f"phi{{{a},{b}}}", state.values[("phi", slot, 0)]))
     elif "phi" in table.fields:
-        basis.append(("phi", state.values[("phi", (), 0)]))
-        if "phibar" in table.fields:
-            basis.append(("phibar", state.values[("phibar", (), 0)]))
-        if "C" in table.fields:
-            basis.append(("C", state.values[("C", (), 0)]))
+        basis += [(name, state.values[(name, (), 0)])
+                  for name in ("phi", "phibar", "C") if name in table.fields]
     eps = _EPS[(a, b)]
-    if "rho" in table.fields and eps:
-        basis.append((f"{eps}*rho", state.values[("rho", (), 0)].scale(eps)))
-    if "Y" in table.fields and eps:
-        basis.append((f"{eps}*Y", state.values[("Y", (), 0)].scale(eps)))
+    basis += [(f"{eps}*{name}", state.values[(name, (), 0)].scale(eps))
+              for name in ("rho", "Y") if name in table.fields and eps]
     return basis
 
 
 def _fit_gauge(state, images, basis):
     """Exact fit images[X] = sum_k c_k [X, B_k]; returns (coeffs, residuals)."""
     table = state.table
-    bracket_values = {}
-    for key, value in state.values.items():
-        bracket_values[key] = [lie_bracket(value, bk) for _, bk in basis]
+    bracket_values = {key: [lie_bracket(value, bk) for _, bk in basis]
+                      for key, value in state.values.items()}
     rows = []
     for key, target in images.items():
         masks = set(target.terms)
@@ -711,7 +700,7 @@ def _fit_gauge(state, images, basis):
                 rhs = target.terms.get(mask, (ExactComplex(0),) * table.ncomp)[c]
                 if any(coeffs) or rhs:
                     rows.append((coeffs, rhs))
-    solution, _ = _solve_exact(rows)
+    solution = _solve_exact(rows)
     residuals = {}
     for key, target in images.items():
         acc = target
@@ -719,6 +708,23 @@ def _fit_gauge(state, images, basis):
             acc = acc - bv.scale(c)
         residuals[key] = acc
     return solution, residuals
+
+
+def residual_report(residuals):
+    """Per-field summary of a residual map {(field, slot, comp): element}.
+
+    `exact_zero` and `failing_fields` are decided exactly, by `is_zero()`;
+    the float `max_abs()` only fills the `residual_max` magnitudes.
+    """
+    per_field = {}
+    failing = set()
+    for (fname, slot, comp), res in residuals.items():
+        label = fname + ("" if not slot else str(list(slot)))
+        per_field[label] = max(per_field.get(label, 0.0), res.max_abs())
+        if not res.is_zero():
+            failing.add(label)
+    return {"residual_max": per_field, "exact_zero": not failing,
+            "failing_fields": sorted(failing)}
 
 
 def check_closure(state, pair, conv=None, fields=None):
@@ -734,29 +740,21 @@ def check_closure(state, pair, conv=None, fields=None):
     conv = conv or default_convention(table)
     which1, which2 = pair
     if which1 == which2:
-        images = compose(state, which1, which2, conv)
-        kind = "square"
+        kind, weights = "square", {(which1, which2): 1}
     else:
-        images = anticommutator(state, which1, which2, conv)
-        kind = "anticommutator"
-    f1, a = _resolve_which(table, which1)
-    f2, b = _resolve_which(table, which2)
-    basis = _gauge_basis(state, ((f1, a or 1), (f2, b or 1)))
+        kind, weights = "anticommutator", {(which1, which2): 1, (which2, which1): 1}
+    images = _compose_sum(state, weights, conv)
+    _, a = _resolve_which(which1)
+    _, b = _resolve_which(which2)
+    basis = _gauge_basis(state, a or 1, b or 1)
     solution, residuals = _fit_gauge(state, images, basis)
     if fields is not None:
         residuals = {k: v for k, v in residuals.items() if k[0] in fields}
-    ok = all(v.is_zero() for v in residuals.values())
-    per_field = {}
-    for (fname, slot, comp), res in residuals.items():
-        label = fname + ("" if not slot else str(list(slot)))
-        per_field[label] = max(per_field.get(label, 0.0), res.max_abs())
     return {
         "pair": [str(which1), str(which2)],
         "kind": kind,
         "gauge_parameter": {name: repr(c) for (name, _), c in zip(basis, solution)},
-        "residual_max": per_field,
-        "exact_zero": ok,
-        "failing_fields": sorted(name for name, v in per_field.items() if v > 0),
+        **residual_report(residuals),
     }
 
 
@@ -770,32 +768,19 @@ def check_twistor(state, s, r, conv=None):
     table = state.table
     conv = conv or default_convention(table)
     coeffs = {("Q", 1): s[0], ("Q", 2): s[1], ("Qbar", 1): r[0], ("Qbar", 2): r[1]}
-    total = None
-    for w1, c1 in coeffs.items():
-        for w2, c2 in coeffs.items():
-            if c1 == 0 or c2 == 0:
-                continue
-            part = compose(state, w1, w2, conv)
-            factor = ExactComplex(Fraction(c1) * Fraction(c2))
-            for key, value in part.items():
-                scaled = value.scale(factor)
-                if total is None:
-                    total = {k: GrassmannElement.zero(table.ncomp) for k in part}
-                total[key] = total[key] + scaled
-    basis = []
-    for slot in ((1, 1), (1, 2), (2, 2)):
-        basis.append((f"phi{{{slot[0]},{slot[1]}}}",
-                      state.values[("phi", slot, 0)]))
-    basis.append(("rho", state.values[("rho", (), 0)]))
-    if "Y" in table.fields:
-        basis.append(("Y", state.values[("Y", (), 0)]))
+    weights = {(w1, w2): Fraction(c1) * Fraction(c2)
+               for w1, c1 in coeffs.items() for w2, c2 in coeffs.items() if c1 and c2}
+    total = _compose_sum(state, weights, conv)
+    basis = [(f"phi{{{a},{b}}}", state.values[("phi", (a, b), 0)])
+             for a, b in ((1, 1), (1, 2), (2, 2))]
+    basis += [(name, state.values[(name, (), 0)]) for name in ("rho", "Y") if name in table.fields]
     solution, residuals = _fit_gauge(state, total, basis)
-    ok = all(v.is_zero() for v in residuals.values())
+    report = residual_report(residuals)
     return {
         "s": list(s), "r": list(r),
         "gauge_parameter": {name: repr(c) for (name, _), c in zip(basis, solution)},
-        "exact_zero": ok,
-        "failing_fields": sorted({k[0] for k, v in residuals.items() if not v.is_zero()}),
+        "exact_zero": report["exact_zero"],
+        "failing_fields": sorted({label.split("[")[0] for label in report["failing_fields"]}),
     }
 
 
@@ -815,110 +800,69 @@ def closure_pairs(table):
     return [("Q", "Q")]
 
 
-def _convention_passes(table, conv, pairs, seeds):
+def _failing_fields(table, conv, pairs, seeds):
+    """Failing field labels of every closure check over seeds x pairs, lazily."""
     for seed in seeds:
         state = random_state(table, seed=seed)
         for pair in pairs:
-            if not check_closure(state, pair, conv)["exact_zero"]:
-                return False
-    return True
+            yield from check_closure(state, pair, conv)["failing_fields"]
 
 
-def calibrate_signs(table_name, seeds=(0, 1, 2), da_candidates=None,
-                    max_exhaustive_rules=10):
+def _toggled(conv, key):
+    signs = {(f, n): s for f, n, s in conv.rule_signs}
+    signs[key] = -signs.get(key, 1)
+    return replace(conv, rule_signs=tuple((f, n, s) for (f, n), s in sorted(signs.items())))
+
+
+def calibrate_signs(table_name, seeds=(0, 1, 2)):
     """Search sign conventions until all closure residuals vanish exactly.
 
-    Stage 0 tries the identity toggle assignment with each covariant-
-    derivative coefficient; stage 1 exhausts per-rule toggles for small
-    tables.  If nothing closes, the minimal-failure convention is returned
-    with the irreducibly failing rules listed (candidate typos), never
-    silently patched.
+    Stage `identity-toggles` tries each covariant-derivative coefficient with
+    no rule toggled.  Stage `greedy-toggles` then starts from each coefficient
+    and flips per-rule signs while that lowers the failure count on the first
+    seed; a convention that reaches zero is confirmed on every seed.  If
+    nothing closes, stage `report` returns the minimal-failure convention
+    with the failing rules listed (candidate typos), never silently patched.
     """
     table = get_table(table_name)
     pairs = closure_pairs(table)
     base = default_convention(table)
-    if da_candidates is None:
-        da_candidates = (base.da_coef, ExactComplex(1), ExactComplex(-1),
-                         I_UNIT, -I_UNIT)
-    tried = []
-    for da in da_candidates:
-        conv = replace(base, da_coef=ExactComplex.coerce(da))
-        if _convention_passes(table, conv, pairs, seeds):
-            return replace(conv, calibrated=True), {"calibrated": True,
-                                                    "stage": "identity-toggles",
-                                                    "failing_rules": []}
-        tried.append(conv)
+    starts = [replace(base, da_coef=da) for da in dict.fromkeys(
+        (base.da_coef, ExactComplex(1), ExactComplex(-1), I_UNIT, -I_UNIT))]
+
+    def closes(conv, seeds=seeds):
+        return next(_failing_fields(table, conv, pairs, seeds), None) is None
+
+    def failures(conv, limit=None):
+        # failing fields on the first seed, counted no further than `limit`
+        return sum(1 for _ in itertools.islice(
+            _failing_fields(table, conv, pairs, seeds[:1]), limit))
+
+    for conv in starts:
+        if closes(conv):
+            return replace(conv, calibrated=True), {
+                "calibrated": True, "stage": "identity-toggles", "failing_rules": []}
     rule_keys = sorted(table.rules)
     best = None
-    if len(rule_keys) <= max_exhaustive_rules:
-        for da in da_candidates:
-            for signs in itertools.product((1, -1), repeat=len(rule_keys)):
-                conv = replace(base,
-                               rule_signs=tuple((f, n, s) for (f, n), s in zip(rule_keys, signs)),
-                               da_coef=ExactComplex.coerce(da))
-                fails = _count_failures(table, conv, pairs, seeds[:1])
-                if fails == 0 and _convention_passes(table, conv, pairs, seeds):
-                    return replace(conv, calibrated=True), {
-                        "calibrated": True, "stage": "exhaustive-toggles",
-                        "failing_rules": []}
-                if best is None or fails < best[0]:
-                    best = (fails, conv)
-    else:
-        best = _greedy_toggle_search(table, base, pairs, seeds, da_candidates)
-        if best[0] == 0:
-            return replace(best[1], calibrated=True), {
-                "calibrated": True, "stage": "greedy-toggles", "failing_rules": []}
-    conv = best[1] if best else tried[0]
-    failing = _failing_rules(table, conv, pairs, seeds[:1])
-    return conv, {"calibrated": False, "stage": "report",
-                  "failing_rules": sorted(failing)}
-
-
-def _count_failures(table, conv, pairs, seeds):
-    count = 0
-    for seed in seeds:
-        state = random_state(table, seed=seed)
-        for pair in pairs:
-            report = check_closure(state, pair, conv)
-            count += len(report["failing_fields"])
-    return count
-
-
-def _failing_rules(table, conv, pairs, seeds):
-    failing = set()
-    for seed in seeds:
-        state = random_state(table, seed=seed)
-        for pair in pairs:
-            report = check_closure(state, pair, conv)
-            for label in report["failing_fields"]:
-                fname = label.split("[")[0]
-                for fam in table.families:
-                    if (fam, fname) in table.rules:
-                        failing.add(f"{fam} {fname}")
-    return failing
-
-
-def _greedy_toggle_search(table, base, pairs, seeds, da_candidates):
-    rule_keys = sorted(table.rules)
-    best = None
-    for da in da_candidates:
-        conv = replace(base, da_coef=ExactComplex.coerce(da))
-        fails = _count_failures(table, conv, pairs, seeds[:1])
-        current = (fails, conv)
+    for conv in starts:
+        fails = failures(conv)
         improved = True
-        while improved and current[0] > 0:
+        while improved and fails:
             improved = False
             for key in rule_keys:
-                signs = dict(((f, n), s) for f, n, s in current[1].rule_signs)
-                signs[key] = -signs.get(key, 1)
-                cand = replace(current[1],
-                               rule_signs=tuple((f, n, s) for (f, n), s in sorted(signs.items())))
-                fails = _count_failures(table, cand, pairs, seeds[:1])
-                if fails < current[0]:
-                    current = (fails, cand)
-                    improved = True
-        if best is None or current[0] < best[0]:
-            best = current
-        if best[0] == 0:
-            break
-    return best
+                cand = _toggled(conv, key)
+                cand_fails = failures(cand, fails)
+                if cand_fails < fails:
+                    conv, fails, improved = cand, cand_fails, True
+                    if not fails:
+                        break
+        if not fails and closes(conv, seeds[1:]):
+            return replace(conv, calibrated=True), {
+                "calibrated": True, "stage": "greedy-toggles", "failing_rules": []}
+        if best is None or fails < best[0]:
+            best = (fails, conv)
+    conv = best[1]
+    names = {label.split("[")[0] for label in _failing_fields(table, conv, pairs, seeds)}
+    failing = sorted(f"{fam} {name}" for name in names
+                     for fam in table.families if (fam, name) in table.rules)
+    return conv, {"calibrated": False, "stage": "report", "failing_rules": failing}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -206,7 +207,6 @@ def _cmd_brst(args, config):
     if args.states < 1:
         raise ValueError("--states must be at least 1")
     table = brst.get_table(args.table)
-    exit_code = EXIT_OK
     report = {"config": _config_dict(config), "table": args.table, "checks": []}
     lines = [f"# closure checks on table {args.table}"]
     if args.calibrate:
@@ -217,16 +217,14 @@ def _cmd_brst(args, config):
             lines.append("failing rules: " + ", ".join(cal["failing_rules"]))
     else:
         conv = brst.default_convention(table)
-    any_nonzero = False
     for state_index in range(args.states):
         state = brst.random_state(table, seed=config.seed + state_index)
         if args.check in ("Q2", "all"):
             param = None if table.algebra == "u1" else "phi"
             if ("Q", "phi") in table.rules and table.fields["phi"].indices == 0:
                 rep = brst.q_squared_residual(state, "Q", conv, param_field=param)
-                entry = _residual_entry("Q2", state_index, rep)
-                report["checks"].append(entry)
-                any_nonzero |= not entry["exact_zero"]
+                report["checks"].append(
+                    {"kind": "Q2", "state": state_index, **brst.residual_report(rep)})
         if args.check in ("closure", "all"):
             for pair in brst.closure_pairs(table):
                 if isinstance(pair[0], str) and pair == ("Q", "Q"):
@@ -234,30 +232,16 @@ def _cmd_brst(args, config):
                 rep = brst.check_closure(state, pair, conv)
                 rep["state"] = state_index
                 report["checks"].append(rep)
-                any_nonzero |= not rep["exact_zero"]
         if args.check in ("twistor", "all") and "Qbar" in table.families:
             rep = brst.check_twistor(state, (1, 2), (3, 1), conv)
             rep["state"] = state_index
             report["checks"].append(rep)
-            any_nonzero |= not rep["exact_zero"]
     for entry in report["checks"]:
         tag = entry.get("pair") or entry.get("kind") or "twistor"
         lines.append(f"state {entry.get('state', 0)} {tag}: "
                      f"exact_zero={entry['exact_zero']}")
-    if any_nonzero and args.strict:
-        exit_code = EXIT_RESIDUAL
-    return report, lines, exit_code
-
-
-def _residual_entry(kind, state_index, residuals):
-    per_field = {}
-    for (fname, slot, comp), res in residuals.items():
-        label = fname + ("" if not slot else str(list(slot)))
-        per_field[label] = max(per_field.get(label, 0.0), res.max_abs())
-    return {"kind": kind, "state": state_index,
-            "residual_max": per_field,
-            "exact_zero": all(v == 0.0 for v in per_field.values()),
-            "failing_fields": sorted(k for k, v in per_field.items() if v > 0)}
+    closed = all(entry["exact_zero"] for entry in report["checks"])
+    return report, lines, EXIT_RESIDUAL if args.strict and not closed else EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +250,16 @@ def _residual_entry(kind, state_index, residuals):
 def _config_dict(config):
     return {"command": config.command, "order": config.order,
             "seed": config.seed, "parameters": config.parameters}
+
+
+def _finite_float(text):
+    """Type of the real-valued flags: nan, inf or a non-number exits 2 naming the flag."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def build_parser():
@@ -283,16 +277,16 @@ def build_parser():
     pv = sub.add_parser("verlinde", parents=[common],
                         help="Bethe pipeline and closed forms")
     pv.add_argument("--g", type=int, default=0)
-    pv.add_argument("--x", type=float)
-    pv.add_argument("--y", type=float)
-    pv.add_argument("--t", type=float)
+    pv.add_argument("--x", type=_finite_float)
+    pv.add_argument("--y", type=_finite_float)
+    pv.add_argument("--t", type=_finite_float)
     pv.add_argument("--series", action="store_true")
     pv.add_argument("--sweep", type=int, metavar="N",
                     help="stability sweep over N seeded parameter points")
     pv.add_argument("--limit", choices=("R2", "R0"))
     pv.add_argument("--asymptotics", action="store_true")
-    pv.add_argument("--a", type=float, default=-2.0)
-    pv.add_argument("--b", type=float, default=-1.0)
+    pv.add_argument("--a", type=_finite_float, default=-2.0)
+    pv.add_argument("--b", type=_finite_float, default=-1.0)
 
     pe = sub.add_parser("elliptic", parents=[common], help="E(n) partition q-series")
     pe.add_argument("--n", type=int, required=True)

@@ -13,7 +13,7 @@ sys.path.insert(0, str(BENCH))
 
 import layers  # noqa: E402
 
-from vw3d import bethe, elliptic  # noqa: E402
+from vw3d import bethe, brst, elliptic  # noqa: E402
 
 
 def _traced(calls):
@@ -58,4 +58,11 @@ def test_qseries_layers_see_calls():
     snap = _traced(calls).snapshot()
     seen = dict(snap["calls"], **snap["counters"])
     expected = set(layers.EXPECTED["qseries"]) - {"cli.main", "elliptic.gluing_check"}
+    assert [name for name in expected if not seen.get(name)] == []
+
+
+def test_brst_layers_see_calls():
+    snap = _traced(lambda: brst.calibrate_signs("abelian")).snapshot()
+    seen = dict(snap["calls"], **snap["counters"])
+    expected = set(layers.EXPECTED["brst_closure"]) - {"cli.main"}
     assert [name for name in expected if not seen.get(name)] == []

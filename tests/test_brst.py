@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from vw3d.brst import (
@@ -13,6 +15,7 @@ from vw3d.brst import (
     load_table,
     q_squared_residual,
     random_state,
+    residual_report,
 )
 from vw3d.grassmann import GrassmannElement, lie_bracket
 from vw3d.series import ExactComplex
@@ -202,6 +205,23 @@ class TestDoubletClosure:
             assert report["exact_zero"], report
 
 
+class TestResidualReport:
+    def test_exact_flag_does_not_rest_on_floats(self):
+        # 10**-400 underflows to 0.0 as a float; the residual is still nonzero
+        tiny = GrassmannElement.body((Fraction(1, 10**400),))
+        assert tiny.max_abs() == 0.0
+        report = residual_report({("eta", (), 0): tiny,
+                                  ("phi", (1, 2), 0): GrassmannElement.zero(1)})
+        assert report["exact_zero"] is False
+        assert report["failing_fields"] == ["eta"]
+        assert report["residual_max"] == {"eta": 0.0, "phi[1, 2]": 0.0}
+
+    def test_zero_residuals(self):
+        report = residual_report({("A", (), c): GrassmannElement.zero(3) for c in range(4)})
+        assert report == {"residual_max": {"A": 0.0}, "exact_zero": True,
+                          "failing_fields": []}
+
+
 class TestCalibration:
     def test_all_tables_calibrate_at_identity(self):
         for name in ("abelian", "nonabelian", "covariant", "threed"):
@@ -226,3 +246,20 @@ class TestCalibration:
         finally:
             brstmod.TABLE_TEXTS.pop("broken")
             brstmod._TABLE_CACHE.pop("broken", None)
+
+    def test_irreparable_rule_is_reported(self):
+        # with Q eta = phi, Q^2 phibar = phi in a u(1) theory: no gauge term
+        # absorbs it and no sign toggle removes it, so the calibrator must
+        # name the rule instead of patching the table
+        import vw3d.brst as brstmod
+        brstmod.TABLE_TEXTS["typo"] = brstmod.TABLE_TEXTS["abelian"].replace(
+            "Q eta = 0", "Q eta = phi")
+        try:
+            conv, report = calibrate_signs("typo")
+            assert not report["calibrated"]
+            assert report["stage"] == "report"
+            assert report["failing_rules"] == ["Q phibar"]
+            assert not conv.calibrated
+        finally:
+            brstmod.TABLE_TEXTS.pop("typo")
+            brstmod._TABLE_CACHE.pop("typo", None)

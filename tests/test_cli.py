@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from vw3d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, main
+from vw3d import brst
+from vw3d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_RESIDUAL, main
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +108,18 @@ class TestBrst:
                                "--check", "closure", "--states", "1", "--strict")
         assert code == EXIT_OK
 
+    def test_strict_mode_fails_on_broken_table(self, capsys, monkeypatch):
+        # Q eta = phi leaves Q^2 phibar = phi, an exact nonzero residual
+        monkeypatch.setitem(brst.TABLE_TEXTS, "abelian", brst.TABLE_TEXTS["abelian"].replace(
+            "Q eta = 0", "Q eta = phi"))
+        monkeypatch.setattr(brst, "_TABLE_CACHE", {})
+        code, out, _ = run_cli(capsys, "brst", "--table", "abelian", "--check", "Q2",
+                               "--strict", "--json")
+        assert code == EXIT_RESIDUAL
+        checks = json.loads(out)["checks"]
+        assert [c["failing_fields"] for c in checks] == [["phibar"]] * 3
+        assert not any(c["exact_zero"] for c in checks)
+
 
 class TestReproducibility:
     def test_byte_identical_json(self, capsys):
@@ -152,6 +165,23 @@ class TestInputContract:
         assert code == EXIT_PRECONDITION
         assert message in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("verlinde", "--g", "0", "--asymptotics", "--a", "nan"), "--a"),
+        (("verlinde", "--g", "0", "--asymptotics", "--a", "nan", "--json"), "--a"),
+        (("verlinde", "--g", "0", "--asymptotics", "--b=-inf"), "--b"),
+        (("verlinde", "--x", "inf", "--y", ".7", "--t", ".11"), "--x"),
+        (("verlinde", "--x", "nan", "--y", ".7", "--t", ".11"), "--x"),
+        (("verlinde", "--x", ".3", "--y", "1e999", "--t", ".11"), "--y"),
+        (("verlinde", "--x", ".3", "--y", ".7", "--t", "abc"), "--t"),
+    ])
+    def test_non_finite_float_rejected(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_PRECONDITION
+        assert f"argument {flag}: expected a finite number" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value,message", [("abc", "VW3D_ORDER"),
                                                ("0", "order must be at least 1")])
