@@ -517,8 +517,7 @@ def _rule_image(state, rule, op_index, slot, comp, conv):
         binding[rule.op_letter] = op_index
     for letter, value in zip(rule.field_letters, slot):
         binding[letter] = value
-    out = GrassmannElement.zero(table.ncomp)
-    sign = conv.sign_of(rule.family, rule.field_name)
+    values = []
     for term in rule.terms:
         dummies = []
         for l1, l2 in term.eps:
@@ -533,9 +532,10 @@ def _rule_image(state, rule, op_index, slot, comp, conv):
             local = dict(binding)
             local.update(zip(dummies, assignment))
             value = _term_value(term, local, state, comp, spec.form, conv)
-            if value is not None and not value.is_zero():
-                out = out + value.scale(sign)
-    return out
+            if value is not None:
+                values.append(value)
+    total = GrassmannElement.sum(table.ncomp, values)
+    return total if conv.sign_of(rule.family, rule.field_name) > 0 else -total
 
 
 def _resolve_which(which):
@@ -590,9 +590,8 @@ def _extract_theta(element, gen_index):
     for mask, comps in element.terms.items():
         if mask & bit:
             rest = mask ^ bit
-            sign = koszul_sign(bit, rest)
-            terms[rest] = tuple(c * sign for c in comps)
-    return GrassmannElement(element.ncomp, (element.parity + 1) % 2, terms)
+            terms[rest] = comps if koszul_sign(bit, rest) > 0 else tuple(-c for c in comps)
+    return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms)
 
 
 def compose(state, which_outer, which_inner, conv=None, outer=None):
@@ -652,11 +651,11 @@ def _solve_exact(rows):
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
         pv = mat[row][col]
-        mat[row] = [v / pv for v in mat[row]]
+        mat[row] = [v / pv if v else v for v in mat[row]]
         for r in range(len(mat)):
             if r != row and mat[r][col]:
                 factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+                mat[r] = [a - factor * b if b else a for a, b in zip(mat[r], mat[row])]
         pivots.append(col)
         row += 1
         if row == len(mat):

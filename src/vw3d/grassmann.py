@@ -6,11 +6,18 @@ exact complex components in a fixed basis of the coefficient algebra:
 su(2) with structure constants eps_abc (3 components) or u(1) (1 component,
 all brackets zero).  Products carry exact Koszul signs, so identities like
 "residual = 0" are literal equalities of dictionaries.
+
+Invariant: every stored tuple holds `ncomp` ExactComplex values, not all
+zero, and `parity` is 0 or 1.  The public constructor coerces and checks each
+component.  Results built only from valid elements' tuples can break it only
+by cancellation, so they use the trusted `GrassmannElement._from_terms`, which
+just drops all-zero tuples.  Only `+`, unary `-`, `scale`, `sum`, the
+products (`grassmann_mul`, `lie_bracket`) and `vw3d.brst._extract_theta` call it.
 """
 
 from __future__ import annotations
 
-from .series import ExactComplex
+from .series import ExactComplex, _real
 
 __all__ = ["GrassmannElement", "grassmann_mul", "lie_bracket", "koszul_sign"]
 
@@ -58,6 +65,29 @@ class GrassmannElement:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
+    def _from_terms(ncomp, parity, terms):
+        """Trusted constructor for internal results (see the module docstring)."""
+        element = object.__new__(GrassmannElement)
+        object.__setattr__(element, "ncomp", ncomp)
+        object.__setattr__(element, "parity", parity)
+        object.__setattr__(element, "terms", {m: c for m, c in terms.items() if any(c)})
+        return element
+
+    @staticmethod
+    def sum(ncomp, elements):
+        """`zero(ncomp) + e1 + e2 + ...` over the nonzero `elements`, in one accumulator."""
+        acc, parity = {}, 0
+        for element in elements:
+            if element.ncomp != ncomp:
+                raise ValueError("component count mismatch")
+            if element.terms:
+                if acc and element.parity != parity:
+                    raise ValueError("cannot add elements of opposite parity")
+                parity = element.parity
+                _add_terms(acc, element.terms)
+        return GrassmannElement._from_terms(ncomp, parity, acc)
+
+    @staticmethod
     def zero(ncomp, parity=0):
         return GrassmannElement(ncomp, parity, {})
 
@@ -80,25 +110,23 @@ class GrassmannElement:
         if self.terms and other.terms and self.parity != other.parity:
             raise ValueError("cannot add elements of opposite parity")
         parity = self.parity if self.terms else other.parity
-        terms = {m: list(c) for m, c in self.terms.items()}
-        for mask, comps in other.terms.items():
-            if mask in terms:
-                terms[mask] = [a + b for a, b in zip(terms[mask], comps)]
-            else:
-                terms[mask] = list(comps)
-        return GrassmannElement(self.ncomp, parity, {m: tuple(c) for m, c in terms.items()})
+        terms = dict(self.terms)
+        _add_terms(terms, other.terms)
+        return GrassmannElement._from_terms(self.ncomp, parity, terms)
 
     def __neg__(self):
-        return GrassmannElement(self.ncomp, self.parity,
-                                {m: tuple(-x for x in c) for m, c in self.terms.items()})
+        return GrassmannElement._from_terms(
+            self.ncomp, self.parity, {m: tuple(-x for x in c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, value):
         value = ExactComplex.coerce(value)
-        return GrassmannElement(self.ncomp, self.parity,
-                                {m: tuple(x * value for x in c) for m, c in self.terms.items()})
+        if not value.im and value.re in (1, -1):
+            return self if value.re > 0 else -self
+        return GrassmannElement._from_terms(
+            self.ncomp, self.parity, {m: tuple(x * value for x in c) for m, c in self.terms.items()})
 
     def is_zero(self):
         return not self.terms
@@ -131,6 +159,17 @@ class GrassmannElement:
         return " + ".join(bits)
 
 
+def _add_terms(acc, terms):
+    """Add `terms` into the dict `acc`; a mask whose sum cancels is removed."""
+    for mask, comps in terms.items():
+        prev = acc.get(mask)
+        comps = comps if prev is None else tuple(a + b for a, b in zip(prev, comps))
+        if any(comps):
+            acc[mask] = comps
+        else:
+            acc.pop(mask, None)
+
+
 def grassmann_mul(a, b):
     """Exterior product with componentwise (diagonal) coefficient product.
 
@@ -149,6 +188,11 @@ def grassmann_mul(a, b):
         combine = lambda u, v: tuple(x * v[0] for x in u)
     else:
         raise ValueError("incompatible component counts")
+    return _product(a, b, ncomp, combine)
+
+
+def _product(a, b, ncomp, combine):
+    """Exterior product of a and b, coefficient tuples joined by `combine`."""
     out = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -163,11 +207,14 @@ def grassmann_mul(a, b):
                 out[mask] = tuple(x + y for x, y in zip(out[mask], comps))
             else:
                 out[mask] = comps
-    return GrassmannElement(ncomp, a.parity ^ b.parity, out)
+    return GrassmannElement._from_terms(ncomp, a.parity ^ b.parity, out)
 
 
 def _cross(u, v):
     """su(2) structure constants eps_abc: (u x v)_c = eps_abc u_a v_b."""
+    if not any(x.im for x in u + v):
+        (a0, a1, a2), (b0, b1, b2) = (x.re for x in u), (y.re for y in v)
+        return (_real(a1 * b2 - a2 * b1), _real(a2 * b0 - a0 * b2), _real(a0 * b1 - a1 * b0))
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -187,18 +234,4 @@ def lie_bracket(a, b):
         raise ValueError("bracket needs matching component counts")
     if a.ncomp == 1:
         return GrassmannElement(1, a.parity ^ b.parity, {})
-    out = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
-            if ma & mb:
-                continue
-            sign = koszul_sign(ma, mb)
-            comps = _cross(ca, cb)
-            if sign < 0:
-                comps = tuple(-x for x in comps)
-            mask = ma | mb
-            if mask in out:
-                out[mask] = tuple(x + y for x, y in zip(out[mask], comps))
-            else:
-                out[mask] = comps
-    return GrassmannElement(a.ncomp, a.parity ^ b.parity, out)
+    return _product(a, b, a.ncomp, _cross)

@@ -92,10 +92,15 @@ class ExactComplex:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.im:
+            return _real(-self.re)
         return ExactComplex(-self.re, -self.im)
 
     def __sub__(self, other):
-        return self + (-ExactComplex.coerce(other))
+        other = ExactComplex.coerce(other)
+        if not (self.im or other.im):
+            return _real(self.re - other.re)
+        return ExactComplex(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         return ExactComplex.coerce(other) + (-self)
@@ -113,6 +118,8 @@ class ExactComplex:
 
     def __truediv__(self, other):
         other = ExactComplex.coerce(other)
+        if not (self.im or other.im) and other.re:
+            return _real(self.re / other.re)
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by exact zero")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,16 @@ import pytest
 from vw3d.brst import (
     RuleMissingError,
     apply_q,
+    _fit_gauge,
+    _gauge_basis,
+    _resolve_which,
+    _rule_image,
+    _term_value,
+    _toggled,
     calibrate_signs,
     check_closure,
     check_twistor,
+    closure_pairs,
     compose,
     default_convention,
     gauge_variation,
@@ -21,6 +29,7 @@ from vw3d.grassmann import GrassmannElement, lie_bracket
 from vw3d.series import ExactComplex
 
 ZERO_FORM_SECTOR = {"phi", "phibar", "C", "eta", "zeta"}
+SHIPPED_TABLES = ("abelian", "nonabelian", "covariant", "threed")
 
 
 class TestTables:
@@ -263,3 +272,85 @@ class TestCalibration:
         finally:
             brstmod.TABLE_TEXTS.pop("typo")
             brstmod._TABLE_CACHE.pop("typo", None)
+
+
+def _assert_well_formed(element, ncomp):
+    """The invariant the trusted Grassmann constructor relies on."""
+    assert element.ncomp == ncomp and element.parity in (0, 1)
+    for comps in element.terms.values():
+        assert isinstance(comps, tuple) and len(comps) == ncomp
+        assert all(type(c) is ExactComplex for c in comps)
+        assert any(comps)
+    assert element.monomial_parities_match()
+
+
+def _reference_rule_image(state, rule, op_index, slot, comp, conv):
+    """A rule image summed with `GrassmannElement.__add__`, one signed term at a time."""
+    binding = {} if rule.op_letter is None else {rule.op_letter: op_index}
+    binding.update(zip(rule.field_letters, slot))
+    form = state.table.fields[rule.field_name].form
+    sign = conv.sign_of(rule.family, rule.field_name)
+    out = GrassmannElement.zero(state.table.ncomp)
+    for term in rule.terms:
+        letters = [l for pair in term.eps for l in pair] + [l for ref in term.refs for l in ref[1]]
+        dummies = list(dict.fromkeys(l for l in letters if l not in binding))
+        for assignment in itertools.product((1, 2), repeat=len(dummies)):
+            local = {**binding, **dict(zip(dummies, assignment))}
+            value = _term_value(term, local, state, comp, form, conv)
+            if value is not None and not value.is_zero():
+                out = out + value.scale(sign)
+    return out
+
+
+class TestInternalResults:
+    def test_results_keep_the_invariant(self):
+        for name in SHIPPED_TABLES:
+            table = get_table(name)
+            state = random_state(table, seed=2)
+            conv = default_convention(table)
+            pairs = closure_pairs(table)
+            outer = {w: apply_q(state, w, conv).values for w in dict.fromkeys(sum(pairs, ()))}
+            elements = [e for images in outer.values() for e in images.values()]
+            for w1, w2 in pairs:
+                images = compose(state, w1, w2, conv, outer[w1])
+                a, b = (_resolve_which(w)[1] or 1 for w in (w1, w2))
+                _, residuals = _fit_gauge(state, images, _gauge_basis(state, a, b))
+                elements += list(images.values()) + list(residuals.values())
+            assert any(not e.is_zero() for e in elements)
+            for element in elements:
+                _assert_well_formed(element, table.ncomp)
+
+    def test_cancelling_rule_gives_exact_zero(self):
+        import vw3d.brst as brstmod
+        brstmod.TABLE_TEXTS["cancel"] = brstmod.TABLE_TEXTS["abelian"].replace(
+            "Q eta = 0", "Q eta = phi - phi")
+        try:
+            table = get_table("cancel")
+            assert len(table.rules[("Q", "eta")].terms) == 2
+            state = random_state(table, seed=0)
+            image = apply_q(state, "Q").values[("eta", (), 0)]
+            assert image.is_zero() and image.terms == {}
+            _assert_well_formed(image, table.ncomp)
+            assert check_closure(state, ("Q", "Q"))["exact_zero"]
+        finally:
+            brstmod.TABLE_TEXTS.pop("cancel")
+            brstmod._TABLE_CACHE.pop("cancel", None)
+
+    def test_rule_image_matches_termwise_sum(self):
+        # every rule of every shipped table, under the default signs and with
+        # the rule's own sign toggled: same terms, same order, same parity
+        for name in SHIPPED_TABLES:
+            table = get_table(name)
+            state = random_state(table, seed=0)
+            base = default_convention(table)
+            for key, rule in table.rules.items():
+                spec = table.fields[rule.field_name]
+                ops = (None,) if rule.op_letter is None else (1, 2)
+                for conv in (base, _toggled(base, key)):
+                    for op_index, slot, comp in itertools.product(
+                            ops, spec.slots(), range(table.components(spec.form))):
+                        got = _rule_image(state, rule, op_index, slot, comp, conv)
+                        want = _reference_rule_image(state, rule, op_index, slot, comp, conv)
+                        assert got == want, (name, key, op_index, slot, comp)
+                        assert list(got.terms) == list(want.terms)
+                        assert got.parity == want.parity

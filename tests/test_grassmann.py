@@ -97,6 +97,17 @@ class TestBracket:
             sign = 1 if (pa and pb) else -1
             assert lie_bracket(a, b) == lie_bracket(b, a).scale(sign)
 
+    def test_real_bracket_matches_complex_path(self):
+        # i[X, Y] takes the complex branch of the su(2) product, [X, Y] the real one
+        rng = random.Random(31)
+        i = ExactComplex(0, 1)
+        for _ in range(20):
+            a = _rand_element(rng, rng.randint(0, 1))
+            b = _rand_element(rng, rng.randint(0, 1))
+            assert lie_bracket(a.scale(i), b) == lie_bracket(a, b).scale(i)
+            for comps in lie_bracket(a, b).terms.values():
+                assert all(type(c.re) is Fraction and c.im == 0 for c in comps)
+
     def test_abelian_brackets_vanish(self):
         rng = random.Random(4)
         a = _rand_element(rng, 0, ncomp=1)
@@ -125,6 +136,41 @@ class TestHygiene:
         for parity in (0, 1):
             el = _rand_element(rng, parity)
             assert el.monomial_parities_match()
+
+    def test_scale_by_unit(self):
+        rng = random.Random(17)
+        for parity in (0, 1):
+            x = _rand_element(rng, parity)
+            for one in (1, Fraction(1), ExactComplex(1)):
+                assert x.scale(one) == x
+            for minus_one in (-1, Fraction(-1), ExactComplex(-1)):
+                assert x.scale(minus_one) == -x
+                assert x.scale(minus_one).parity == parity
+            assert x.scale(0).is_zero()
+
+    def test_sum_equals_fold(self):
+        # interleaved negatives cancel masks mid-sum; a cancelled mask that
+        # recurs must land where successive `+` puts it
+        rng = random.Random(23)
+        for parity in (0, 1):
+            parts = [_rand_element(rng, parity) for _ in range(4)]
+            parts += [-parts[1], GrassmannElement.zero(3, 1 - parity), parts[1], -parts[0]]
+            folded = GrassmannElement.zero(3)
+            for part in parts:
+                folded = folded + part if not part.is_zero() else folded
+            total = GrassmannElement.sum(3, parts)
+            assert total == folded and list(total.terms) == list(folded.terms)
+            assert total.parity == folded.parity == parity
+        empty = GrassmannElement.sum(3, [GrassmannElement.zero(3, 1)])
+        assert empty.is_zero() and empty.parity == 0
+
+    def test_sum_rejects_mixed_inputs(self):
+        even = GrassmannElement.body((1, 0, 0))
+        odd = GrassmannElement.generator(0, (1, 0, 0))
+        with pytest.raises(ValueError):
+            GrassmannElement.sum(3, [even, odd])
+        with pytest.raises(ValueError):
+            GrassmannElement.sum(1, [even])
 
     def test_scale_by_i(self):
         a = GrassmannElement.body((1, 2, 3))

@@ -3,6 +3,8 @@ from fractions import Fraction
 from operator import add, lt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vw3d.elliptic import eta24_series, g_series
 from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError, poly_mul, poly_pow
@@ -41,6 +43,38 @@ class TestExactComplex:
         assert ExactComplex.sqrt_of_positive(Fraction(9, 16)) == Fraction(3, 4)
         with pytest.raises(SeriesError):
             ExactComplex.sqrt_of_positive(Fraction(2))
+
+
+_PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+# im is either exactly zero (the real-by-real shortcuts) or nonzero
+_EXACT = st.builds(ExactComplex, _PARTS, st.one_of(st.just(Fraction(0)), _PARTS.filter(bool)))
+
+
+def _pair(z):
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    return z.re, z.im
+
+
+class TestExactComplexShortcuts:
+    @settings(derandomize=True, database=None)
+    @given(_EXACT, _EXACT)
+    def test_ops_match_gaussian_rational_formula(self, x, y):
+        a, b = x.re, x.im
+        c, d = y.re, y.im
+        assert _pair(-x) == (-a, -b)
+        assert _pair(x + y) == (a + c, b + d)
+        assert _pair(x - y) == (a - c, b - d)
+        assert _pair(x * y) == (a * c - b * d, a * d + b * c)
+        results = [-x, x + y, x - y, x * y]
+        if y:
+            n = c * c + d * d
+            assert _pair(x / y) == ((a * c + b * d) / n, (b * c - a * d) / n)
+            results.append(x / y)
+        if not (b or d):
+            assert all(z.im == 0 for z in results)
+        for zero in (ExactComplex(0), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                x / zero
 
 
 class TestArithmetic:
