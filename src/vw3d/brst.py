@@ -704,7 +704,8 @@ def _fit_gauge(state, images, basis):
     for key, target in images.items():
         acc = target
         for c, bv in zip(solution, bracket_values[key]):
-            acc = acc - bv.scale(c)
+            if c:
+                acc = acc - bv.scale(c)
         residuals[key] = acc
     return solution, residuals
 

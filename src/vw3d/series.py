@@ -7,6 +7,13 @@ q-series coexist in one type.  Truncation is a per-variable exclusive upper
 bound (a "box"); Laurent tails (negative exponents) are allowed.
 
 All values are immutable after construction; operations are pure functions.
+
+Every `PuiseuxSeries` holds only nonzero `ExactComplex` coefficients keyed by
+exponent tuples of the series' arity, each exponent below its cutoff.  The
+public constructor enforces this by coercing and filtering its input.  Kernel
+outputs that hold it by construction skip that pass through the trusted
+`PuiseuxSeries._from_terms`; only `__mul__`, `invert`, `__neg__`, `rescale`
+and `extend_variables` call it.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, ge
+from operator import add, ge, sub
 
 __all__ = [
     "ExactComplex",
@@ -236,6 +243,14 @@ class PuiseuxSeries:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "cutoff", cutoff)
 
+    @staticmethod
+    def _from_terms(variables, den, terms, cutoff):
+        """Trusted constructor: the caller guarantees the module invariant."""
+        series = object.__new__(PuiseuxSeries)
+        for name, value in zip(PuiseuxSeries.__slots__, (variables, den, terms, cutoff)):
+            object.__setattr__(series, name, value)
+        return series
+
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
 
@@ -289,7 +304,7 @@ class PuiseuxSeries:
         terms = {tuple(e * f for e in exps): c for exps, c in self.terms.items()}
         cutoff = tuple(min(c * f, INF_CUTOFF) if c >= INF_CUTOFF // 2 else c * f
                        for c in self.cutoff)
-        return PuiseuxSeries(self.variables, new_den, terms, cutoff)
+        return PuiseuxSeries._from_terms(self.variables, new_den, terms, cutoff)
 
     def extend_variables(self, variables):
         variables = tuple(variables)
@@ -309,7 +324,7 @@ class PuiseuxSeries:
             for v, e in zip(self.variables, exps):
                 new[pos[v]] = e
             terms[tuple(new)] = coeff
-        return PuiseuxSeries(variables, self.den, terms, tuple(cutoff))
+        return PuiseuxSeries._from_terms(variables, self.den, terms, tuple(cutoff))
 
     def _valuations(self):
         """Componentwise minimum exponent over stored terms (None if zero)."""
@@ -351,8 +366,8 @@ class PuiseuxSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return PuiseuxSeries(self.variables, self.den,
-                             {e: -c for e, c in self.terms.items()}, self.cutoff)
+        return PuiseuxSeries._from_terms(self.variables, self.den,
+                                         {e: -c for e, c in self.terms.items()}, self.cutoff)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex, complex)):
@@ -375,7 +390,7 @@ class PuiseuxSeries:
         if va is None or vb is None:
             # Product with (truncated) zero: keep the sound cutoff.
             cutoff = tuple(min(ca, cb) for ca, cb in zip(a.cutoff, b.cutoff))
-            return PuiseuxSeries(a.variables, a.den, {}, cutoff)
+            return PuiseuxSeries._from_terms(a.variables, a.den, {}, cutoff)
         # Sound truncation: a is known mod O(cutoff_a), so a*b is known mod
         # O(min(cutoff_a + val_b, cutoff_b + val_a)) componentwise.
         cutoff = tuple(min(ca + eb, cb + ea)
@@ -394,7 +409,7 @@ class PuiseuxSeries:
                         terms.pop(exps, None)
         else:
             terms = _real_product(a.terms, b.terms, cutoff)
-        return PuiseuxSeries(a.variables, a.den, terms, cutoff)
+        return PuiseuxSeries._from_terms(a.variables, a.den, terms, cutoff)
 
     __rmul__ = __mul__
 
@@ -425,12 +440,21 @@ class PuiseuxSeries:
 
         Requires a "corner" term: a stored exponent vector componentwise <=
         all others with nonzero coefficient (automatic in one variable).
-        Writes self = corner * x^m (1 + u) and solves (1 + u) B = 1 by the
-        total-degree recurrence over the exponent monoid generated by u, so
-        sparse inputs stay sparse.
-        """
-        import heapq
+        Writes self = corner * x^m (1 + u) and solves (1 + u) B = 1 in one
+        walk over increasing total degree: once B_e is final, its product
+        with each u_j is added at e + j if that lies in the box, so sparse
+        inputs stay sparse.  Real coefficients run on integers: with
+        numerators n over one denominator D and n0 the corner's, u_j =
+        n_{j+m} / n0.  Let m0 be the least total degree in u and K(e) =
+        |e| // m0.  Since |e| >= |e - j| + m0, K(e) > K(e - j), so N_e =
+        B_e * n0^K(e) is an integer given by the integer recurrence
 
+            N_e = -sum_j n_{j+m} * N_{e-j} * n0^(K(e) - 1 - K(e-j)),
+
+        and each output coefficient D * N_e / n0^(K(e)+1) is reduced once.
+        Complex coefficients take the same walk with n0 = 1 and u_j =
+        c_{j+m} / corner.
+        """
         if self.is_zero():
             raise SeriesError("cannot invert a series that is zero to its truncation")
         mins = self._valuations()
@@ -439,50 +463,48 @@ class PuiseuxSeries:
             raise SeriesError("no corner term: series is not a unit on its exponent box")
         if any(c >= INF_CUTOFF for c in self.cutoff):
             raise SeriesError("inversion needs a fully truncated series")
-        inv_corner = ONE / corner
-        u_terms = {}
-        for exps, coeff in self.terms.items():
-            if exps == mins:
-                continue
-            u_terms[tuple(e - m for e, m in zip(exps, mins))] = coeff * inv_corner
-        # B lives below cutoff - m; the result (shifted by -m again) is then
-        # certified modulo O(cutoff - 2m) componentwise.
+        if any(c.im for c in self.terms.values()):
+            inv_corner = ONE / corner
+            lifted = [(e, c * inv_corner) for e, c in self.terms.items()]
+            n0 = 1
+
+            def finish(n, k):
+                return inv_corner * n
+        else:
+            lifted, den = _lift(self.terms)
+            n0 = dict(lifted)[mins]
+
+            def finish(n, k):
+                return _real(Fraction(n * den, n0 ** (k + 1)))
+        u = [(j, sum(j), c) for j, c in ((tuple(map(sub, e, mins)), c) for e, c in lifted)
+             if any(j)]
+        m0 = min((dj for _, dj, _ in u), default=1)
+        # B lives below cutoff - m (>= 1, as the corner is stored); the result,
+        # shifted by -m again, is certified modulo O(cutoff - 2m) componentwise.
         b_cutoff = tuple(c - m for c, m in zip(self.cutoff, mins))
-        if any(c <= 0 for c in b_cutoff):
-            return PuiseuxSeries(self.variables, self.den, {},
-                                 tuple(c - 2 * m for c, m in zip(self.cutoff, mins)))
-        b_terms = {}
-        origin = tuple(0 for _ in self.variables)
-        heap = [(0, origin)]
-        seen = set()
-        while heap:
-            _, exps = heapq.heappop(heap)
-            if exps in seen:
-                continue
-            seen.add(exps)
-            if any(e >= c for e, c in zip(exps, b_cutoff)):
-                continue
-            if exps == origin:
-                value = ONE
-            else:
-                value = ZERO
-                for ue, uc in u_terms.items():
-                    prev = tuple(e - f for e, f in zip(exps, ue))
-                    if any(p < 0 for p in prev):
-                        continue
-                    pv = b_terms.get(prev)
-                    if pv is not None:
-                        value = value - uc * pv
-            if value:
-                b_terms[exps] = value
-            for ue in u_terms:
-                nxt = tuple(e + f for e, f in zip(exps, ue))
-                if nxt not in seen and all(e < c for e, c in zip(nxt, b_cutoff)):
-                    heapq.heappush(heap, (sum(nxt), nxt))
         cutoff = tuple(c - 2 * m for c, m in zip(self.cutoff, mins))
-        shifted = {tuple(e - m for e, m in zip(exps, mins)): c * inv_corner
-                   for exps, c in b_terms.items()}
-        return PuiseuxSeries(self.variables, self.den, shifted, cutoff)
+        # buckets[d]: exponent e of total degree d -> -N_e, summed as the
+        # terms of lower degree finish
+        buckets = {0: {tuple(0 for _ in mins): -1}}
+        terms = {}
+        while buckets:
+            d = min(buckets)
+            k = d // m0
+            for p, acc in buckets.pop(d).items():
+                n = -acc
+                if not n:
+                    continue
+                terms[tuple(map(sub, p, mins))] = finish(n, k)
+                for j, dj, c in u:
+                    e = tuple(map(add, p, j))
+                    if any(map(ge, e, b_cutoff)):
+                        continue
+                    step = c * n
+                    if n0 != 1:
+                        step *= n0 ** ((d + dj) // m0 - 1 - k)
+                    bucket = buckets.setdefault(d + dj, {})
+                    bucket[e] = bucket.get(e, 0) + step
+        return PuiseuxSeries._from_terms(self.variables, self.den, terms, cutoff)
 
     def substitute_power(self, variable, num, sign=1):
         """Substitute variable -> sign * variable^num (num a positive Fraction).

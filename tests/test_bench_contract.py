@@ -13,7 +13,7 @@ sys.path.insert(0, str(BENCH))
 
 import layers  # noqa: E402
 
-from vw3d import bethe, brst, elliptic  # noqa: E402
+from vw3d import bethe, brst, elliptic, floer  # noqa: E402
 
 
 def _traced(calls):
@@ -65,4 +65,16 @@ def test_brst_layers_see_calls():
     snap = _traced(lambda: brst.calibrate_signs("abelian")).snapshot()
     seen = dict(snap["calls"], **snap["counters"])
     expected = set(layers.EXPECTED["brst_closure"]) - {"cli.main"}
+    assert [name for name in expected if not seen.get(name)] == []
+
+
+def test_closed_forms_layers_see_calls():
+    def calls():
+        bethe.grdim_closed_form("SigmaGxS1", order=8, g=2)
+        bethe.limit_specialize("R2", 2, order=8)
+        floer.hf_plus("lens", p=3, order=10)
+
+    snap = _traced(calls).snapshot()
+    seen = dict(snap["calls"], **snap["counters"])
+    expected = set(layers.EXPECTED["closed_forms"]) - {"cli.main"}
     assert [name for name in expected if not seen.get(name)] == []

@@ -1,11 +1,13 @@
+import heapq
 import random
 from fractions import Fraction
-from operator import add, lt
+from operator import add, lt, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vw3d import bethe, elliptic
 from vw3d.elliptic import eta24_series, g_series
 from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError, poly_mul, poly_pow
 
@@ -120,6 +122,14 @@ class TestInvert:
         assert inv.coefficient({"q": 3}) == 252
         assert inv.coefficient({"q": 4}) == -1472
 
+    def test_hand_inverses(self):
+        # 1/(1 - 3t) has corner numerator n0 = 1, 1/(2 - t^{1/2}) has n0 = 2
+        inv = t_poly({0: 1, 1: -3}, order=6).invert()
+        assert inv == t_poly({k: 3**k for k in range(6)}, order=6)
+        inv = t_poly({0: 2, Fraction(1, 2): -1}, order=5).invert()
+        assert inv == t_poly({Fraction(k, 2): Fraction(1, 2 ** (k + 1)) for k in range(10)},
+                             order=5)
+
     def test_zero_rejected(self):
         with pytest.raises(SeriesError):
             t_poly({}, order=4).invert()
@@ -173,7 +183,12 @@ def schoolbook_product(a, b):
     return {e: c for e, c in terms.items() if c}, cutoff
 
 
+_BIG_DENOMINATORS = (10007, 999983, 2**31 - 1, 3**20)
+
+
 def _random_coeff(rng, kind):
+    if kind == "big":
+        return ExactComplex(Fraction(rng.randint(-10**6, 10**6), rng.choice(_BIG_DENOMINATORS)))
     re = Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 8)))
     if kind == "real":
         return ExactComplex(re)
@@ -226,6 +241,162 @@ class TestRealFastPath:
         zero = PuiseuxSeries(("q",), 24, {}, (48,))
         prod = zero * q_poly({-1: 1, 0: 24}, order=5)
         assert prod.is_zero() and prod.cutoff == (48,)
+
+
+def heap_walk_invert(s):
+    """Reference inverse: B_e summed from its predecessors B_{e-j}.
+
+    Exponents are visited in total-degree order from a heap; every
+    coefficient is ExactComplex.  An independent path for `invert`.
+    """
+    mins = s._valuations()
+    inv_corner = ExactComplex(1) / s.terms[mins]
+    u_terms = {tuple(map(sub, e, mins)): c * inv_corner
+               for e, c in s.terms.items() if e != mins}
+    b_cutoff = tuple(map(sub, s.cutoff, mins))
+    b_terms = {}
+    origin = tuple(0 for _ in s.variables)
+    heap = [(0, origin)]
+    seen = set()
+    while heap:
+        _, exps = heapq.heappop(heap)
+        if exps in seen:
+            continue
+        seen.add(exps)
+        if any(e >= c for e, c in zip(exps, b_cutoff)):
+            continue
+        if exps == origin:
+            value = ExactComplex(1)
+        else:
+            value = ExactComplex(0)
+            for ue, uc in u_terms.items():
+                prev = tuple(e - f for e, f in zip(exps, ue))
+                if any(p < 0 for p in prev):
+                    continue
+                pv = b_terms.get(prev)
+                if pv is not None:
+                    value = value - uc * pv
+        if value:
+            b_terms[exps] = value
+        for ue in u_terms:
+            nxt = tuple(e + f for e, f in zip(exps, ue))
+            if nxt not in seen and all(e < c for e, c in zip(nxt, b_cutoff)):
+                heapq.heappush(heap, (sum(nxt), nxt))
+    cutoff = tuple(c - 2 * m for c, m in zip(s.cutoff, mins))
+    shifted = {tuple(map(sub, e, mins)): c * inv_corner for e, c in b_terms.items()}
+    return PuiseuxSeries(s.variables, s.den, shifted, cutoff)
+
+
+def _unit_operand(rng, variables, den, low, kind, corner_coeff=None, size=8):
+    """Random series whose least exponent vector (the corner) is a stored term.
+
+    The corner lies in [low, low + 2 den) per variable; with a negative `low`
+    it is a Laurent corner.  Other terms sit up to 6 units above it.
+    """
+    step = rng.choice((1, max(den // 2, 1), den))
+    corner = tuple(rng.randrange(low, low + 2 * den, step) for _ in variables)
+    cutoff = tuple(m + rng.randint(1, 8 * den) for m in corner)
+    if corner_coeff is None:
+        corner_coeff = _random_coeff(rng, kind) or ExactComplex(1)
+    terms = {}
+    for _ in range(rng.randint(0, size)):
+        offset = tuple(rng.randrange(0, 6 * den + 1, step) for _ in variables)
+        if any(offset):
+            terms[tuple(map(add, corner, offset))] = _random_coeff(rng, kind)
+    terms[corner] = corner_coeff
+    return PuiseuxSeries(variables, den, terms, cutoff)
+
+
+_INVERT_CASES = {
+    "q-lattice": lambda rng: _unit_operand(rng, ("q",), 24, 0, "real"),
+    "tx-half": lambda rng: _unit_operand(rng, ("t", "x"), 2, 0, "real"),
+    "laurent-q": lambda rng: _unit_operand(rng, ("q",), 24, -72, "real"),
+    "laurent-tx": lambda rng: _unit_operand(rng, ("t", "x"), 2, -6, "real"),
+    "negative-corner": lambda rng: _unit_operand(
+        rng, ("t", "x"), 2, -2, "real", ExactComplex(Fraction(-rng.randint(1, 9), rng.randint(1, 4)))),
+    "big-denominators": lambda rng: _unit_operand(
+        rng, ("t", "x", "y"), 2, 0, "big",
+        ExactComplex(Fraction(rng.choice((-12, -6, 5, 35)), rng.choice(_BIG_DENOMINATORS)))),
+    "monomial": lambda rng: _unit_operand(rng, ("t", "x"), 2, -4, "real", size=0),
+    "complex": lambda rng: _unit_operand(rng, ("q",), 24, -48, "complex"),
+    "mixed": lambda rng: _unit_operand(rng, ("t", "x"), 2, -2, "complex", ExactComplex(3)),
+}
+
+
+class TestInvertAgainstHeapWalk:
+    """The forward-scatter walk against the ExactComplex heap walk."""
+
+    @pytest.mark.parametrize("case", sorted(_INVERT_CASES))
+    def test_seeded_inputs(self, case):
+        rng = random.Random(case)
+        for _ in range(40):
+            s = _INVERT_CASES[case](rng)
+            assert s.invert().to_json() == heap_walk_invert(s).to_json()
+
+    def test_smallest_box(self):
+        # the corner sits one lattice step below the cutoff in t: B has only
+        # its t-degree-0 slice, and a pure monomial inverts to one term
+        s = PuiseuxSeries(("t", "x"), 2, {(3, -1): ExactComplex(Fraction(-4, 7)),
+                                          (3, 2): ExactComplex(5), (3, 0): ExactComplex(1)},
+                          (4, 6))
+        inv = s.invert()
+        assert inv.to_json() == heap_walk_invert(s).to_json()
+        assert inv.cutoff == (-2, 8)
+        mono = PuiseuxSeries(("q",), 24, {(-25,): ExactComplex(Fraction(3, 10007))}, (-24,))
+        assert mono.invert().terms == {(25,): ExactComplex(Fraction(10007, 3))}
+        assert mono.invert().cutoff == (26,)
+
+
+@st.composite
+def _units(draw):
+    variables = draw(st.sampled_from([("q",), ("t", "x"), ("t", "x", "y")]))
+    den = 24 if variables == ("q",) else 2
+    coeffs = draw(st.sampled_from([st.builds(ExactComplex, _PARTS), _EXACT]))
+    corner = tuple(draw(st.integers(-6, 6)) for _ in variables)
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        offset = tuple(draw(st.integers(0, 10)) for _ in variables)
+        if any(offset):
+            terms[tuple(map(add, corner, offset))] = draw(coeffs)
+    terms[corner] = draw(coeffs.filter(bool))
+    cutoff = tuple(m + draw(st.integers(1, 14)) for m in corner)
+    return PuiseuxSeries(variables, den, terms, cutoff)
+
+
+class TestInverseProperty:
+    @settings(derandomize=True, database=None)
+    @given(_units())
+    def test_product_with_inverse_is_one(self, s):
+        assert s * s.invert() == 1
+
+
+class TestTrustedOutputs:
+    """Outputs built by `_from_terms` hold the invariant the constructor enforces."""
+
+    METHODS = ("__mul__", "invert", "__neg__", "rescale", "extend_variables")
+
+    def test_kernel_outputs_hold_the_invariant(self, monkeypatch):
+        outputs = {name: [] for name in self.METHODS}
+        for name in self.METHODS:
+            def recorded(series, *args, _original=getattr(PuiseuxSeries, name), _name=name):
+                result = _original(series, *args)
+                outputs[_name].append(result)
+                return result
+
+            monkeypatch.setattr(PuiseuxSeries, name, recorded)
+        bethe.grdim_closed_form("SigmaGxS1", order=12, g=2)
+        bethe.limit_specialize("R2", 2, order=12)
+        elliptic.gluing_check(6, order=10)
+        for name, results in outputs.items():
+            assert results, name
+            for s in results:
+                assert isinstance(s, PuiseuxSeries)
+                arity = len(s.variables)
+                assert type(s.cutoff) is tuple and len(s.cutoff) == arity
+                for exps, c in s.terms.items():
+                    assert type(c) is ExactComplex and c, name
+                    assert type(exps) is tuple and len(exps) == arity, name
+                    assert all(map(lt, exps, s.cutoff)), name
 
 
 def _reciprocal(a, order):
