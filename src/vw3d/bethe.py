@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -492,7 +491,6 @@ def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
     if n_points < 1:
         raise ValueError("a stability sweep needs at least one point")
     rng = random.Random(seed)
-    start = time.monotonic()
     worst_weyl = 0.0
     worst_rel = 0.0
     counts_ok = True
@@ -524,5 +522,4 @@ def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
         "ok": bool(counts_ok and worst_weyl < 1e-6),
         "max_weyl_residual": worst_weyl,
         "max_multiset_rel_error": worst_rel,
-        "elapsed_s": time.monotonic() - start,
     }

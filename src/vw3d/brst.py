@@ -15,8 +15,8 @@ evaluating the rule for Q2 X on the shifted state and extracting the theta
 coefficient implements the signed Leibniz rule exactly.
 
 The expected value of a closure bracket is a gauge variation whose parameter
-is fitted exactly (Gaussian elimination over complex rationals) from the
-symmetrized output, never asserted a priori; a nonzero final residual is a
+is fitted exactly (fraction-free elimination over the integer numerators) from
+the symmetrized output, never asserted a priori; a nonzero final residual is a
 reported result, not an error.
 """
 
@@ -27,6 +27,7 @@ import random
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 
 from .grassmann import GrassmannElement, grassmann_mul, koszul_sign, lie_bracket
 from .series import ExactComplex
@@ -591,7 +592,8 @@ def _extract_theta(element, gen_index):
         if mask & bit:
             rest = mask ^ bit
             terms[rest] = comps if koszul_sign(bit, rest) > 0 else tuple(-c for c in comps)
-    return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms)
+    return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms,
+                                        element.den, element.cplx)
 
 
 def compose(state, which_outer, which_inner, conv=None, outer=None):
@@ -634,36 +636,51 @@ def q_squared_residual(state, which="Q", conv=None, param_field=None, fields=Non
 # exact linear fit of the gauge parameter
 
 def _solve_exact(rows):
-    """Gaussian elimination over ExactComplex.
+    """Fraction-free elimination (Bareiss, Math. Comp. 22, 1968), then back-substitution.
 
-    rows: list of (coefficients tuple, rhs).  Returns the solution list with
-    free variables set to zero; an inconsistent system leaves a residual.
+    rows: (coefficients tuple, rhs) of ints and Gaussian-integer ExactComplex
+    values.  Step k maps a row v to (p_k v - v[c_k] top_k) / p_{k-1}, exactly.
+    Pivots follow plain Gauss-Jordan elimination (per column, the first row on
+    with a nonzero entry, swapped up), so the ExactComplex solution matches it,
+    free variables zero, also for an inconsistent system (a residual remains).
+    A row is reduced only when the pivot search reaches it.
     """
     if not rows:
         return []
     n = len(rows[0][0])
-    mat = [list(r[0]) + [r[1]] for r in rows]
-    pivots = []
+    mat = [(list(coeffs) + [rhs], 0) for coeffs, rhs in rows]  # (row, steps applied)
+    tops, pivots = [], [1]
     row = 0
     for col in range(n):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if pivot is None:
+        for r in range(row, len(mat)):
+            vals, done = mat[r]
+            for k in range(done, len(tops)):
+                c, top = tops[k]
+                f = vals[c]
+                vals = [_exact_div(pivots[k + 1] * a - f * b, pivots[k]) for a, b in zip(vals, top)]
+            mat[r] = (vals, len(tops))
+            if vals[col]:
+                break
+        else:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        mat[row] = [v / pv if v else v for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b if b else a for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
+        mat[row], mat[r] = mat[r], mat[row]
+        tops.append((col, vals))
+        pivots.append(vals[col])
         row += 1
         if row == len(mat):
             break
     solution = [ExactComplex(0)] * n
-    for r, col in enumerate(pivots):
-        solution[col] = mat[r][n]
+    for col, top in reversed(tops):
+        value = ExactComplex.coerce(top[n])
+        for c in range(col + 1, n):
+            value = value - top[c] * solution[c]
+        solution[col] = value / top[col]
     return solution
+
+
+def _exact_div(a, b):
+    """a / b for Gaussian integers that b divides exactly."""
+    return a // b if type(a) is int and type(b) is int else ExactComplex.coerce(a) / b
 
 
 def _gauge_basis(state, a, b):
@@ -687,16 +704,19 @@ def _fit_gauge(state, images, basis):
     table = state.table
     bracket_values = {key: [lie_bracket(value, bk) for _, bk in basis]
                       for key, value in state.values.items()}
+    zeros = (0,) * table.ncomp
     rows = []
     for key, target in images.items():
+        # one key's rows times the lcm of its denominators are integral
+        den = lcm(target.den, *(bv.den for bv in bracket_values[key]))
+        scaled = [(bv.terms, den // bv.den) for bv in bracket_values[key]]
         masks = set(target.terms)
         for bv in bracket_values[key]:
             masks |= set(bv.terms)
         for mask in masks:
             for c in range(table.ncomp):
-                coeffs = tuple(bv.terms.get(mask, (ExactComplex(0),) * table.ncomp)[c]
-                               for bv in bracket_values[key])
-                rhs = target.terms.get(mask, (ExactComplex(0),) * table.ncomp)[c]
+                coeffs = tuple(terms.get(mask, zeros)[c] * f for terms, f in scaled)
+                rhs = target.terms.get(mask, zeros)[c] * (den // target.den)
                 if any(coeffs) or rhs:
                     rows.append((coeffs, rhs))
     solution = _solve_exact(rows)

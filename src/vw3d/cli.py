@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 from . import bethe, brst, elliptic, floer
@@ -68,12 +69,13 @@ def _series_text(series):
 
 def _cmd_verlinde(args, config):
     if args.sweep is not None:
+        start = time.monotonic()
         rep = bethe.sweep_report(args.sweep, seed=config.seed)
         report = {"config": _config_dict(config), "mode": "sweep", **rep}
         lines = [f"# stability sweep over {args.sweep} seeded points",
                  f"ok={rep['ok']} max_weyl_residual={rep['max_weyl_residual']:.3e} "
                  f"max_multiset_rel_error={rep['max_multiset_rel_error']:.3e} "
-                 f"elapsed={rep['elapsed_s']:.2f}s"]
+                 f"elapsed={time.monotonic() - start:.2f}s"]
         return report, lines, EXIT_OK if rep["ok"] else EXIT_NUMERICAL
     if args.limit:
         series = bethe.limit_specialize(args.limit, args.g, order=config.order)

@@ -7,21 +7,29 @@ su(2) with structure constants eps_abc (3 components) or u(1) (1 component,
 all brackets zero).  Products carry exact Koszul signs, so identities like
 "residual = 0" are literal equalities of dictionaries.
 
-Invariant: every stored tuple holds `ncomp` ExactComplex values, not all
-zero, and `parity` is 0 or 1.  The public constructor coerces and checks each
-component.  Results built only from valid elements' tuples can break it only
-by cancellation, so they use the trusted `GrassmannElement._from_terms`, which
-just drops all-zero tuples.  Only `+`, unary `-`, `scale`, `sum`, the
-products (`grassmann_mul`, `lie_bracket`) and `vw3d.brst._extract_theta` call it.
+Invariant: an element stores integer numerators over one denominator
+`den` > 0 with gcd(den, every integral part) = 1.  Each of a tuple's `ncomp`
+numerators is an int, or a Gaussian-integer ExactComplex only where im != 0;
+no tuple is all zero.  The form is canonical, so `==` and `hash` compare
+dicts.  `cplx` records whether any numerator is complex, so real elements
+never scan for one.  Ints and ExactComplex share `+ - *`, so each kernel runs
+one path: products multiply the denominators, sums take their lcm.  The
+public constructor coerces and checks each component.  Kernel results use
+the trusted `GrassmannElement._from_terms`, which drops all-zero tuples, turns
+real Gaussian numerators into ints and divides out one gcd; only `+`, unary
+`-`, `scale`, `sum`, `grassmann_mul`, `lie_bracket` and
+`vw3d.brst._extract_theta` call it.
 """
 
 from __future__ import annotations
 
-from .series import ExactComplex, _real
+from itertools import chain
+from math import gcd, lcm
+from operator import add
+
+from .series import ExactComplex
 
 __all__ = ["GrassmannElement", "grassmann_mul", "lie_bracket", "koszul_sign"]
-
-_I = ExactComplex(0, 1)
 
 
 def koszul_sign(mask_a, mask_b):
@@ -42,50 +50,84 @@ def koszul_sign(mask_a, mask_b):
     return sign
 
 
+def _numerator(value, den):
+    """value * den for an ExactComplex value that it makes integral."""
+    re = value.re.numerator * (den // value.re.denominator)
+    return ExactComplex(re, value.im.numerator * (den // value.im.denominator)) if value.im else re
+
+
 class GrassmannElement:
     """Algebra-valued supernumber; `parity` is 0 (even) or 1 (odd)."""
 
-    __slots__ = ("ncomp", "parity", "terms")
+    __slots__ = ("ncomp", "parity", "terms", "den", "cplx")
 
     def __init__(self, ncomp, parity, terms=None):
-        clean = {}
-        for mask, comps in (terms or {}).items():
-            comps = tuple(ExactComplex.coerce(c) for c in comps)
-            if len(comps) != ncomp:
-                raise ValueError("component arity mismatch")
-            if any(comps):
-                clean[mask] = comps
-        object.__setattr__(self, "ncomp", ncomp)
-        object.__setattr__(self, "parity", parity % 2)
-        object.__setattr__(self, "terms", clean)
+        terms = {m: tuple(map(ExactComplex.coerce, c)) for m, c in (terms or {}).items()}
+        if any(len(c) != ncomp for c in terms.values()):
+            raise ValueError("component arity mismatch")
+        den = lcm(*(p.denominator for c in terms.values() for x in c for p in (x.re, x.im)))
+        terms = {m: tuple(_numerator(x, den) for x in c) for m, c in terms.items()}
+        self._fill(ncomp, parity % 2, terms, den,
+                   any(type(x) is not int for x in chain.from_iterable(terms.values())))
 
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
 
     # -- constructors ----------------------------------------------------
 
+    def _fill(self, ncomp, parity, terms, den, cplx):
+        """Set the slots from numerators over `den`, restoring the invariant."""
+        terms = {m: c for m, c in terms.items() if any(c)}
+        parts = chain.from_iterable(terms.values())
+        if cplx:
+            terms = {m: tuple(x if type(x) is int or x.im else x.re.numerator for x in c)
+                     for m, c in terms.items()}
+            parts = [p for x in chain.from_iterable(terms.values())
+                     for p in ((x,) if type(x) is int else (x.re.numerator, x.im.numerator))]
+            cplx = len(parts) > sum(map(len, terms.values()))  # some x gave two parts
+        g = gcd(den, *parts) if den != 1 else 1
+        if g != 1:
+            den //= g
+            terms = {m: tuple(x // g if type(x) is int else ExactComplex(x.re // g, x.im // g)
+                              for x in c) for m, c in terms.items()}
+        for name, value in zip(self.__slots__, (ncomp, parity, terms, den, cplx)):
+            object.__setattr__(self, name, value)
+
     @staticmethod
-    def _from_terms(ncomp, parity, terms):
-        """Trusted constructor for internal results (see the module docstring)."""
+    def _from_terms(ncomp, parity, terms, den, cplx):
+        """Trusted constructor: numerator tuples over `den`; `cplx` False only if all are ints."""
         element = object.__new__(GrassmannElement)
-        object.__setattr__(element, "ncomp", ncomp)
-        object.__setattr__(element, "parity", parity)
-        object.__setattr__(element, "terms", {m: c for m, c in terms.items() if any(c)})
+        element._fill(ncomp, parity, terms, den, cplx)
         return element
 
     @staticmethod
     def sum(ncomp, elements):
         """`zero(ncomp) + e1 + e2 + ...` over the nonzero `elements`, in one accumulator."""
-        acc, parity = {}, 0
+        parts, parity = [], 0
         for element in elements:
             if element.ncomp != ncomp:
                 raise ValueError("component count mismatch")
             if element.terms:
-                if acc and element.parity != parity:
+                if parts and element.parity != parity:
                     raise ValueError("cannot add elements of opposite parity")
                 parity = element.parity
-                _add_terms(acc, element.terms)
-        return GrassmannElement._from_terms(ncomp, parity, acc)
+                parts.append(element)
+        den = lcm(*(e.den for e in parts))
+        acc = {}
+        for element in parts:
+            f = den // element.den
+            for mask, comps in element.terms.items():
+                if f != 1:
+                    comps = tuple(f * x for x in comps)
+                prev = acc.get(mask)
+                if prev is not None:
+                    comps = tuple(map(add, prev, comps))
+                    if not any(comps):
+                        del acc[mask]  # a recurring mask lands where `+` puts it
+                        continue
+                acc[mask] = comps
+        return GrassmannElement._from_terms(ncomp, parity, acc, den,
+                                            any(e.cplx for e in parts))
 
     @staticmethod
     def zero(ncomp, parity=0):
@@ -93,30 +135,26 @@ class GrassmannElement:
 
     @staticmethod
     def body(comps, parity=0):
-        comps = tuple(ExactComplex.coerce(c) for c in comps)
+        comps = tuple(comps)
         return GrassmannElement(len(comps), parity, {0: comps})
 
     @staticmethod
     def generator(index, comps):
         """comps * theta_index (an odd element)."""
-        comps = tuple(ExactComplex.coerce(c) for c in comps)
+        comps = tuple(comps)
         return GrassmannElement(len(comps), 1, {1 << index: comps})
 
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
-        if self.ncomp != other.ncomp:
-            raise ValueError("component count mismatch")
-        if self.terms and other.terms and self.parity != other.parity:
-            raise ValueError("cannot add elements of opposite parity")
-        parity = self.parity if self.terms else other.parity
-        terms = dict(self.terms)
-        _add_terms(terms, other.terms)
-        return GrassmannElement._from_terms(self.ncomp, parity, terms)
+        if self.ncomp == other.ncomp and not (self.terms and other.terms):
+            return self if self.terms else other
+        return GrassmannElement.sum(self.ncomp, (self, other))
 
     def __neg__(self):
         return GrassmannElement._from_terms(
-            self.ncomp, self.parity, {m: tuple(-x for x in c) for m, c in self.terms.items()})
+            self.ncomp, self.parity, {m: tuple(-x for x in c) for m, c in self.terms.items()},
+            self.den, self.cplx)
 
     def __sub__(self, other):
         return self + (-other)
@@ -125,26 +163,28 @@ class GrassmannElement:
         value = ExactComplex.coerce(value)
         if not value.im and value.re in (1, -1):
             return self if value.re > 0 else -self
+        den = lcm(value.re.denominator, value.im.denominator)
+        num = value * den if value.im else value.re.numerator
         return GrassmannElement._from_terms(
-            self.ncomp, self.parity, {m: tuple(x * value for x in c) for m, c in self.terms.items()})
+            self.ncomp, self.parity, {m: tuple(x * num for x in c) for m, c in self.terms.items()},
+            self.den * den, self.cplx or type(num) is not int)
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
-        return (isinstance(other, GrassmannElement)
-                and self.ncomp == other.ncomp and self.terms == other.terms)
+        return (isinstance(other, GrassmannElement) and self.ncomp == other.ncomp
+                and self.den == other.den and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.ncomp, frozenset(self.terms.items())))
+        return hash((self.ncomp, self.den, frozenset(self.terms.items())))
 
     def max_abs(self):
         """Float max-norm over all stored components (0.0 for zero)."""
-        best = 0.0
-        for comps in self.terms.values():
-            for c in comps:
-                best = max(best, abs(c.to_complex()))
-        return best
+        # int true division is correctly rounded, as float(Fraction) is
+        return max((abs(x) / self.den if type(x) is int else
+                    abs(complex(x.re.numerator / self.den, x.im.numerator / self.den))
+                    for x in chain.from_iterable(self.terms.values())), default=0.0)
 
     def monomial_parities_match(self):
         return all(bin(m).count("1") % 2 == self.parity for m in self.terms)
@@ -155,19 +195,9 @@ class GrassmannElement:
         bits = []
         for mask in sorted(self.terms):
             gens = "".join(f"th{i}" for i in range(mask.bit_length()) if mask >> i & 1)
-            bits.append(f"{gens or '1'}*{self.terms[mask]}")
+            values = tuple(ExactComplex.coerce(x) / self.den for x in self.terms[mask])
+            bits.append(f"{gens or '1'}*{values}")
         return " + ".join(bits)
-
-
-def _add_terms(acc, terms):
-    """Add `terms` into the dict `acc`; a mask whose sum cancels is removed."""
-    for mask, comps in terms.items():
-        prev = acc.get(mask)
-        comps = comps if prev is None else tuple(a + b for a, b in zip(prev, comps))
-        if any(comps):
-            acc[mask] = comps
-        else:
-            acc.pop(mask, None)
 
 
 def grassmann_mul(a, b):
@@ -192,7 +222,7 @@ def grassmann_mul(a, b):
 
 
 def _product(a, b, ncomp, combine):
-    """Exterior product of a and b, coefficient tuples joined by `combine`."""
+    """Exterior product of a and b, numerator tuples joined by `combine`."""
     out = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -207,14 +237,12 @@ def _product(a, b, ncomp, combine):
                 out[mask] = tuple(x + y for x, y in zip(out[mask], comps))
             else:
                 out[mask] = comps
-    return GrassmannElement._from_terms(ncomp, a.parity ^ b.parity, out)
+    return GrassmannElement._from_terms(ncomp, a.parity ^ b.parity, out, a.den * b.den,
+                                        a.cplx or b.cplx)
 
 
 def _cross(u, v):
     """su(2) structure constants eps_abc: (u x v)_c = eps_abc u_a v_b."""
-    if not any(x.im for x in u + v):
-        (a0, a1, a2), (b0, b1, b2) = (x.re for x in u), (y.re for y in v)
-        return (_real(a1 * b2 - a2 * b1), _real(a2 * b0 - a0 * b2), _real(a0 * b1 - a1 * b0))
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
@@ -233,5 +261,5 @@ def lie_bracket(a, b):
     if a.ncomp != b.ncomp:
         raise ValueError("bracket needs matching component counts")
     if a.ncomp == 1:
-        return GrassmannElement(1, a.parity ^ b.parity, {})
+        return GrassmannElement._from_terms(1, a.parity ^ b.parity, {}, 1, False)
     return _product(a, b, a.ncomp, _cross)

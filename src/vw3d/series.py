@@ -113,6 +113,8 @@ class ExactComplex:
         return ExactComplex.coerce(other) + (-self)
 
     def __mul__(self, other):
+        if type(other) is int:
+            return ExactComplex(self.re * other, self.im * other) if self.im else _real(self.re * other)
         other = ExactComplex.coerce(other)
         if not (self.im or other.im):
             return _real(self.re * other.re)

@@ -62,7 +62,12 @@ def test_qseries_layers_see_calls():
 
 
 def test_brst_layers_see_calls():
-    snap = _traced(lambda: brst.calibrate_signs("abelian")).snapshot()
+    # nonabelian too: only its Gaussian numerators reach `ExactComplex.__mul__`
+    def calls():
+        brst.calibrate_signs("abelian")
+        brst.calibrate_signs("nonabelian")
+
+    snap = _traced(calls).snapshot()
     seen = dict(snap["calls"], **snap["counters"])
     expected = set(layers.EXPECTED["brst_closure"]) - {"cli.main"}
     assert [name for name in expected if not seen.get(name)] == []

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from vw3d.brst import (
     _gauge_basis,
     _resolve_which,
     _rule_image,
+    _solve_exact,
     _term_value,
     _toggled,
     calibrate_signs,
@@ -275,12 +278,28 @@ class TestCalibration:
 
 
 def _assert_well_formed(element, ncomp):
-    """The invariant the trusted Grassmann constructor relies on."""
+    """The invariant the trusted Grassmann constructor relies on.
+
+    Integer numerators over one denominator den > 0: each an int, or a
+    Gaussian-integer ExactComplex with im != 0; no all-zero tuple;
+    gcd(den, every integral part) = 1; `cplx` says whether any is complex.
+    """
     assert element.ncomp == ncomp and element.parity in (0, 1)
+    assert type(element.den) is int and element.den > 0
+    parts, complex_seen = [element.den], False
     for comps in element.terms.values():
         assert isinstance(comps, tuple) and len(comps) == ncomp
-        assert all(type(c) is ExactComplex for c in comps)
+        for c in comps:
+            if type(c) is int:
+                parts.append(c)
+            else:
+                assert type(c) is ExactComplex and c.im != 0
+                assert c.re.denominator == 1 and c.im.denominator == 1
+                parts += [c.re.numerator, c.im.numerator]
+                complex_seen = True
         assert any(comps)
+    assert math.gcd(*parts) == 1
+    assert element.cplx is complex_seen
     assert element.monomial_parities_match()
 
 
@@ -354,3 +373,76 @@ class TestInternalResults:
                         assert got == want, (name, key, op_index, slot, comp)
                         assert list(got.terms) == list(want.terms)
                         assert got.parity == want.parity
+
+
+def _reference_solve(rows):
+    """Gauss-Jordan elimination over ExactComplex with normalised pivot rows."""
+    if not rows:
+        return []
+    n = len(rows[0][0])
+    mat = [[ExactComplex.coerce(v) for v in r[0]] + [ExactComplex.coerce(r[1])] for r in rows]
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        pv = mat[row][col]
+        mat[row] = [v / pv for v in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    solution = [ExactComplex(0)] * n
+    for r, col in enumerate(pivots):
+        solution[col] = mat[r][n]
+    return solution
+
+
+def _random_system(rng, gaussian, kind):
+    """Integer or Gaussian-integer rows of one of three kinds of system."""
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        re, im = rng.randint(-9, 9), rng.randint(-9, 9) if gaussian else 0
+        return ExactComplex(re, im) if im else re
+
+    n = rng.randint(1, 5)
+    m = rng.randint(1, 9)
+    if kind == "rank-deficient":
+        # rows are integer combinations of fewer base rows, and a column may vanish
+        base = [[entry() for _ in range(n)] for _ in range(rng.randint(1, max(1, n - 1)))]
+        dead = rng.randrange(n)
+        coeffs = [[sum((rng.randint(-3, 3) * b[j] for b in base), 0) for j in range(n)]
+                  for _ in range(m)]
+        coeffs = [[0 if j == dead else v for j, v in enumerate(row)] for row in coeffs]
+    else:
+        coeffs = [[entry() for _ in range(n)] for _ in range(m)]
+    if kind == "inconsistent":
+        rhs = [entry() for _ in range(m)]
+    else:
+        x = [entry() for _ in range(n)]
+        rhs = [sum((a * b for a, b in zip(row, x)), 0) for row in coeffs]
+    canon = lambda v: v if type(v) is int or v.im else int(v.re)
+    return [(tuple(map(canon, row)), canon(b)) for row, b in zip(coeffs, rhs)]
+
+
+class TestFractionFreeSolve:
+    @pytest.mark.parametrize("kind", ["consistent", "rank-deficient", "inconsistent"])
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_matches_reference_elimination(self, kind, gaussian):
+        rng = random.Random(f"{kind}-{gaussian}")
+        for _ in range(80):
+            rows = _random_system(rng, gaussian, kind)
+            got = _solve_exact(rows)
+            want = _reference_solve(rows)
+            assert got == want and list(map(repr, got)) == list(map(repr, want)), rows
+            assert all(type(v) is ExactComplex for v in got)
+
+    def test_empty_system(self):
+        assert _solve_exact([]) == []

@@ -44,6 +44,13 @@ class TestVerlinde:
         assert code == EXIT_OK
         assert "ok=True" in out
 
+    def test_sweep_json_is_reproducible(self, capsys):
+        # identical invocations give byte-identical JSON: no wall-clock field
+        first = run_cli(capsys, "verlinde", "--sweep", "5", "--seed", "0", "--json")
+        second = run_cli(capsys, "verlinde", "--sweep", "5", "--seed", "0", "--json")
+        assert first[0] == EXIT_OK and first == second
+        assert "elapsed" not in first[1]
+
     def test_singular_point_is_numerical(self, capsys):
         code, _, err = run_cli(capsys, "verlinde", "--g", "1",
                                "--x", "1.0", "--y", "0.5", "--t", "0.2")

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_brst import _assert_well_formed
 
 from vw3d.grassmann import GrassmannElement, grassmann_mul, koszul_sign, lie_bracket
 from vw3d.series import ExactComplex
@@ -98,15 +102,17 @@ class TestBracket:
             assert lie_bracket(a, b) == lie_bracket(b, a).scale(sign)
 
     def test_real_bracket_matches_complex_path(self):
-        # i[X, Y] takes the complex branch of the su(2) product, [X, Y] the real one
+        # i[X, Y] runs the su(2) product on Gaussian numerators, [X, Y] on ints
         rng = random.Random(31)
         i = ExactComplex(0, 1)
         for _ in range(20):
             a = _rand_element(rng, rng.randint(0, 1))
             b = _rand_element(rng, rng.randint(0, 1))
             assert lie_bracket(a.scale(i), b) == lie_bracket(a, b).scale(i)
-            for comps in lie_bracket(a, b).terms.values():
-                assert all(type(c.re) is Fraction and c.im == 0 for c in comps)
+            for el in (a, b, lie_bracket(a, b)):
+                _assert_well_formed(el, 3)
+                assert not el.cplx  # so every numerator is an int
+            assert lie_bracket(a.scale(i), b).cplx == (not lie_bracket(a, b).is_zero())
 
     def test_abelian_brackets_vanish(self):
         rng = random.Random(4)
@@ -175,3 +181,132 @@ class TestHygiene:
     def test_scale_by_i(self):
         a = GrassmannElement.body((1, 2, 3))
         assert a.scale(ExactComplex(0, 1)).terms[0][0] == ExactComplex(0, 1)
+
+
+# -- the ExactComplex kernels, kept as the reference for the numerator form ----
+
+def _values(element):
+    """{mask: tuple of ExactComplex values} in the element's term order."""
+    return {m: tuple(ExactComplex.coerce(x) / element.den for x in comps)
+            for m, comps in element.terms.items()}
+
+
+def _ref_add(acc, terms):
+    acc = dict(acc)
+    for mask, comps in terms.items():
+        prev = acc.get(mask)
+        comps = comps if prev is None else tuple(a + b for a, b in zip(prev, comps))
+        if any(comps):
+            acc[mask] = comps
+        else:
+            acc.pop(mask, None)
+    return acc
+
+
+def _ref_scale(terms, value):
+    value = ExactComplex.coerce(value)
+    out = {m: tuple(x * value for x in c) for m, c in terms.items()}
+    return {m: c for m, c in out.items() if any(c)}
+
+
+def _ref_cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _ref_product(a, b, combine):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            if ma & mb:
+                continue
+            comps = combine(ca, cb)
+            if koszul_sign(ma, mb) < 0:
+                comps = tuple(-x for x in comps)
+            mask = ma | mb
+            out[mask] = tuple(x + y for x, y in zip(out[mask], comps)) if mask in out else comps
+    return {m: c for m, c in out.items() if any(c)}
+
+
+def _rand_value(rng, kind):
+    re = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    im = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    if kind == "real" or (kind == "mixed" and rng.random() < 0.5):
+        return ExactComplex(re)
+    return ExactComplex(re, im or 1)
+
+
+def _rand_typed(rng, parity, kind, ncomp=3):
+    out = GrassmannElement.zero(ncomp, parity)
+    for _ in range(rng.randint(1, 3)):
+        mask = 0
+        while bin(mask).count("1") % 2 != parity:
+            mask = rng.getrandbits(6)
+        comps = tuple(_rand_value(rng, kind) for _ in range(ncomp))
+        out = out + GrassmannElement(ncomp, parity, {mask: comps})
+    return out
+
+
+class TestAgainstExactComplexKernels:
+    """The numerator kernels agree with the ExactComplex kernels they replaced."""
+
+    @pytest.mark.parametrize("kind", ["real", "gaussian", "mixed"])
+    def test_kernels_match_reference(self, kind):
+        rng = random.Random(f"kernels-{kind}")
+        for _ in range(40):
+            pa, pb = rng.randint(0, 1), rng.randint(0, 1)
+            a, b = _rand_typed(rng, pa, kind), _rand_typed(rng, pb, kind)
+            a2 = _rand_typed(rng, pa, kind)
+            s1 = _rand_typed(rng, 0, kind, ncomp=1)
+            q = _rand_value(rng, kind)
+            va, vb = _values(a), _values(b)
+            checks = [
+                (grassmann_mul(a, b), _ref_product(va, vb, lambda u, v: tuple(map(mul, u, v)))),
+                (grassmann_mul(s1, b),
+                 _ref_product(_values(s1), vb, lambda u, v: tuple(u[0] * y for y in v))),
+                (lie_bracket(a, b), _ref_product(va, vb, _ref_cross)),
+                (-a, _ref_scale(va, -1)),
+                (a.scale(q), _ref_scale(va, q)),
+                (a + a2, _ref_add(va, _values(a2))),
+                (a - a, {}),
+                (GrassmannElement.sum(3, [a, -a2, a2, a]),
+                 _ref_add(_ref_add(_ref_add(va, _ref_scale(_values(a2), -1)), _values(a2)), va)),
+            ]
+            for got, want in checks:
+                _assert_well_formed(got, got.ncomp)
+                assert list(_values(got).items()) == list(want.items())
+
+
+# -- canonical form ------------------------------------------------------------
+
+_PART = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 10))
+_REAL = st.builds(ExactComplex, _PART)
+_GAUSS = st.builds(ExactComplex, _PART, _PART.filter(bool))
+
+
+@st.composite
+def _elements(draw, values):
+    ncomp = draw(st.sampled_from((1, 3)))
+    parity = draw(st.integers(0, 1))
+    masks = [m for m in range(16) if bin(m).count("1") % 2 == parity]
+    terms = {m: tuple(draw(values) for _ in range(ncomp))
+             for m in draw(st.lists(st.sampled_from(masks), max_size=4, unique=True))}
+    return GrassmannElement(ncomp, parity, terms)
+
+
+class TestCanonicalForm:
+    @settings(derandomize=True, database=None)
+    @given(st.one_of(_elements(_REAL), _elements(st.one_of(_REAL, _GAUSS))),
+           st.one_of(_REAL.filter(bool), _GAUSS), st.integers(2, 30))
+    def test_equal_rationals_have_equal_form(self, a, q, k):
+        # the same values reached by other routes: enlarged numerators scaled
+        # back, and one monomial at a time over different denominators
+        big = GrassmannElement(a.ncomp, a.parity, {m: tuple(x * k for x in comps)
+                                                   for m, comps in _values(a).items()})
+        pieces = GrassmannElement.sum(a.ncomp, [GrassmannElement(a.ncomp, a.parity, {m: c})
+                                                for m, c in _values(a).items()])
+        b = _rand_typed(random.Random(k), a.parity, "mixed", a.ncomp)
+        for same in (big.scale(Fraction(1, k)), pieces, (a + b) - b, a.scale(q).scale(1 / q)):
+            _assert_well_formed(same, a.ncomp)
+            assert same == a
+            assert (same.den, same.terms) == (a.den, a.terms)
+            assert hash(same) == hash(a)

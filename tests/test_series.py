@@ -59,15 +59,16 @@ def _pair(z):
 
 class TestExactComplexShortcuts:
     @settings(derandomize=True, database=None)
-    @given(_EXACT, _EXACT)
-    def test_ops_match_gaussian_rational_formula(self, x, y):
+    @given(_EXACT, _EXACT, st.integers(-50, 50))
+    def test_ops_match_gaussian_rational_formula(self, x, y, k):
         a, b = x.re, x.im
         c, d = y.re, y.im
         assert _pair(-x) == (-a, -b)
         assert _pair(x + y) == (a + c, b + d)
         assert _pair(x - y) == (a - c, b - d)
         assert _pair(x * y) == (a * c - b * d, a * d + b * c)
-        results = [-x, x + y, x - y, x * y]
+        assert _pair(x * k) == _pair(k * x) == (a * k, b * k)  # the int shortcut
+        results = [-x, x + y, x - y, x * y, x * k]
         if y:
             n = c * c + d * d
             assert _pair(x / y) == ((a * c + b * d) / n, (b * c - a * d) / n)
