@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .series import ExactComplex, PuiseuxSeries, poly_pow
+from .series import PuiseuxSeries, _real, poly_pow
 
 __all__ = [
-    "QSeries",
     "BasicClass",
     "KahlerTopology",
     "eta24_series",
@@ -37,12 +36,6 @@ Q_DEN = 24
 
 class UnsupportedTopologyError(ValueError):
     """A nonzero theta exponent was requested; those series are not defined."""
-
-
-def QSeries(terms, order):
-    """Series in q on the 1/24 lattice; terms maps integer exponents to coeffs."""
-    scaled = {(e * Q_DEN,): c for e, c in terms.items()}
-    return PuiseuxSeries(("q",), Q_DEN, scaled, ((order + 1) * Q_DEN,))
 
 
 def _euler_factor_coeffs(order):
@@ -64,11 +57,17 @@ def _euler_factor_coeffs(order):
     return coeffs
 
 
+def _int_qseries(coeffs, shift, order):
+    """Trusted sum_k coeffs[k] q^{k+shift} + O(q^{order+1}) for integer coeffs."""
+    terms = {((k + shift) * Q_DEN,): _real(Fraction(c)) for k, c in enumerate(coeffs) if c}
+    return PuiseuxSeries._from_terms(("q",), Q_DEN, terms, ((order + 1) * Q_DEN,))
+
+
 def eta24_series(order=20):
     """eta(q)^24 = q prod (1 - q^n)^24, exact integers, through q^{order}."""
-    power = poly_pow(_euler_factor_coeffs(order), 24, order)
-    terms = {k + 1: ExactComplex(c) for k, c in enumerate(power) if c}
-    return QSeries(terms, order + 1)
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return _int_qseries(poly_pow(_euler_factor_coeffs(order), 24, order), 1, order + 1)
 
 
 def g_series(order=20):
@@ -78,9 +77,7 @@ def g_series(order=20):
     e24 = [0] * (order + 2)
     for (e,), c in eta24_series(order + 1).terms.items():
         e24[e // Q_DEN - 1] = c.re.numerator
-    inv = poly_pow(e24, -1, order + 1)
-    terms = {k - 1: ExactComplex(c) for k, c in enumerate(inv) if c}
-    return QSeries(terms, order)
+    return _int_qseries(poly_pow(e24, -1, order + 1), -1, order)
 
 
 @dataclass(frozen=True)
@@ -158,17 +155,18 @@ def z_vw_kahler(top, order=20):
     internal = 2 * order + 2 * exp1 + 4
     g = g_series(internal)
     sign1 = (-1) ** ((top.chi + top.sigma) // 4)
-    quarter = Fraction(1, 4)
-    term_q2 = (g.substitute_power("q", 2) * quarter) ** exp1
-    term_h = (g.substitute_power("q", Fraction(1, 2)) * quarter) ** exp1
-    term_mh = (g.substitute_power("q", Fraction(1, 2), sign=-1) * quarter) ** exp1
+    # powers of the integer series, then one weight per term: (1/4)^exp1 / 2
+    weight = Fraction(1, 4) ** exp1 / 2
+    term_q2 = g.substitute_power("q", 2) ** exp1
+    term_h = g.substitute_power("q", Fraction(1, 2)) ** exp1
+    term_mh = g.substitute_power("q", Fraction(1, 2), sign=-1) ** exp1
     sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
     sw_all = sum(c.sw for c in top.basic_classes)
     pref = Fraction(2 ** (1 - top.b1))
-    total = (term_q2 * (sign1 * sw_zero)
-             + term_h * (pref * sw_all)
-             + term_mh * (pref * sw_all))
-    return (total * Fraction(1, 2)).truncate(order + 1)
+    total = (term_q2 * (sign1 * sw_zero * weight)
+             + term_h * (pref * sw_all * weight)
+             + term_mh * (pref * sw_all * weight))
+    return total.truncate(order + 1)
 
 
 def en_closed_form(n, order=20):
@@ -177,15 +175,15 @@ def en_closed_form(n, order=20):
         raise ValueError("even n >= 2 required")
     internal = 2 * order + 2 * n + 4
     g = g_series(internal)
-    quarter = Fraction(1, 4)
-    g2q = (g.substitute_power("q", 2) * quarter)
+    g2 = g.substitute_power("q", 2)
     if n == 2:
         # G(q^2)/8 + G(q^{1/2})/4 + G(-q^{1/2})/4
+        quarter = Fraction(1, 4)
         gh = g.substitute_power("q", Fraction(1, 2)) * quarter
         gmh = g.substitute_power("q", Fraction(1, 2), sign=-1) * quarter
-        return (g2q * Fraction(1, 2) + gh + gmh).truncate(order + 1)
-    coeff = Fraction((-1) ** (n // 2 + 1) * comb(n - 2, n // 2 - 1), 2)
-    return (g2q ** (n // 2) * coeff).truncate(order + 1)
+        return (g2 * Fraction(1, 8) + gh + gmh).truncate(order + 1)
+    coeff = Fraction((-1) ** (n // 2 + 1) * comb(n - 2, n // 2 - 1), 2 * 4 ** (n // 2))
+    return (g2 ** (n // 2) * coeff).truncate(order + 1)
 
 
 def binomial_remainder(n):
@@ -197,10 +195,10 @@ def second_line_series(n, order=20):
     """The half-argument part of the E(n) expansion; identically 0 for n > 2."""
     internal = 2 * order + 2 * n + 4
     g = g_series(internal)
-    quarter = Fraction(1, 4)
-    gh = (g.substitute_power("q", Fraction(1, 2)) * quarter) ** (n // 2)
-    gmh = (g.substitute_power("q", Fraction(1, 2), sign=-1) * quarter) ** (n // 2)
-    return ((gh + gmh) * binomial_remainder(n)).truncate(order + 1)
+    gh = g.substitute_power("q", Fraction(1, 2)) ** (n // 2)
+    gmh = g.substitute_power("q", Fraction(1, 2), sign=-1) ** (n // 2)
+    weight = binomial_remainder(n) * Fraction(1, 4) ** (n // 2)
+    return ((gh + gmh) * weight).truncate(order + 1)
 
 
 def gluing_check(n, order=20):

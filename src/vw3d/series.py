@@ -12,8 +12,10 @@ Every `PuiseuxSeries` holds only nonzero `ExactComplex` coefficients keyed by
 exponent tuples of the series' arity, each exponent below its cutoff.  The
 public constructor enforces this by coercing and filtering its input.  Kernel
 outputs that hold it by construction skip that pass through the trusted
-`PuiseuxSeries._from_terms`; only `__mul__`, `invert`, `__neg__`, `rescale`
-and `extend_variables` call it.
+`PuiseuxSeries._from_terms`: `+`, `scale`, `*`, `**`, `invert`, unary `-`,
+`truncate`, `substitute_power`, `rescale`, `extend_variables`, and the
+integer q-series of `elliptic`.  `+` and `truncate` drop the terms beyond
+the new cutoff and `scale` by an exact 0 keeps none; the rest need no filter.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, ge, sub
+from operator import add, ge, mul, sub
 
 __all__ = [
     "ExactComplex",
@@ -350,20 +352,22 @@ class PuiseuxSeries:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex, complex)):
-            other = PuiseuxSeries.constant(other, self.variables,
-                                           den=self.den,
-                                           order=max(self.cutoff, default=21 * self.den) // self.den + 1)
-            other = PuiseuxSeries(other.variables, other.den, other.terms, self.cutoff)
+            other = PuiseuxSeries(self.variables, self.den,
+                                  {(0,) * len(self.variables): other}, self.cutoff)
         a, b = PuiseuxSeries._align(self, other)
-        cutoff = tuple(min(ca, cb) for ca, cb in zip(a.cutoff, b.cutoff))
+        cutoff = tuple(map(min, a.cutoff, b.cutoff))
         terms = dict(a.terms)
         for exps, coeff in b.terms.items():
-            s = terms.get(exps, ZERO) + coeff
-            if s:
+            c = terms.get(exps)
+            if c is None:
+                terms[exps] = coeff
+            elif s := c + coeff:
                 terms[exps] = s
             else:
-                terms.pop(exps, None)
-        return PuiseuxSeries(a.variables, a.den, terms, cutoff)
+                del terms[exps]
+        if a.cutoff != b.cutoff:
+            terms = {e: c for e, c in terms.items() if not any(map(ge, e, cutoff))}
+        return PuiseuxSeries._from_terms(a.variables, a.den, terms, cutoff)
 
     __radd__ = __add__
 
@@ -381,8 +385,8 @@ class PuiseuxSeries:
 
     def scale(self, value):
         value = ExactComplex.coerce(value)
-        return PuiseuxSeries(self.variables, self.den,
-                             {e: c * value for e, c in self.terms.items()}, self.cutoff)
+        terms = {e: c * value for e, c in self.terms.items()} if value else {}
+        return PuiseuxSeries._from_terms(self.variables, self.den, terms, self.cutoff)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactComplex, complex)):
@@ -420,22 +424,33 @@ class PuiseuxSeries:
             raise SeriesError("series powers must be integers")
         if n < 0:
             return self.invert() ** (-n)
-        result = PuiseuxSeries.constant(1, self.variables, den=self.den,
-                                        order=max(self.cutoff, default=21 * self.den) // self.den + 1)
-        result = PuiseuxSeries(result.variables, result.den, result.terms, self.cutoff)
-        base = self
+        one = PuiseuxSeries(self.variables, self.den, {(0,) * len(self.variables): 1}, self.cutoff)
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base._times_one(one) if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return result
+        return one if result is None else result
+
+    def _times_one(self, one):
+        """`one * self` for `one` the constant 1 (or 0), with the cutoff of `*`."""
+        val = self._valuations()
+        if val is None or not one.terms:
+            cutoff = tuple(map(min, one.cutoff, self.cutoff))
+            return PuiseuxSeries._from_terms(self.variables, self.den, {}, cutoff)
+        return self._cut(tuple(map(min, map(add, one.cutoff, val), self.cutoff)))
+
+    def _cut(self, cutoff):
+        """The trusted restriction to `cutoff`, componentwise <= self.cutoff."""
+        terms = self.terms if cutoff == self.cutoff else {
+            e: c for e, c in self.terms.items() if not any(map(ge, e, cutoff))}
+        return PuiseuxSeries._from_terms(self.variables, self.den, terms, cutoff)
 
     def truncate(self, order):
         """Restrict to the box with per-variable bound `order` (in 1/1 units)."""
-        cutoff = tuple(min(c, order * self.den) for c in self.cutoff)
-        return PuiseuxSeries(self.variables, self.den, self.terms, cutoff)
+        return self._cut(tuple(min(c, order * self.den) for c in self.cutoff))
 
     def invert(self):
         """Multiplicative inverse up to the inherited truncation.
@@ -535,7 +550,7 @@ class PuiseuxSeries:
             terms[tuple(e)] = coeff
         cutoff = [min(c * num.denominator, INF_CUTOFF) for c in self.cutoff]
         cutoff[idx] = min(self.cutoff[idx] * num.numerator, INF_CUTOFF)
-        return PuiseuxSeries(self.variables, new_den, terms, tuple(cutoff))
+        return PuiseuxSeries._from_terms(self.variables, new_den, terms, tuple(cutoff))
 
     # ------------------------------------------------------------------
     # queries
@@ -700,6 +715,9 @@ def poly_pow(base, k, order=None):
     nonzero a_j are visited, so the sparse Euler product costs O(n sqrt n).
     Leading zeros of `base` shift the result.  A negative k needs a_0 != 0
     and an `order`.  Integer bases give integers when k >= 0 or a_0 = +-1.
+    k = -1 on such an integer unit (the dense 1/eta^24) runs B_n = -a_0
+    sum_j a_j B_{n-j} as one C-level dot product per term instead; Miller's
+    loop stays faster on sparse powers such as eta^24.
     """
     shift = next((i for i, c in enumerate(base) if c), None)
     if k < 0 and (shift != 0 or order is None):
@@ -715,6 +733,11 @@ def poly_pow(base, k, order=None):
     exact = all(isinstance(c, int) for c in a) and (k >= 0 or a0 in (1, -1))
     nonzero = [(j, c) for j, c in enumerate(a) if j and c]
     out = [a0 ** abs(k) if exact else Fraction(a0) ** k]
+    if k == -1 and exact:
+        tail = a[1:]
+        for _ in range(1, size):
+            out.append(-a0 * sum(map(mul, tail, reversed(out))))
+        return out
     for n in range(1, size - lead):
         acc = 0
         for j, c in nonzero:

@@ -1,4 +1,10 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +42,18 @@ class TestGSeries:
         g = g_series(10)
         eta = eta24_series(12)
         assert (g * eta).to_text() == "1 * 1"
+
+    @pytest.mark.parametrize("order", [-1, -5])
+    def test_negative_order_rejected(self, order):
+        with pytest.raises(ValueError):
+            eta24_series(order)
+        with pytest.raises(ValueError):
+            g_series(order)
+
+    def test_order_zero(self):
+        eta = eta24_series(0)
+        assert eta.coefficients_of("q") == {1: 1}
+        assert eta.cutoff == (48,)
 
     def test_argument_doubling(self):
         g2 = g_series(6).substitute_power("q", 2)
@@ -144,3 +162,45 @@ class TestGluing:
         assert report["equal"] is False
         assert report["first_differing_exponent"] is not None
         assert report["lhs_leading"]["coeff"] == "-5/128"
+
+
+# SHA-256 of exact q-series results.  Any change to a coefficient, a
+# certified cutoff or the JSON layout shows here; update a digest only for an
+# intended change of output.
+SERIES_DIGESTS = [
+    (2, 130, "d4d7eccf3ad09e1c22437510e67107d8f2570806e308218042d2cc17e8161612",
+     "d4d7eccf3ad09e1c22437510e67107d8f2570806e308218042d2cc17e8161612"),
+    (4, 34, "134e947de04ff127145befde0fb2d055125813d1b24569c0ea4649bf7c02eabd",
+     "5f8e88312c3b21f4008039409c333d98e9c0b87353ace005adc285a5bfe552d0"),
+    (10, 19, "c03b8e0ff8cb0eabb819867d38cb7f3ced591d4f65b47b65e0a33d9b63c757cc",
+     "5448c9d08100b780fe7652127e587a0234c5aa2b7a98add55900f567e5951e54"),
+]
+GLUING_8_13_DIGEST = "123bc733ef8a59a3dbe9d57d737fc6cc974e0d920c4d3fb618df9839bbc8cc06"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSeriesDigests:
+    @pytest.mark.parametrize("n,order,z_digest,closed_digest", SERIES_DIGESTS,
+                             ids=[f"E{n}-order{o}" for n, o, *_ in SERIES_DIGESTS])
+    def test_partition_function_bytes(self, n, order, z_digest, closed_digest):
+        assert _sha256(z_vw_kahler(sw_data_en(n), order).to_json()) == z_digest
+        assert _sha256(en_closed_form(n, order).to_json()) == closed_digest
+
+    def test_gluing_report_bytes(self):
+        assert _sha256(json.dumps(gluing_check(8, 13), sort_keys=True)) == GLUING_8_13_DIGEST
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_elliptic_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "02_elliptic_surfaces.py")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "multiplicative gluing prediction vs the direct series for E(6):" in proc.stdout
+    assert "first differing q-power: -6" in proc.stdout

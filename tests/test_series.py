@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vw3d import bethe, elliptic
+from vw3d import bethe, elliptic, series
 from vw3d.elliptic import eta24_series, g_series
 from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError, poly_mul, poly_pow
 
@@ -374,13 +374,15 @@ class TestInverseProperty:
 class TestTrustedOutputs:
     """Outputs built by `_from_terms` hold the invariant the constructor enforces."""
 
-    METHODS = ("__mul__", "invert", "__neg__", "rescale", "extend_variables")
+    METHODS = ("__mul__", "invert", "__neg__", "rescale", "extend_variables",
+               "__add__", "truncate", "scale", "substitute_power", "__pow__")
 
     def test_kernel_outputs_hold_the_invariant(self, monkeypatch):
         outputs = {name: [] for name in self.METHODS}
         for name in self.METHODS:
-            def recorded(series, *args, _original=getattr(PuiseuxSeries, name), _name=name):
-                result = _original(series, *args)
+            def recorded(series, *args, _original=getattr(PuiseuxSeries, name), _name=name,
+                         **kwargs):
+                result = _original(series, *args, **kwargs)
                 outputs[_name].append(result)
                 return result
 
@@ -406,6 +408,110 @@ def _reciprocal(a, order):
         acc = sum(a[j] * out[n - j] for j in range(1, min(n, len(a) - 1) + 1))
         out.append(-acc / a[0])
     return out
+
+
+def _pow_from_one(s, n):
+    """The multiply-from-one square-and-multiply loop `__pow__` replaced."""
+    result = PuiseuxSeries.constant(1, s.variables, den=s.den,
+                                    order=max(s.cutoff, default=21 * s.den) // s.den + 1)
+    result = PuiseuxSeries(result.variables, result.den, result.terms, s.cutoff)
+    base = s
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+POW_CASES = {
+    "laurent": PuiseuxSeries(("q",), 24, {(-48,): 1, (-24,): 3, (0,): -2, (72,): 5}, (120,)),
+    "laurent_complex": PuiseuxSeries(("q",), 24, {(-24,): ExactComplex(1, 2), (48,): 3}, (96,)),
+    "bivariate": PuiseuxSeries(("t", "x"), 2, {(0, 0): 1, (1, -2): Fraction(-1, 3),
+                                              (3, 1): 2, (-1, 4): ExactComplex(0, 1)}, (9, 7)),
+    "bivariate_unequal_cutoffs": PuiseuxSeries(("t", "x"), 2, {(-2, 0): 2, (0, 3): -1,
+                                                              (4, 1): 1}, (6, 20)),
+    "laurent_short_box": PuiseuxSeries(("q",), 1, {(-5,): 1, (-1,): 2, (1,): -1}, (2,)),
+    "zero": PuiseuxSeries(("t",), 2, {}, (10,)),
+    "zero_negative_cutoff": PuiseuxSeries(("t", "x"), 2, {}, (-4, 6)),
+    # cutoffs at or below 0 drop the constant 1 the old loop started from
+    "cutoff_at_zero": PuiseuxSeries(("q",), 24, {(-72,): 1, (-48,): 2}, (0,)),
+    "cutoff_below_zero": PuiseuxSeries(("q",), 24, {(-72,): 1, (-48,): 2}, (-24,)),
+    "bivariate_cutoff_at_zero": PuiseuxSeries(("t", "x"), 2, {(-3, 2): 1, (-1, 0): 4}, (0, 8)),
+}
+
+
+class TestPowFromFirstFactor:
+    """`__pow__` gives the terms and cutoff of the multiply-from-one loop."""
+
+    @pytest.mark.parametrize("name", sorted(POW_CASES))
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+    def test_matches_multiply_from_one(self, name, n):
+        s = POW_CASES[name]
+        got, want = s ** n, _pow_from_one(s, n)
+        assert got.terms == want.terms
+        assert got.cutoff == want.cutoff
+        assert (got.variables, got.den) == (want.variables, want.den)
+
+    def test_cutoff_follows_the_valuation(self):
+        # q^-2 + O(q^5): the product with 1 + O(q^5) is known mod O(q^3)
+        s = PuiseuxSeries(("q",), 1, {(-2,): 1, (4,): 7}, (5,))
+        assert (s ** 1).cutoff == (3,)
+        assert (s ** 1).terms == {(-2,): ExactComplex(1)}
+
+
+class TestDenseReciprocal:
+    """k = -1 on integer units takes the dense convolution; the rest Miller's loop."""
+
+    ORDER = 300
+
+    @staticmethod
+    def _unit_bases():
+        """(base, orders checked): short bases at every order; eta^24 (and its
+        negative, for a_0 = -1) is longer than 300 and checked at a spread."""
+        rng = random.Random(11)
+        every, spread = range(301), (*range(25), 97, 150, 211, 270, 299, 300)
+        eta = eta24_series(301)
+        e24 = [int(eta.coefficient({"q": n + 1}).re) for n in range(302)]
+        return [([1] + [rng.randint(-3, 3) for _ in range(40)], every),
+                ([1, 0, 0, -1, 0, 2], every), ([-1, 1], every), ([1], every),
+                ([-c for c in e24], spread)]
+
+    def test_matches_reciprocal_at_orders_0_to_300(self):
+        for base, orders in self._unit_bases():
+            ref = _reciprocal(base, self.ORDER)
+            for order in orders:
+                inv = poly_pow(base, -1, order)
+                assert inv == ref[:order + 1]
+                assert all(type(c) is int for c in inv)
+            for order in (*range(12), 97, self.ORDER):
+                inv = poly_pow(base, -1, order)
+                assert poly_mul(base, inv, order) == [1] + [0] * order
+
+    def test_other_bases_stay_on_millers_loop(self, monkeypatch):
+        calls = []
+
+        def counting_mul(x, y):
+            calls.append(1)
+            return x * y
+
+        monkeypatch.setattr(series, "mul", counting_mul)
+        poly_pow([1, 3, -2, 5], -1, 30)
+        assert calls
+        calls.clear()
+        cases = [([Fraction(1), 3, -2], -1), ([Fraction(1, 2), 1, 4], -1), ([2, 1, -1], -1),
+                 ([1, 3, -2, 5], -2), ([1, 3, -2, 5], 24)]
+        for base, k in cases:
+            got = poly_pow(base, k, 30)
+            factor = base if k > 0 else _reciprocal(base, 30)
+            want = [1]
+            for _ in range(abs(k)):
+                want = poly_mul(want, factor, 30)
+            assert got == want
+        assert not calls
+        for base in ([Fraction(1), 3, -2], [Fraction(1, 2), 1, 4], [2, 1, -1]):
+            assert all(type(c) is Fraction for c in poly_pow(base, -1, 30))
 
 
 class TestPolyPow:
