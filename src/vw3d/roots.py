@@ -4,14 +4,14 @@ Roots come from companion-matrix eigenvalues (numpy), tightened by a few
 guarded Newton steps, and are returned in a canonical order (real part, then
 imaginary part, rounded to 12 digits) so runs are reproducible.  The Bethe
 vacua themselves are closed forms (`vw3d.bethe`); this general solver is
-their independent numeric cross-check.
+their independent numeric cross-check.  numpy is imported only when a
+polynomial is converted or solved (`as_complex_array`, `poly_roots`, hence
+`verlinde --sweep`), so `import vw3d` and the other commands never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .series import ExactComplex
 
@@ -45,6 +45,7 @@ class ComplexPolynomial:
         return len(self.coefficients) - 1
 
     def as_complex_array(self):
+        import numpy as np
         out = []
         for c in self.coefficients:
             if isinstance(c, ExactComplex):
@@ -57,13 +58,6 @@ class ComplexPolynomial:
         value = 0j
         for c in reversed(self.as_complex_array()):
             value = value * z + c
-        return value
-
-    def derivative_at(self, z):
-        coeffs = self.as_complex_array()
-        value = 0j
-        for k in range(len(coeffs) - 1, 0, -1):
-            value = value * z + k * coeffs[k]
         return value
 
 
@@ -91,27 +85,38 @@ def poly_roots(poly, tol=1e-9):
         poly = ComplexPolynomial(tuple(poly))
     if poly.degree < 1:
         raise ValueError("degree must be at least 1")
+    import numpy as np
     coeffs = poly.as_complex_array()
     # numpy's convention is descending coefficients.
     raw = np.roots(coeffs[::-1])
-    roots = []
+    # Horner over numpy scalars, as `__call__` does: the step p/p' must stay a
+    # numpy division for the roots to be reproducible bit for bit.
+    desc = list(coeffs[::-1])
+    ddesc = [k * coeffs[k] for k in range(len(coeffs) - 1, 0, -1)]
+    roots, residuals = [], []
     for z in raw:
         z = complex(z)
+        res = _residual(coeffs, z)
         for _ in range(3):
-            pv = poly(z)
-            dv = poly.derivative_at(z)
+            pv = dv = 0j
+            for c in desc:
+                pv = pv * z + c
+            for c in ddesc:
+                dv = dv * z + c
             if dv == 0:
                 break
             step = pv / dv
             if abs(step) > 1e-2 * max(1.0, abs(z)):
                 break  # double-root plateau; Newton would wander
             z2 = z - step
-            if _residual(coeffs, z2) <= _residual(coeffs, z):
-                z = z2
+            res2 = _residual(coeffs, z2)
+            if res2 <= res:
+                z, res = z2, res2
             else:
                 break
         roots.append(z)
-    worst = max(_residual(coeffs, z) for z in roots)
+        residuals.append(res)
+    worst = max(residuals)
     if worst > tol:
         raise RootConvergenceError(
             f"root residual {worst:.3e} exceeds tolerance {tol:.3e}", worst)

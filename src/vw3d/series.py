@@ -334,10 +334,7 @@ class PuiseuxSeries:
         """Componentwise minimum exponent over stored terms (None if zero)."""
         if not self.terms:
             return None
-        mins = None
-        for exps in self.terms:
-            mins = exps if mins is None else tuple(min(a, b) for a, b in zip(mins, exps))
-        return mins
+        return tuple(map(min, zip(*self.terms)))
 
     @staticmethod
     def _align(a, b):
@@ -540,10 +537,10 @@ class PuiseuxSeries:
         terms = {}
         for exps, coeff in self.terms.items():
             if sign == -1:
-                unscaled = Fraction(exps[idx], self.den)
-                if unscaled.denominator != 1:
+                power, rest = divmod(exps[idx], self.den)
+                if rest:
                     raise SeriesError("sign substitution needs integral exponents")
-                if unscaled.numerator % 2:
+                if power % 2:
                     coeff = -coeff
             e = [v * num.denominator for v in exps]
             e[idx] = exps[idx] * num.numerator

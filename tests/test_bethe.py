@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,3 +362,15 @@ class TestReport:
         assert rep["ok"] is True
         assert rep["max_weyl_residual"] < 1e-6
         assert rep["max_multiset_rel_error"] < 1e-6
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bethe_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "01_bethe_vacua_pipeline.py")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "cleared saddle polynomial: degree 12" in proc.stdout

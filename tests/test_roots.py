@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from vw3d.roots import ComplexPolynomial, RootConvergenceError, poly_roots
+from vw3d.bethe import build_bethe
+from vw3d.roots import ComplexPolynomial, RootConvergenceError, _residual, poly_roots
 
 
 class TestBasicRoots:
@@ -53,3 +54,88 @@ class TestViete:
             expect_prod = (-1) ** degree * coeffs[0] / coeffs[-1]
             assert abs(total - expect_sum) < 1e-8 * max(1.0, abs(expect_sum))
             assert abs(prod - expect_prod) < 1e-8 * max(1.0, abs(expect_prod))
+
+
+def _reference_derivative(poly, z):
+    coeffs = poly.as_complex_array()
+    value = 0j
+    for k in range(len(coeffs) - 1, 0, -1):
+        value = value * z + k * coeffs[k]
+    return value
+
+
+def _reference_roots(poly, tol=1e-9):
+    """The Newton polish as first written: p, p' and both residuals are
+    rebuilt from the coefficients at every step, the worst once more."""
+    coeffs = poly.as_complex_array()
+    raw = np.roots(coeffs[::-1])
+    roots = []
+    for z in raw:
+        z = complex(z)
+        for _ in range(3):
+            pv = poly(z)
+            dv = _reference_derivative(poly, z)
+            if dv == 0:
+                break
+            step = pv / dv
+            if abs(step) > 1e-2 * max(1.0, abs(z)):
+                break
+            z2 = z - step
+            if _residual(coeffs, z2) <= _residual(coeffs, z):
+                z = z2
+            else:
+                break
+        roots.append(z)
+    worst = max(_residual(coeffs, z) for z in roots)
+    if worst > tol:
+        raise RootConvergenceError(
+            f"root residual {worst:.3e} exceeds tolerance {tol:.3e}", worst)
+    roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    return roots
+
+
+def _same_bits(a, b):
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, a)] == \
+        [(z.real.hex(), z.imag.hex()) for z in map(complex, b)]
+
+
+class TestMatchesReferenceLoop:
+    """`poly_roots` converts once per solve; every float operation of the
+    per-step loop is kept, so the roots are equal bit for bit."""
+
+    def test_seeded_bethe_systems(self):
+        rng = random.Random(11)
+        for k in range(150):
+            x, y, t = (rng.uniform(0.05, 0.95) for _ in range(3))
+            if k % 5 == 0:
+                y = x
+            poly = build_bethe({"x": x, "y": y, "t": t}).polynomial
+            mine, ref = poly_roots(poly), _reference_roots(poly)
+            assert mine == ref and _same_bits(mine, ref)
+
+    def test_seeded_complex_polynomials(self):
+        rng = random.Random(12)
+        for k in range(130):
+            degree = k % 13 + 1
+            coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                      for _ in range(degree + 1)]
+            coeffs[-1] += 0.5
+            poly = ComplexPolynomial(tuple(coeffs))
+            mine, ref = poly_roots(poly, tol=1e-6), _reference_roots(poly, tol=1e-6)
+            assert mine == ref and _same_bits(mine, ref)
+
+    def test_double_root_plateau(self):
+        # (z-1)^2 (z+2): Newton stops at the plateau near the double root.
+        poly = ComplexPolynomial((2, -3, 0, 1))
+        mine, ref = poly_roots(poly), _reference_roots(poly)
+        assert mine == ref and _same_bits(mine, ref)
+
+    def test_same_residual_on_too_tight_tol(self):
+        for coeffs in ((2, -3, 0, 1), (1, 2, 3, 4, 5), (1j, 0.5, -2, 1)):
+            poly = ComplexPolynomial(coeffs)
+            with pytest.raises(RootConvergenceError) as mine:
+                poly_roots(poly, tol=1e-40)
+            with pytest.raises(RootConvergenceError) as ref:
+                _reference_roots(poly, tol=1e-40)
+            assert mine.value.residual == ref.value.residual > 0
+            assert str(mine.value) == str(ref.value)

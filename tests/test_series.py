@@ -577,3 +577,66 @@ class TestSerialization:
     def test_evaluate(self):
         s = t_poly({Fraction(3, 2): 1})
         assert abs(s.evaluate({"t": 4.0}) - 8.0) < 1e-12
+
+
+def _fraction_sign_substitute(s, variable, num):
+    """Reference q -> -q^num terms: the parity read off Fraction(e, den)."""
+    idx = s.variables.index(variable)
+    terms = {}
+    for exps, coeff in s.terms.items():
+        unscaled = Fraction(exps[idx], s.den)
+        if unscaled.denominator != 1:
+            raise SeriesError("sign substitution needs integral exponents")
+        if unscaled.numerator % 2:
+            coeff = -coeff
+        e = [v * num.denominator for v in exps]
+        e[idx] = exps[idx] * num.numerator
+        terms[tuple(e)] = coeff
+    return terms
+
+
+def _generator_valuations(s):
+    """Reference `_valuations`: one componentwise-min tuple per stored term."""
+    if not s.terms:
+        return None
+    mins = None
+    for exps in s.terms:
+        mins = exps if mins is None else tuple(min(a, b) for a, b in zip(mins, exps))
+    return mins
+
+
+class TestSignSubstitution:
+    """`substitute_power(..., sign=-1)` takes the parity from divmod on the
+    scaled exponent; it must agree with the Fraction parity."""
+
+    @pytest.mark.parametrize("den", [1, 2, 24])
+    @pytest.mark.parametrize("num", [Fraction(1, 2), Fraction(2), Fraction(3, 4)])
+    def test_matches_fraction_parity(self, den, num):
+        rng = random.Random(den * 100 + num.numerator)
+        for _ in range(20):
+            terms = {(rng.randint(-3, 3), rng.randint(-40, 40) * den): rng.randint(-9, 9)
+                     for _ in range(rng.randint(1, 12))}
+            s = PuiseuxSeries(("t", "q"), den, terms, (4 * den, 41 * den))
+            out = s.substitute_power("q", num, sign=-1)
+            assert out.terms == _fraction_sign_substitute(s, "q", num)
+            assert out.den == den * num.denominator
+
+    @pytest.mark.parametrize("den, exponent", [(2, 1), (2, -3), (24, 1), (24, -23), (24, 36)])
+    def test_fractional_exponent_rejected(self, den, exponent):
+        s = PuiseuxSeries(("q",), den, {(0,): 1, (exponent,): 5}, (48 * den,))
+        with pytest.raises(SeriesError):
+            _fraction_sign_substitute(s, "q", Fraction(1, 2))
+        with pytest.raises(SeriesError):
+            s.substitute_power("q", Fraction(1, 2), sign=-1)
+
+
+class TestValuations:
+    def test_matches_generator_form(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            terms = {(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9)): 1
+                     for _ in range(rng.randint(1, 8))}
+            s = PuiseuxSeries(("t", "x", "q"), 6, terms, (10, 10, 10))
+            assert s._valuations() == _generator_valuations(s)
+        assert PuiseuxSeries(("q",), 1, {}, (5,))._valuations() is None
+        assert PuiseuxSeries((), 1, {(): 3}, ())._valuations() == ()
