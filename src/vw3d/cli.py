@@ -60,10 +60,6 @@ def _emit(config, report, text_lines):
             print(line)
 
 
-def _series_text(series):
-    return series.to_text()
-
-
 # ----------------------------------------------------------------------
 # verlinde
 
@@ -82,7 +78,7 @@ def _cmd_verlinde(args, config):
         report = {"config": _config_dict(config), "mode": f"limit-{args.limit}",
                   "g": args.g, "series": series.to_json_dict()}
         return report, ["# limit {} (g={})".format(args.limit, args.g),
-                        _series_text(series)], EXIT_OK
+                        series.to_text()], EXIT_OK
     if args.series:
         if args.g == 0:
             series = bethe.grdim_closed_form("S2xS1", order=config.order)
@@ -91,7 +87,7 @@ def _cmd_verlinde(args, config):
         report = {"config": _config_dict(config), "mode": "series", "g": args.g,
                   "series": series.to_json_dict()}
         return report, ["# graded dimension series (g={})".format(args.g),
-                        _series_text(series)], EXIT_OK
+                        series.to_text()], EXIT_OK
     if args.asymptotics:
         rep = bethe.asymptotics_check(args.g, args.a, args.b)
         report = {"config": _config_dict(config), "mode": "asymptotics", **rep}
@@ -124,7 +120,7 @@ def _cmd_elliptic(args, config):
     series = elliptic.z_vw_kahler(elliptic.sw_data_en(args.n), order=config.order)
     report = {"config": _config_dict(config), "surface": f"E({args.n})",
               "n": args.n, "order": config.order, "series": series.to_json_dict()}
-    lines = [f"# Z_VW(E({args.n})) through q^{config.order}", _series_text(series)]
+    lines = [f"# Z_VW(E({args.n})) through q^{config.order}", series.to_text()]
     if args.gluing:
         gl = elliptic.gluing_check(args.n, order=config.order)
         report["gluing"] = gl
@@ -180,7 +176,7 @@ def _cmd_floer(args, config):
             conj = floer.conjecture_series(args.brieskorn, order=config.order)
             report["conjecture"] = {"series": conj["series"].to_json_dict(),
                                     "conjectural": True}
-            lines += ["conjectural graded dimension:", _series_text(conj["series"])]
+            lines += ["conjectural graded dimension:", conj["series"].to_text()]
         return report, lines, EXIT_OK
     if args.hf:
         kind, kwargs = _parse_hf(args.hf)
@@ -192,7 +188,7 @@ def _cmd_floer(args, config):
                   "spin_c_count": result.spin_c_count}
         lines = [f"# HF+ of {result.manifold}"
                  + (" (relative grading)" if result.relative_grading else ""),
-                 _series_text(result.series)]
+                 result.series.to_text()]
         if result.spin_c_count is not None and result.spin_c_count > 1:
             lines.append(f"spin-c structures: {result.spin_c_count} "
                          "(series shown per structure)")

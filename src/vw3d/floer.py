@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .series import ExactComplex, PuiseuxSeries, SeriesError, poly_divmod, poly_mul, poly_pow
+from .series import PuiseuxSeries, SeriesError, poly_divmod, poly_mul, poly_pow
 
 __all__ = [
     "Tower",
@@ -72,7 +72,7 @@ def tower_series(bottom, truncation=None, order=20):
             break
         if truncation is not None and level >= truncation:
             break
-        terms[degree] = ExactComplex(1)
+        terms[degree] = 1
         level += 1
     return _t_series(terms, order)
 
@@ -159,12 +159,6 @@ def hn_poincare(g):
     return q
 
 
-def hn_poincare_series(g, order=None):
-    coeffs = hn_poincare(g)
-    order = order if order is not None else len(coeffs) + 1
-    return _t_series({k: ExactComplex(c) for k, c in enumerate(coeffs) if c}, order)
-
-
 def gl_vs_sl_cohomology(N, g, order=20):
     """All-bundles cohomology: H*(T^{2g}) tensor the fixed-determinant part,
     i.e. (1+t)^{2g} times the moduli Poincare polynomial.  Only N = 2."""
@@ -172,7 +166,7 @@ def gl_vs_sl_cohomology(N, g, order=20):
         raise ValueError("only rank 2 is tabulated")
     torus = poly_pow([Fraction(1), Fraction(1)], 2 * g)
     total = poly_mul(torus, hn_poincare(g))
-    return _t_series({k: ExactComplex(c) for k, c in enumerate(total) if c}, order)
+    return _t_series({k: c for k, c in enumerate(total) if c}, order)
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +197,7 @@ def trivial_isotypic_dims(order):
 def molien_su2_adjoint(order=20):
     """Generating series of invariant dimensions; equals 1/(1-t^2)."""
     dims = trivial_isotypic_dims(order)
-    return _t_series({n: ExactComplex(d) for n, d in enumerate(dims) if d},
+    return _t_series({n: d for n, d in enumerate(dims) if d},
                      order + Fraction(1, 2))
 
 

@@ -12,13 +12,14 @@ Invariant: an element stores integer numerators over one denominator
 numerators is an int, or a Gaussian-integer ExactComplex only where im != 0;
 no tuple is all zero.  The form is canonical, so `==` and `hash` compare
 dicts.  `cplx` records whether any numerator is complex, so real elements
-never scan for one.  Ints and ExactComplex share `+ - *`, so each kernel runs
-one path: products multiply the denominators, sums take their lcm.  The
-public constructor coerces and checks each component.  Kernel results use
-the trusted `GrassmannElement._from_terms`, which drops all-zero tuples, turns
-real Gaussian numerators into ints and divides out one gcd; only `+`, unary
-`-`, `scale`, `sum`, `grassmann_mul`, `lie_bracket` and
-`vw3d.brst._extract_theta` call it.
+never scan for one.  The series kernel computes on the same form, and its
+`_numerator` and `_unlift` convert values here too.  Ints and ExactComplex
+share `+ - *`, so each kernel runs one path: products multiply the
+denominators, sums take their lcm.  The public constructor coerces and checks
+each component.  Kernel results use the trusted `GrassmannElement._from_terms`,
+which drops all-zero tuples, turns real Gaussian numerators into ints and
+divides out one gcd; only `+`, unary `-`, `scale`, `sum`, `grassmann_mul`,
+`lie_bracket` and `vw3d.brst._extract_theta` call it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import add
 
-from .series import ExactComplex
+from .series import ExactComplex, _numerator, _unlift
 
 __all__ = ["GrassmannElement", "grassmann_mul", "lie_bracket", "koszul_sign"]
 
@@ -48,12 +49,6 @@ def koszul_sign(mask_a, mask_b):
             sign = -sign
         b ^= j
     return sign
-
-
-def _numerator(value, den):
-    """value * den for an ExactComplex value that it makes integral."""
-    re = value.re.numerator * (den // value.re.denominator)
-    return ExactComplex(re, value.im.numerator * (den // value.im.denominator)) if value.im else re
 
 
 class GrassmannElement:
@@ -164,7 +159,7 @@ class GrassmannElement:
         if not value.im and value.re in (1, -1):
             return self if value.re > 0 else -self
         den = lcm(value.re.denominator, value.im.denominator)
-        num = value * den if value.im else value.re.numerator
+        num = _numerator(value, den)
         return GrassmannElement._from_terms(
             self.ncomp, self.parity, {m: tuple(x * num for x in c) for m, c in self.terms.items()},
             self.den * den, self.cplx or type(num) is not int)
@@ -195,7 +190,7 @@ class GrassmannElement:
         bits = []
         for mask in sorted(self.terms):
             gens = "".join(f"th{i}" for i in range(mask.bit_length()) if mask >> i & 1)
-            values = tuple(ExactComplex.coerce(x) / self.den for x in self.terms[mask])
+            values = tuple(_unlift(x, self.den) for x in self.terms[mask])
             bits.append(f"{gens or '1'}*{values}")
         return " + ".join(bits)
 

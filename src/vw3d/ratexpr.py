@@ -104,7 +104,7 @@ class Const(RationalExpr):
         return False
 
     def eval(self, point, eps_pole=EPS_POLE):
-        return self.value.to_complex()
+        return complex(self.value)
 
     def expand(self, variables, order, den=None):
         den = den or default_denominator(variables)

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import ExactComplex
-
 __all__ = ["ComplexPolynomial", "poly_roots", "RootConvergenceError"]
 
 
@@ -46,13 +44,7 @@ class ComplexPolynomial:
 
     def as_complex_array(self):
         import numpy as np
-        out = []
-        for c in self.coefficients:
-            if isinstance(c, ExactComplex):
-                out.append(c.to_complex())
-            else:
-                out.append(complex(c))
-        return np.array(out, dtype=np.complex128)
+        return np.array([complex(c) for c in self.coefficients], dtype=np.complex128)
 
     def __call__(self, z):
         value = 0j

@@ -16,6 +16,12 @@ outputs that hold it by construction skip that pass through the trusted
 `truncate`, `substitute_power`, `rescale`, `extend_variables`, and the
 integer q-series of `elliptic`.  `+` and `truncate` drop the terms beyond
 the new cutoff and `scale` by an exact 0 keeps none; the rest need no filter.
+
+Products and inversion run one path for every coefficient, on integer
+numerators over one denominator as in FLINT's `fmpq_poly`.  The functions
+after `PuiseuxSeries` convert: `_numerator` (an int, or a Gaussian-integer
+ExactComplex only where im != 0), `_lift` for a whole term map, and `_unlift`,
+which reduces an output once.  `vw3d.grassmann` stores and shares this form.
 """
 
 from __future__ import annotations
@@ -157,7 +163,7 @@ class ExactComplex:
     def conjugate(self):
         return ExactComplex(self.re, -self.im)
 
-    def to_complex(self):
+    def __complex__(self):
         return complex(self.re, self.im)
 
     def __repr__(self):
@@ -201,7 +207,6 @@ def _isqrt_exact(n):
 
 
 ZERO = ExactComplex(0)
-ONE = ExactComplex(1)
 
 # Sentinel for "no truncation in this variable"; large enough that cutoff
 # arithmetic (shifts by valuations) never brings it into play.
@@ -398,20 +403,7 @@ class PuiseuxSeries:
         # O(min(cutoff_a + val_b, cutoff_b + val_a)) componentwise.
         cutoff = tuple(min(ca + eb, cb + ea)
                        for ca, cb, ea, eb in zip(a.cutoff, b.cutoff, va, vb))
-        if any(c.im for c in a.terms.values()) or any(c.im for c in b.terms.values()):
-            terms = {}
-            for ea, cae in a.terms.items():
-                for eb, cbe in b.terms.items():
-                    exps = tuple(i + j for i, j in zip(ea, eb))
-                    if any(e >= c for e, c in zip(exps, cutoff)):
-                        continue
-                    s = terms.get(exps, ZERO) + cae * cbe
-                    if s:
-                        terms[exps] = s
-                    else:
-                        terms.pop(exps, None)
-        else:
-            terms = _real_product(a.terms, b.terms, cutoff)
+        terms = _product(a.terms, b.terms, cutoff)
         return PuiseuxSeries._from_terms(a.variables, a.den, terms, cutoff)
 
     __rmul__ = __mul__
@@ -457,17 +449,17 @@ class PuiseuxSeries:
         Writes self = corner * x^m (1 + u) and solves (1 + u) B = 1 in one
         walk over increasing total degree: once B_e is final, its product
         with each u_j is added at e + j if that lies in the box, so sparse
-        inputs stay sparse.  Real coefficients run on integers: with
-        numerators n over one denominator D and n0 the corner's, u_j =
-        n_{j+m} / n0.  Let m0 be the least total degree in u and K(e) =
-        |e| // m0.  Since |e| >= |e - j| + m0, K(e) > K(e - j), so N_e =
-        B_e * n0^K(e) is an integer given by the integer recurrence
+        inputs stay sparse.  The walk runs on `_numerator`s: with numerators
+        n over one denominator D and n0 the corner's, u_j = n_{j+m} / n0.
+        Let m0 be the least total degree in u and K(e) = |e| // m0.  Since
+        |e| >= |e - j| + m0, K(e) > K(e - j), so N_e = B_e * n0^K(e) is a
+        (Gaussian) integer given by the integer recurrence
 
             N_e = -sum_j n_{j+m} * N_{e-j} * n0^(K(e) - 1 - K(e-j)),
 
         and each output coefficient D * N_e / n0^(K(e)+1) is reduced once.
-        Complex coefficients take the same walk with n0 = 1 and u_j =
-        c_{j+m} / corner.
+        A nonreal corner c goes through 1/s = conj(c) (conj(c) s)^-1, whose
+        corner |c|^2 is real, so n0 is always an int.
         """
         if self.is_zero():
             raise SeriesError("cannot invert a series that is zero to its truncation")
@@ -477,19 +469,10 @@ class PuiseuxSeries:
             raise SeriesError("no corner term: series is not a unit on its exponent box")
         if any(c >= INF_CUTOFF for c in self.cutoff):
             raise SeriesError("inversion needs a fully truncated series")
-        if any(c.im for c in self.terms.values()):
-            inv_corner = ONE / corner
-            lifted = [(e, c * inv_corner) for e, c in self.terms.items()]
-            n0 = 1
-
-            def finish(n, k):
-                return inv_corner * n
-        else:
-            lifted, den = _lift(self.terms)
-            n0 = dict(lifted)[mins]
-
-            def finish(n, k):
-                return _real(Fraction(n * den, n0 ** (k + 1)))
+        if corner.im:  # conj(c) s has the real corner |c|^2
+            return self.scale(corner.conjugate()).invert().scale(corner.conjugate())
+        lifted, den = _lift(self.terms)
+        n0 = dict(lifted)[mins]
         u = [(j, sum(j), c) for j, c in ((tuple(map(sub, e, mins)), c) for e, c in lifted)
              if any(j)]
         m0 = min((dj for _, dj, _ in u), default=1)
@@ -508,7 +491,7 @@ class PuiseuxSeries:
                 n = -acc
                 if not n:
                     continue
-                terms[tuple(map(sub, p, mins))] = finish(n, k)
+                terms[tuple(map(sub, p, mins))] = _unlift(n * den, n0 ** (k + 1))
                 for j, dj, c in u:
                     e = tuple(map(add, p, j))
                     if any(map(ge, e, b_cutoff)):
@@ -572,7 +555,7 @@ class PuiseuxSeries:
         """Numerical evaluation; fractional exponents need positive real bases."""
         total = 0j
         for exps, coeff in sorted(self.terms.items()):
-            term = coeff.to_complex()
+            term = complex(coeff)
             for v, e in zip(self.variables, exps):
                 if e == 0:
                     continue
@@ -593,13 +576,8 @@ class PuiseuxSeries:
             other = PuiseuxSeries.constant(other, self.variables, den=self.den,
                                            order=max(self.cutoff, default=0) // self.den + 1)
         a, b = PuiseuxSeries._align(self, other)
-        cutoff = tuple(min(ca, cb) for ca, cb in zip(a.cutoff, b.cutoff))
-        ta = {e: c for e, c in a.terms.items() if all(i < j for i, j in zip(e, cutoff))}
-        tb = {e: c for e, c in b.terms.items() if all(i < j for i, j in zip(e, cutoff))}
-        return ta == tb
-
-    def __hash__(self):
-        return hash((self.variables, self.den, frozenset(self.terms.items())))
+        cutoff = tuple(map(min, a.cutoff, b.cutoff))
+        return a._cut(cutoff).terms == b._cut(cutoff).terms
 
     # ------------------------------------------------------------------
     # presentation
@@ -646,17 +624,30 @@ class PuiseuxSeries:
         return f"PuiseuxSeries[{','.join(self.variables)}; 1/{self.den}]({body})"
 
 
+def _numerator(value, den):
+    """value * den for an ExactComplex value that it makes integral."""
+    re = value.re.numerator * (den // value.re.denominator)
+    return ExactComplex(re, value.im.numerator * (den // value.im.denominator)) if value.im else re
+
+
+def _unlift(n, den):
+    """The ExactComplex n / den for a `_numerator` n and a nonzero int den."""
+    if type(n) is int:
+        return _real(Fraction(n, den))
+    return ExactComplex(n.re / den, n.im / den)
+
+
 def _lift(terms):
-    """Real coefficients as integer numerators over their common denominator."""
-    den = lcm(*(c.re.denominator for c in terms.values()))
-    return [(e, c.re.numerator * (den // c.re.denominator)) for e, c in terms.items()], den
+    """Coefficients as `_numerator`s over one denominator, least if all are real."""
+    den = lcm(*(c.re.denominator * c.im.denominator for c in terms.values()))
+    return [(e, _numerator(c, den)) for e, c in terms.items()], den
 
 
-def _real_product(ta, tb, cutoff):
-    """Terms of the product of two real-coefficient term maps below `cutoff`.
+def _product(ta, tb, cutoff):
+    """Terms of the product of two term maps below `cutoff`.
 
-    The convolution runs on integer numerators; each nonzero output
-    coefficient is reduced to lowest terms once, at the end.
+    The convolution runs on `_numerator`s; each nonzero output coefficient
+    is reduced to lowest terms once, at the end.
     """
     na, da = _lift(ta)
     nb, db = _lift(tb)
@@ -679,7 +670,7 @@ def _real_product(ta, tb, cutoff):
                 if not any(map(ge, e, cutoff)):
                     acc[e] = acc.get(e, 0) + x * y
     den = da * db
-    return {e: _real(Fraction(n, den)) for e, n in acc.items() if n}
+    return {e: _unlift(n, den) for e, n in acc.items() if n}
 
 
 # ----------------------------------------------------------------------

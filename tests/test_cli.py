@@ -222,6 +222,11 @@ JSON_DIGESTS = [
      "a46dc3bb50b1d7319535fcde51a05477032656c05bf70951c0026f9cdc7eb7fd"),
     ("brst --table abelian --check Q2",
      "5c7e20e81437b825c781209ec6378441c7318d6dbaf21e6743d1975e9664c740"),
+    # the only shipped table whose Grassmann numerators are Gaussian integers
+    ("brst --table nonabelian --check all",
+     "9191d925a1e79c4cf05544c79ee80ff352e4bf91a7053069e5f6db7596bf4386"),
+    ("floer --hn 3",
+     "09f39195183091bfc9c50151c269577788ed86f45b1ae4b8dd9fb1c9eef33806"),
 ]
 
 

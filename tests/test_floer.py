@@ -11,7 +11,6 @@ from vw3d.floer import (
     gl_vs_sl_cohomology,
     hf_plus,
     hn_poincare,
-    hn_poincare_series,
     molien_su2_adjoint,
     standard_superspace_factors,
     superspace_character,
@@ -245,7 +244,7 @@ class TestNonnegativity:
             hf_plus("lens", p=3, order=12).series,
             hf_plus("SigmaGxS1", g=4, h=2).series,
             molien_su2_adjoint(order=15),
-            hn_poincare_series(3),
+            gl_vs_sl_cohomology(2, 3),
             conjecture_series("Sigma237", order=10)["series"],
         ]
         for series in emitted:

@@ -1,10 +1,12 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from vw3d.bethe import build_bethe
 from vw3d.roots import ComplexPolynomial, RootConvergenceError, _residual, poly_roots
+from vw3d.series import ExactComplex
 
 
 class TestBasicRoots:
@@ -27,6 +29,16 @@ class TestBasicRoots:
         b = poly_roots(ComplexPolynomial(coeffs))
         assert a == b
         assert a == sorted(a, key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+
+    def test_exact_coefficients_convert(self):
+        # (z - i/2)(z + 3) = z^2 + (3 - i/2) z - 3i/2, with mixed coefficient types
+        poly = ComplexPolynomial((ExactComplex(0, Fraction(-3, 2)),
+                                  ExactComplex(3, Fraction(-1, 2)), Fraction(1)))
+        array = poly.as_complex_array()
+        assert array.dtype == np.complex128
+        assert list(array) == [-1.5j, 3 - 0.5j, 1 + 0j]
+        roots = poly_roots(poly)
+        assert abs(roots[0] + 3) < 1e-12 and abs(roots[1] - 0.5j) < 1e-12
 
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 import heapq
 import random
 from fractions import Fraction
+from math import lcm
 from operator import add, lt, sub
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vw3d import bethe, elliptic, series
+from vw3d import bethe, elliptic, grassmann, series
 from vw3d.elliptic import eta24_series, g_series
 from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError, poly_mul, poly_pow
 
@@ -40,6 +41,10 @@ class TestExactComplex:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             ExactComplex(1) / ExactComplex(0)
+
+    def test_complex_conversion(self):
+        assert complex(ExactComplex(Fraction(1, 2), -3)) == 0.5 - 3j
+        assert complex(ExactComplex(Fraction(-7, 4))) == -1.75 + 0j
 
     def test_perfect_square_root(self):
         assert ExactComplex.sqrt_of_positive(Fraction(9, 16)) == Fraction(3, 4)
@@ -321,6 +326,9 @@ _INVERT_CASES = {
     "monomial": lambda rng: _unit_operand(rng, ("t", "x"), 2, -4, "real", size=0),
     "complex": lambda rng: _unit_operand(rng, ("q",), 24, -48, "complex"),
     "mixed": lambda rng: _unit_operand(rng, ("t", "x"), 2, -2, "complex", ExactComplex(3)),
+    # a nonreal corner of norm 25/49: 1/s = conj(c) (conj(c) s)^-1 with n0 != 1
+    "gaussian-corner": lambda rng: _unit_operand(
+        rng, ("t", "x"), 2, -4, "complex", ExactComplex(Fraction(3, 7), Fraction(4, 7))),
 }
 
 
@@ -640,3 +648,38 @@ class TestValuations:
             assert s._valuations() == _generator_valuations(s)
         assert PuiseuxSeries(("q",), 1, {}, (5,))._valuations() is None
         assert PuiseuxSeries((), 1, {(): 3}, ())._valuations() == ()
+
+
+class TestNumerators:
+    """`_numerator` and `_unlift`, the coefficient form both exact kernels share."""
+
+    def test_round_trip(self):
+        rng = random.Random(41)
+        for kind in ("real", "complex", "big"):
+            for _ in range(50):
+                values = [_random_coeff(rng, kind) for _ in range(4)]
+                den = lcm(*(p.denominator for c in values for p in (c.re, c.im)))
+                for c in values:
+                    n = series._numerator(c, den)
+                    assert (type(n) is int) == (not c.im)
+                    if type(n) is not int:
+                        assert n.re.denominator == n.im.denominator == 1
+                    assert series._unlift(n, den) == c
+                    assert series._unlift(n * den, den * den) == c
+
+    def test_grassmann_shares_the_helpers(self):
+        assert grassmann._numerator is series._numerator
+        assert grassmann._unlift is series._unlift
+
+
+class TestEqualityAndHash:
+    def test_equal_cosets_and_no_hash(self):
+        a = PuiseuxSeries(("t",), 2, {(0,): 1, (4,): 1}, (10,))
+        b = PuiseuxSeries(("t",), 2, {(0,): 1}, (2,))
+        assert a == b and b == a
+        # `==` compares cosets on the common box, which no hash but a
+        # constant could respect, so series are unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+        assert a != PuiseuxSeries(("t",), 2, {(0,): 2}, (2,))
+        assert a != PuiseuxSeries(("t",), 2, {(0,): 1, (4,): 3}, (10,))
