@@ -5,7 +5,9 @@ parity, doublet structure) and one transformation rule per (operator, field).
 Everything is evaluated in the constant-field reduction: pure derivatives
 d(...) vanish, covariant derivatives dA(...) keep their commutator part
 [A, .] (with a convention coefficient), and each independent form component
-is a separate algebra-valued supernumber.
+is a separate algebra-valued supernumber.  `load_table` compiles each rule
+into flat term lists, one per (operator index, field slot), and validates it
+there: a malformed table raises TableFormatError at load, not at evaluation.
 
 Nilpotency up to gauge transformations is a quadratic identity in the fields,
 so it is checked on random exact-rational field configurations.  Operator
@@ -25,9 +27,9 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .grassmann import GrassmannElement, grassmann_mul, koszul_sign, lie_bracket
 from .series import ExactComplex
@@ -217,11 +219,7 @@ class FieldSpec:
     indices: int        # 0 singlet, 1 doublet, 2 symmetric pair
 
     def slots(self):
-        if self.indices == 0:
-            return [()]
-        if self.indices == 1:
-            return [(1,), (2,)]
-        return [(1, 1), (1, 2), (2, 2)]
+        return ([()], [(1,), (2,)], [(1, 1), (1, 2), (2, 2)])[self.indices]
 
 
 @dataclass(frozen=True)
@@ -249,6 +247,7 @@ class TableSpec:
     fields: dict
     rules: dict         # (family, field_name) -> Rule
     families: tuple
+    images: dict        # (family, field_name, op_index, slot) -> compiled terms
 
     def components(self, form):
         if form == "scalar":
@@ -262,12 +261,8 @@ class TableSpec:
         raise TableFormatError(f"unknown form {form!r}")
 
     def state_keys(self):
-        keys = []
-        for spec in self.fields.values():
-            for slot in spec.slots():
-                for comp in range(self.components(spec.form)):
-                    keys.append((spec.name, slot, comp))
-        return keys
+        return [(spec.name, slot, comp) for spec in self.fields.values()
+                for slot in spec.slots() for comp in range(self.components(spec.form))]
 
     @property
     def ncomp(self):
@@ -347,18 +342,16 @@ def load_table(name, text):
     algebra = "su2"
     fields = {}
     rules = {}
-    families = []
     for raw in text.strip().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head = line.split()[0]
-        if head == "dim":
-            dim = int(line.split()[1])
-        elif head == "algebra":
-            algebra = line.split()[1]
-        elif head == "field":
-            parts = line.split()
+        parts = line.split()
+        if parts[0] == "dim":
+            dim = int(parts[1])
+        elif parts[0] == "algebra":
+            algebra = parts[1]
+        elif parts[0] == "field":
             _, fname, form, parity = parts[:4]
             extra = parts[4] if len(parts) > 4 else ""
             indices = {"": 0, "doublet": 1, "sym2": 2}[extra]
@@ -373,13 +366,70 @@ def load_table(name, text):
             if fname not in fields:
                 raise TableFormatError(f"rule for undeclared field {fname!r}")
             letters = tuple(s.strip() for s in m.group("fi").split(",")) if m.group("fi") else ()
-            rule = Rule(family=fam, field_name=fname, op_letter=m.group("oi"),
-                        field_letters=letters, terms=_parse_terms(rhs))
-            rules[(fam, fname)] = rule
-            if fam not in families:
-                families.append(fam)
-    return TableSpec(name=name, dim=dim, algebra=algebra, fields=fields,
-                     rules=rules, families=tuple(families))
+            rules[(fam, fname)] = Rule(family=fam, field_name=fname, op_letter=m.group("oi"),
+                                       field_letters=letters, terms=_parse_terms(rhs))
+    table = TableSpec(name=name, dim=dim, algebra=algebra, fields=fields, rules=rules,
+                      families=tuple(dict.fromkeys(fam for fam, _ in rules)), images={})
+    table.state_keys()  # an unknown form, or sd outside dim 4, raises here
+    for rule in rules.values():
+        table.images.update(_compile_rule(rule, fields))
+    return table
+
+
+def _compile_rule(rule, fields):
+    """A rule's flat term lists, keyed (family, field, op_index, slot), checked once.
+
+    A term is (coeff with its eps signs folded in, is-dA flag, refs); a ref is
+    (field, sorted slot, whether it takes the target's form component rather
+    than component 0).  Sorted is canonical for every field whose index count
+    is checked.  dA(X) is stored as [A, X], whose coefficient gains `da_coef`
+    at evaluation.  Terms, dummy letters (by first appearance) and index
+    assignments keep the order of term-by-term evaluation.
+    """
+    target = fields[rule.field_name]
+    where = f"{rule.family} {rule.field_name}"
+    if len(rule.field_letters) != target.indices:
+        raise TableFormatError(f"{rule.field_name} takes {target.indices} indices, in {where}")
+    checked = []
+    for term in rule.terms:
+        if term.kind == "zero":
+            continue
+        # A is a one-form, so dA(...) inside a scalar rule fails the form check
+        refs = (("A", ()),) + term.refs if term.kind == "da" else term.refs
+        parity = 0
+        for k, (name, letters) in enumerate(refs):
+            spec = fields.get(name)
+            if spec is None:
+                raise TableFormatError(f"reference to undeclared field {name!r} in {where}")
+            if len(letters) != spec.indices:
+                raise TableFormatError(f"{name} takes {spec.indices} indices, in {where}")
+            # dA takes a scalar; any other factor is a scalar or has the target's form
+            if spec.form not in (("scalar",) if term.kind == "da" and k else ("scalar", target.form)):
+                raise TableFormatError(
+                    f"form mismatch: {name} ({spec.form}) inside the {target.form} rule {where}")
+            parity ^= spec.parity
+        if parity == target.parity:
+            raise TableFormatError(f"a term of {where} has the parity of {rule.field_name}")
+        checked.append((term, refs))
+    images = {}
+    for op_index in (None,) if rule.op_letter is None else (1, 2):
+        for slot in target.slots():
+            binding = {} if rule.op_letter is None else {rule.op_letter: op_index}
+            binding.update(zip(rule.field_letters, slot))
+            flat = []
+            for term, refs in checked:
+                letters = [l for pair in term.eps for l in pair] + [l for _, ls in refs for l in ls]
+                dummies = list(dict.fromkeys(l for l in letters if l not in binding))
+                for assignment in itertools.product((1, 2), repeat=len(dummies)):
+                    local = {**binding, **dict(zip(dummies, assignment))}
+                    sign = prod(_EPS[local[l1], local[l2]] for l1, l2 in term.eps)
+                    if sign:
+                        flat.append((term.coeff if sign > 0 else -term.coeff, term.kind == "da",
+                                     tuple((name, tuple(sorted(local[l] for l in ls)),
+                                            fields[name].form == target.form)
+                                           for name, ls in refs)))
+            images[rule.family, rule.field_name, op_index, slot] = tuple(flat)
+    return images
 
 
 _TABLE_CACHE = {}
@@ -401,9 +451,6 @@ class FieldState:
     table: TableSpec
     values: dict        # (field, slot, comp) -> GrassmannElement
     n_generators: int
-
-    def with_values(self, values):
-        return replace(self, values=values)
 
 
 @dataclass(frozen=True)
@@ -465,77 +512,15 @@ def random_state(table, seed=0):
 # ----------------------------------------------------------------------
 # rule evaluation
 
-def _slot_canon(spec, indices):
-    if spec.indices == 2:
-        return tuple(sorted(indices))
-    return tuple(indices)
-
-
-def _ref_value(ref, binding, state, comp, target_form):
-    name, letters = ref
-    spec = state.table.fields.get(name)
-    if spec is None:
-        raise TableFormatError(f"reference to undeclared field {name!r}")
-    idx = _slot_canon(spec, tuple(binding[l] for l in letters))
-    use_comp = comp if spec.form == target_form else 0
-    if spec.form != target_form and spec.form != "scalar":
-        raise TableFormatError(
-            f"form mismatch: {name} ({spec.form}) inside a {target_form} rule")
-    return state.values[(name, idx, use_comp)], spec
-
-
-def _term_value(term, binding, state, comp, target_form, conv):
-    coeff = term.coeff
-    for l1, l2 in term.eps:
-        e = _EPS[(binding[l1], binding[l2])]
-        if e == 0:
-            return None
-        if e < 0:
-            coeff = -coeff
-    if term.kind == "zero":
-        return None
-    if term.kind == "field":
-        value, _ = _ref_value(term.refs[0], binding, state, comp, target_form)
-        return value.scale(coeff)
-    if term.kind == "bracket":
-        v1, _ = _ref_value(term.refs[0], binding, state, comp, target_form)
-        v2, _ = _ref_value(term.refs[1], binding, state, comp, target_form)
-        return lie_bracket(v1, v2).scale(coeff)
-    if term.kind == "da":
-        if target_form == "scalar":
-            raise TableFormatError("dA(...) inside a scalar rule")
-        a_value = state.values[("A", (), comp)]
-        v, _ = _ref_value(term.refs[0], binding, state, 0, "scalar")
-        return lie_bracket(a_value, v).scale(coeff * conv.da_coef)
-    raise TableFormatError(f"unknown term kind {term.kind!r}")
-
-
 def _rule_image(state, rule, op_index, slot, comp, conv):
-    table = state.table
-    spec = table.fields[rule.field_name]
-    binding = {}
-    if rule.op_letter is not None:
-        binding[rule.op_letter] = op_index
-    for letter, value in zip(rule.field_letters, slot):
-        binding[letter] = value
-    values = []
-    for term in rule.terms:
-        dummies = []
-        for l1, l2 in term.eps:
-            for l in (l1, l2):
-                if l not in binding and l not in dummies:
-                    dummies.append(l)
-        for ref in term.refs:
-            for l in ref[1]:
-                if l not in binding and l not in dummies:
-                    dummies.append(l)
-        for assignment in itertools.product((1, 2), repeat=len(dummies)):
-            local = dict(binding)
-            local.update(zip(dummies, assignment))
-            value = _term_value(term, local, state, comp, spec.form, conv)
-            if value is not None:
-                values.append(value)
-    total = GrassmannElement.sum(table.ncomp, values)
+    """A rule's value at one form component: its compiled terms, summed in order."""
+    values = state.values
+    terms = []
+    for coeff, is_da, refs in state.table.images[rule.family, rule.field_name, op_index, slot]:
+        args = [values[name, s, comp if own else 0] for name, s, own in refs]
+        value = args[0] if len(args) == 1 else lie_bracket(*args)
+        terms.append(value.scale(coeff * conv.da_coef if is_da else coeff))
+    total = GrassmannElement.sum(state.table.ncomp, terms)
     return total if conv.sign_of(rule.family, rule.field_name) > 0 else -total
 
 
@@ -558,10 +543,10 @@ def apply_q(state, which, conv=None):
         rule = table.rules.get((family, fname))
         if rule is None:
             raise RuleMissingError(f"no printed rule for {family} {fname}")
-        if (rule.op_letter is None) != (op_index is None):
+        if (family, fname, op_index, slot) not in table.images:
             raise TableFormatError(f"operator index mismatch for {family} {fname}")
         out[key] = _rule_image(state, rule, op_index, slot, comp, conv)
-    return state.with_values(out)
+    return replace(state, values=out)
 
 
 def gauge_variation(state, lam, conv=None):
@@ -570,7 +555,7 @@ def gauge_variation(state, lam, conv=None):
     coeff = ExactComplex(conv.sigma) * (I_UNIT if conv.gauge_includes_i else ExactComplex(1))
     out = {key: lie_bracket(value, lam).scale(coeff)
            for key, value in state.values.items()}
-    return state.with_values(out)
+    return replace(state, values=out)
 
 
 # ----------------------------------------------------------------------
@@ -582,7 +567,7 @@ def _shifted_state(state, images, gen_index):
     for key, value in state.values.items():
         values[key] = value + grassmann_mul(theta, images[key]) \
             if not images[key].is_zero() else value
-    return state.with_values(values)
+    return replace(state, values=values)
 
 
 def _extract_theta(element, gen_index):
@@ -702,6 +687,9 @@ def _gauge_basis(state, a, b):
 def _fit_gauge(state, images, basis):
     """Exact fit images[X] = sum_k c_k [X, B_k]; returns (coeffs, residuals)."""
     table = state.table
+    if table.ncomp == 1:  # u(1): every bracket vanishes, so every row is all-zero
+        nonzero = any(not target.is_zero() for target in images.values())
+        return ([ExactComplex(0)] * len(basis) if nonzero else []), dict(images)
     bracket_values = {key: [lie_bracket(value, bk) for _, bk in basis]
                       for key, value in state.values.items()}
     zeros = (0,) * table.ncomp

@@ -1,19 +1,28 @@
+import hashlib
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import vw3d.brst as brstmod
 from vw3d.brst import (
+    I_UNIT,
+    TABLE_TEXTS,
     RuleMissingError,
+    TableFormatError,
     apply_q,
     _fit_gauge,
     _gauge_basis,
     _resolve_which,
     _rule_image,
     _solve_exact,
-    _term_value,
     _toggled,
     calibrate_signs,
     check_closure,
@@ -61,13 +70,97 @@ class TestTables:
             dim 3
             algebra su2
             field A one even
-            field psi scalar odd
+            field psi one odd
+            field phi scalar even
             Q A = psi
-            Q psi = dA(psi)
+            Q psi = dA(phi)
         """
         table = load_table("tiny", text)
         assert table.components("one") == 3
         assert ("Q", "psi") in table.rules
+        # dA(...) of a scalar odd psi inside its own scalar rule is malformed
+        old = text.replace("field psi one odd", "field psi scalar odd").replace(
+            "dA(phi)", "dA(psi)")
+        with pytest.raises(TableFormatError, match="scalar rule"):
+            load_table("tiny", old)
+
+
+def _edited(name, old, new):
+    assert TABLE_TEXTS[name].count(old) == 1, old
+    return TABLE_TEXTS[name].replace(old, new)
+
+
+# one malformed table text per case; each raises at load, before any evaluation
+MALFORMED = {
+    "undeclared Qp reference": (
+        _edited("nonabelian", "Qp eta = i [C, phibar]", "Qp eta = i [Cc, phibar]"), "'Cc'"),
+    "Qp form mismatch": (
+        _edited("nonabelian", "Qp chitilde1 = - dA(phibar)", "Qp chitilde1 = - dA(psi1)"),
+        r"form mismatch: psi1 \(one\)"),
+    "one-form inside a self-dual rule": (
+        _edited("abelian", "Q chi2 = D2", "Q chi2 = H1"), r"form mismatch: H1 \(one\)"),
+    "dA in a scalar rule": (
+        _edited("nonabelian", "Q eta = i [phibar, phi]", "Q eta = dA(phi)"),
+        "inside the scalar rule Q eta"),
+    "sd field in dim 3": (
+        _edited("threed", "field Y scalar even", "field Y scalar even\n field W2 sd even"),
+        "self-dual forms need dim 4"),
+    "parity-wrong rule": (
+        _edited("covariant", "Q{a} B2 = chi2{a}", "Q{a} B2 = G2"), "parity of B2"),
+    "missing index": (
+        _edited("covariant", "Q{a} A = psi1{a}", "Q{a} A = psi1"), "psi1 takes 1 indices"),
+    "missing head index": (
+        _edited("covariant", "Q{a} psi1{b} = dA(phi{a,b}) + eps{a,b} H1",
+                "Q{a} psi1 = dA(phi{a,b}) + eps{a,b} H1"), "psi1 takes 1 indices, in Q psi1"),
+}
+
+
+class TestLoadValidation:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_table_raises_at_load(self, case):
+        text, message = MALFORMED[case]
+        with pytest.raises(TableFormatError, match=message):
+            load_table("broken", text)
+
+    def test_every_compiled_term_flips_parity(self):
+        # the load-time check, recounted over the compiled terms (Qp included)
+        count = 0
+        for name in SHIPPED_TABLES:
+            table = get_table(name)
+            for (fam, fname, _, _), terms in table.images.items():
+                for _, _, refs in terms:
+                    parity = sum(table.fields[ref[0]].parity for ref in refs) % 2
+                    assert parity != table.fields[fname].parity, (name, fam, fname)
+                    count += 1
+        assert count == 206
+
+    def test_u1_fit_builds_no_brackets(self, monkeypatch):
+        # u(1) brackets all vanish: the fit returns the images as residuals,
+        # with no parameter when they are all zero and zeros otherwise
+        calls = []
+        monkeypatch.setattr(brstmod, "lie_bracket", lambda *a: calls.append(a))
+        state = random_state(get_table("abelian"), seed=0)
+        report = check_closure(state, ("Q", "Q"))
+        assert report["exact_zero"] and report["gauge_parameter"] == {}
+        monkeypatch.setitem(TABLE_TEXTS, "typo", _edited("abelian", "Q eta = 0", "Q eta = phi"))
+        monkeypatch.setattr(brstmod, "_TABLE_CACHE", {})
+        report = check_closure(random_state(get_table("typo"), seed=0), ("Q", "Q"))
+        assert report["gauge_parameter"] == {"phi": "0", "phibar": "0", "C": "0"}
+        assert report["failing_fields"] == ["phibar"]
+        assert calls == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_brst_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_brst_closure.py")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "d548a59810be70b3baf0697611feb93d28b02d5b598f83b5f53116d8b5ea3a0b"
 
 
 class TestApply:
@@ -245,7 +338,6 @@ class TestCalibration:
     def test_broken_rule_is_reported(self):
         # flip one sign in a copy of the covariant table: the calibrator must
         # either repair it by toggles or name the failing rules
-        import vw3d.brst as brstmod
         broken = brstmod.TABLE_TEXTS["covariant"].replace(
             "Q{a} eta{b} = - eps{c,d} [phi{a,c}, phi{b,d}]",
             "Q{a} eta{b} = eps{c,d} [phi{a,c}, phi{b,d}]")
@@ -263,7 +355,6 @@ class TestCalibration:
         # with Q eta = phi, Q^2 phibar = phi in a u(1) theory: no gauge term
         # absorbs it and no sign toggle removes it, so the calibrator must
         # name the rule instead of patching the table
-        import vw3d.brst as brstmod
         brstmod.TABLE_TEXTS["typo"] = brstmod.TABLE_TEXTS["abelian"].replace(
             "Q eta = 0", "Q eta = phi")
         try:
@@ -303,8 +394,58 @@ def _assert_well_formed(element, ncomp):
     assert element.monomial_parities_match()
 
 
+_EPS = {(1, 1): 0, (1, 2): 1, (2, 1): -1, (2, 2): 0}
+
+
+def _slot_canon(spec, indices):
+    if spec.indices == 2:
+        return tuple(sorted(indices))
+    return tuple(indices)
+
+
+def _ref_value(ref, binding, state, comp, target_form):
+    name, letters = ref
+    spec = state.table.fields.get(name)
+    if spec is None:
+        raise TableFormatError(f"reference to undeclared field {name!r}")
+    idx = _slot_canon(spec, tuple(binding[l] for l in letters))
+    use_comp = comp if spec.form == target_form else 0
+    if spec.form != target_form and spec.form != "scalar":
+        raise TableFormatError(
+            f"form mismatch: {name} ({spec.form}) inside a {target_form} rule")
+    return state.values[(name, idx, use_comp)], spec
+
+
+def _term_value(term, binding, state, comp, target_form, conv):
+    """One parsed term at one index assignment, interpreted on the spot."""
+    coeff = term.coeff
+    for l1, l2 in term.eps:
+        e = _EPS[(binding[l1], binding[l2])]
+        if e == 0:
+            return None
+        if e < 0:
+            coeff = -coeff
+    if term.kind == "zero":
+        return None
+    if term.kind == "field":
+        value, _ = _ref_value(term.refs[0], binding, state, comp, target_form)
+        return value.scale(coeff)
+    if term.kind == "bracket":
+        v1, _ = _ref_value(term.refs[0], binding, state, comp, target_form)
+        v2, _ = _ref_value(term.refs[1], binding, state, comp, target_form)
+        return lie_bracket(v1, v2).scale(coeff)
+    if term.kind == "da":
+        if target_form == "scalar":
+            raise TableFormatError("dA(...) inside a scalar rule")
+        a_value = state.values[("A", (), comp)]
+        v, _ = _ref_value(term.refs[0], binding, state, 0, "scalar")
+        return lie_bracket(a_value, v).scale(coeff * conv.da_coef)
+    raise TableFormatError(f"unknown term kind {term.kind!r}")
+
+
 def _reference_rule_image(state, rule, op_index, slot, comp, conv):
-    """A rule image summed with `GrassmannElement.__add__`, one signed term at a time."""
+    """A rule image from the parsed terms, interpreted term by term and summed
+    with `GrassmannElement.__add__`, one signed term at a time."""
     binding = {} if rule.op_letter is None else {rule.op_letter: op_index}
     binding.update(zip(rule.field_letters, slot))
     form = state.table.fields[rule.field_name].form
@@ -340,7 +481,6 @@ class TestInternalResults:
                 _assert_well_formed(element, table.ncomp)
 
     def test_cancelling_rule_gives_exact_zero(self):
-        import vw3d.brst as brstmod
         brstmod.TABLE_TEXTS["cancel"] = brstmod.TABLE_TEXTS["abelian"].replace(
             "Q eta = 0", "Q eta = phi - phi")
         try:
@@ -356,8 +496,9 @@ class TestInternalResults:
             brstmod._TABLE_CACHE.pop("cancel", None)
 
     def test_rule_image_matches_termwise_sum(self):
-        # every rule of every shipped table, under the default signs and with
-        # the rule's own sign toggled: same terms, same order, same parity
+        # every rule of every shipped table, under the default signs, with the
+        # rule's own sign toggled and with a covariant-derivative coefficient
+        # no table defaults to: same terms, same order, same parity
         for name in SHIPPED_TABLES:
             table = get_table(name)
             state = random_state(table, seed=0)
@@ -365,7 +506,7 @@ class TestInternalResults:
             for key, rule in table.rules.items():
                 spec = table.fields[rule.field_name]
                 ops = (None,) if rule.op_letter is None else (1, 2)
-                for conv in (base, _toggled(base, key)):
+                for conv in (base, _toggled(base, key), replace(base, da_coef=-I_UNIT)):
                     for op_index, slot, comp in itertools.product(
                             ops, spec.slots(), range(table.components(spec.form))):
                         got = _rule_image(state, rule, op_index, slot, comp, conv)

@@ -127,6 +127,16 @@ class TestBrst:
         assert [c["failing_fields"] for c in checks] == [["phibar"]] * 3
         assert not any(c["exact_zero"] for c in checks)
 
+    def test_malformed_unevaluated_rule_is_a_precondition(self, capsys, monkeypatch):
+        # no check evaluates Qp, so only the load-time compile step sees the typo
+        monkeypatch.setitem(brst.TABLE_TEXTS, "nonabelian", brst.TABLE_TEXTS["nonabelian"].replace(
+            "Qp eta = i [C, phibar]", "Qp eta = i [Cc, phibar]"))
+        monkeypatch.setattr(brst, "_TABLE_CACHE", {})
+        code, out, err = run_cli(capsys, "brst", "--table", "nonabelian", "--check", "all",
+                                 "--strict")
+        assert code == EXIT_PRECONDITION
+        assert out == "" and "'Cc'" in err
+
 
 class TestReproducibility:
     def test_byte_identical_json(self, capsys):
