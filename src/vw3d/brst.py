@@ -14,7 +14,13 @@ so it is checked on random exact-rational field configurations.  Operator
 composition Q1(Q2 X) is computed with a shift generator: the substitution
 X -> X + theta * Q1(X) is a superalgebra homomorphism (theta fresh, odd), so
 evaluating the rule for Q2 X on the shifted state and extracting the theta
-coefficient implements the signed Leibniz rule exactly.
+coefficient implements the signed Leibniz rule exactly.  That theta part is
+linear in the shift (theta^2 = 0), so a weighted sum of compositions
+sum_ab w_ab Q_a(Q_b X) applies each inner operator once, on the state shifted
+by theta * sum_a w_ab Q_a X.  Each state memoises what its closure checks
+share: the outer images Q_a X per convention, the shifted states built from
+them, and the gauge brackets [X, B] per basis element.  A derived state (from
+`dataclasses.replace`) starts with an empty memo.
 
 The expected value of a closure bracket is a gauge variation whose parameter
 is fitted exactly (fraction-free elimination over the integer numerators) from
@@ -27,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm, prod
 
@@ -337,6 +343,13 @@ def _parse_terms(rhs):
     return tuple(terms)
 
 
+def _choice(word, choices, what):
+    """choices[word]; a word the format does not define raises at load."""
+    if word not in choices:
+        raise TableFormatError(f"unknown {what} {word!r}")
+    return choices[word]
+
+
 def load_table(name, text):
     dim = 4
     algebra = "su2"
@@ -348,14 +361,15 @@ def load_table(name, text):
             continue
         parts = line.split()
         if parts[0] == "dim":
-            dim = int(parts[1])
+            dim = _choice(parts[1], {"3": 3, "4": 4}, "dim")
         elif parts[0] == "algebra":
-            algebra = parts[1]
+            algebra = _choice(parts[1], {"su2": "su2", "u1": "u1"}, "algebra")
         elif parts[0] == "field":
             _, fname, form, parity = parts[:4]
             extra = parts[4] if len(parts) > 4 else ""
-            indices = {"": 0, "doublet": 1, "sym2": 2}[extra]
-            fields[fname] = FieldSpec(fname, form, 0 if parity == "even" else 1, indices)
+            indices = _choice(extra, {"": 0, "doublet": 1, "sym2": 2}, "index word")
+            parity = _choice(parity, {"even": 0, "odd": 1}, "parity")
+            fields[fname] = FieldSpec(fname, form, parity, indices)
         else:
             lhs, rhs = line.split("=", 1)
             m = _LHS_RE.match(lhs.strip())
@@ -451,6 +465,9 @@ class FieldState:
     table: TableSpec
     values: dict        # (field, slot, comp) -> GrassmannElement
     n_generators: int
+    # work shared by the closure checks of this state (see the module docstring);
+    # it assumes `values` is never changed in place: derive states with `replace`
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -581,28 +598,50 @@ def _extract_theta(element, gen_index):
                                         element.den, element.cplx)
 
 
-def compose(state, which_outer, which_inner, conv=None, outer=None):
-    """Values of Q_outer(Q_inner X) on the state, exactly.
+def _outer_images(state, which, conv):
+    """Q_which X on the state, memoised per convention."""
+    key = ("outer", which, conv)
+    images = state.memo.get(key)
+    if images is None:
+        images = state.memo[key] = apply_q(state, which, conv).values
+    return images
 
-    outer: the images Q_outer X on the state, when already computed.
-    """
-    conv = conv or default_convention(state.table)
-    if outer is None:
-        outer = apply_q(state, which_outer, conv).values
-    gen_index = state.n_generators
-    shifted = _shifted_state(state, outer, gen_index)
-    inner_images = apply_q(shifted, which_inner, conv).values
-    return {key: _extract_theta(val, gen_index) for key, val in inner_images.items()}
+
+def _shifted(state, combo, conv):
+    """X + theta * sum_a w_a Q_a X over combo ((a, w), ...), theta the next free generator."""
+    key = ("shifted", combo, conv)
+    shifted = state.memo.get(key)
+    if shifted is None:
+        images = [(_outer_images(state, a, conv), w) for a, w in combo]
+        if len(images) == 1 and images[0][1] == 1:  # one pair: the outer images themselves
+            shift = images[0][0]
+        else:
+            shift = {k: GrassmannElement.sum(state.table.ncomp, [v[k].scale(w) for v, w in images])
+                     for k in state.values}
+        shifted = state.memo[key] = _shifted_state(state, shift, state.n_generators)
+    return shifted
+
+
+def compose(state, which_outer, which_inner, conv=None):
+    """Values of Q_outer(Q_inner X) on the state, exactly."""
+    return _compose_sum(state, {(which_outer, which_inner): 1},
+                        conv or default_convention(state.table))
 
 
 def _compose_sum(state, weights, conv):
-    """Sum of w * Q_a(Q_b X) over weights {(a, b): w}; each Q_a X is computed once."""
-    outer, total = {}, {}
+    """Sum of w * Q_a(Q_b X) over weights {(a, b): w}, one inner application per b.
+
+    The theta part of Q_b(X + theta Y) is linear in Y (theta^2 = 0), so the pairs
+    sharing an inner operator b compose once, on Y = sum_a w_ab Q_a X.
+    """
+    combos = {}
     for (a, b), w in weights.items():
-        if a not in outer:
-            outer[a] = apply_q(state, a, conv).values
-        for key, value in compose(state, a, b, conv, outer[a]).items():
-            value = value if w == 1 else value.scale(w)
+        combos.setdefault(b, []).append((a, w))
+    gen_index = state.n_generators
+    total = {}
+    for b, combo in combos.items():
+        for key, value in apply_q(_shifted(state, tuple(combo), conv), b, conv).values.items():
+            value = _extract_theta(value, gen_index)
             total[key] = total[key] + value if key in total else value
     return total
 
@@ -684,14 +723,23 @@ def _gauge_basis(state, a, b):
     return basis
 
 
+def _brackets(state, element):
+    """[X, element] for every state value X, memoised per basis element."""
+    key = ("bracket", element)
+    brackets = state.memo.get(key)
+    if brackets is None:
+        brackets = state.memo[key] = {k: lie_bracket(v, element) for k, v in state.values.items()}
+    return brackets
+
+
 def _fit_gauge(state, images, basis):
     """Exact fit images[X] = sum_k c_k [X, B_k]; returns (coeffs, residuals)."""
     table = state.table
     if table.ncomp == 1:  # u(1): every bracket vanishes, so every row is all-zero
         nonzero = any(not target.is_zero() for target in images.values())
         return ([ExactComplex(0)] * len(basis) if nonzero else []), dict(images)
-    bracket_values = {key: [lie_bracket(value, bk) for _, bk in basis]
-                      for key, value in state.values.items()}
+    columns = [_brackets(state, bk) for _, bk in basis]
+    bracket_values = {key: [col[key] for col in columns] for key in images}
     zeros = (0,) * table.ncomp
     rows = []
     for key, target in images.items():

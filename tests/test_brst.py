@@ -112,6 +112,14 @@ MALFORMED = {
     "missing head index": (
         _edited("covariant", "Q{a} psi1{b} = dA(phi{a,b}) + eps{a,b} H1",
                 "Q{a} psi1 = dA(phi{a,b}) + eps{a,b} H1"), "psi1 takes 1 indices, in Q psi1"),
+    "unknown algebra": (_edited("nonabelian", "algebra su2", "algebra su3"), "unknown algebra 'su3'"),
+    "unknown dim": (_edited("threed", "dim 3", "dim 7"), "unknown dim '7'"),
+    "unknown parity word": (
+        _edited("abelian", "field eta scalar odd", "field eta scalar fermionic"),
+        "unknown parity 'fermionic'"),
+    "unknown index word": (
+        _edited("covariant", "field phi scalar even sym2", "field phi scalar even sym3"),
+        "unknown index word 'sym3'"),
 }
 
 
@@ -472,7 +480,7 @@ class TestInternalResults:
             outer = {w: apply_q(state, w, conv).values for w in dict.fromkeys(sum(pairs, ()))}
             elements = [e for images in outer.values() for e in images.values()]
             for w1, w2 in pairs:
-                images = compose(state, w1, w2, conv, outer[w1])
+                images = compose(state, w1, w2, conv)
                 a, b = (_resolve_which(w)[1] or 1 for w in (w1, w2))
                 _, residuals = _fit_gauge(state, images, _gauge_basis(state, a, b))
                 elements += list(images.values()) + list(residuals.values())
@@ -587,3 +595,102 @@ class TestFractionFreeSolve:
 
     def test_empty_system(self):
         assert _solve_exact([]) == []
+
+
+def _twistor_weights(s, r, keep_zero=False):
+    """check_twistor's weights s_a s_b, s_a r_b, ...; keep_zero keeps the zero products."""
+    coeffs = {("Q", 1): s[0], ("Q", 2): s[1], ("Qbar", 1): r[0], ("Qbar", 2): r[1]}
+    return {(w1, w2): Fraction(c1) * Fraction(c2) for w1, c1 in coeffs.items()
+            for w2, c2 in coeffs.items() if keep_zero or (c1 and c2)}
+
+
+def _per_pair_sum(state, weights, conv):
+    """Reference: sum of w * compose(a, b), pair by pair, on a copy with a fresh memo."""
+    fresh, total = replace(state), {}
+    for (a, b), w in weights.items():
+        for key, value in compose(fresh, a, b, conv).items():
+            value = value.scale(w)
+            total[key] = total[key] + value if key in total else value
+    return total
+
+
+def _assert_same_images(got, want):
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key] == value, key
+        assert got[key].terms.keys() == value.terms.keys(), key
+
+
+class TestGroupedComposition:
+    def test_compose_matches_explicit_shift(self):
+        # one pair: Q_b applied to X + theta * Q_a X, theta part extracted
+        for name in SHIPPED_TABLES:
+            table = get_table(name)
+            conv = default_convention(table)
+            state = random_state(table, seed=1)
+            gen = state.n_generators
+            for a, b in closure_pairs(table):
+                shifted = brstmod._shifted_state(state, apply_q(state, a, conv).values, gen)
+                want = {key: brstmod._extract_theta(value, gen)
+                        for key, value in apply_q(shifted, b, conv).values.items()}
+                _assert_same_images(compose(state, a, b, conv), want)
+
+    def test_closure_pairs_match_per_pair_loop(self):
+        for name in SHIPPED_TABLES:
+            table = get_table(name)
+            conv = default_convention(table)
+            state = random_state(table, seed=2)
+            for a, b in closure_pairs(table):
+                weights = {(a, b): 1} if a == b else {(a, b): 1, (b, a): 1}
+                _assert_same_images(brstmod._compose_sum(state, weights, conv),
+                                    _per_pair_sum(state, weights, conv))
+
+    @pytest.mark.parametrize("s, r", [((1, 2), (3, 1)), ((0, -1), (2, 0)),
+                                      ((-3, 1), (-1, -2)), ((0, 0), (1, -1))])
+    def test_twistor_weights_match_per_pair_loop(self, s, r):
+        table = get_table("threed")
+        conv = default_convention(table)
+        for seed, keep_zero in ((0, False), (1, True)):
+            state = random_state(table, seed=seed)
+            weights = _twistor_weights(s, r, keep_zero)
+            assert keep_zero or all(weights.values())
+            _assert_same_images(brstmod._compose_sum(state, weights, conv),
+                                _per_pair_sum(state, weights, conv))
+
+
+class TestSharedWork:
+    @pytest.fixture
+    def applied(self, monkeypatch):
+        calls = []
+        original = brstmod.apply_q
+
+        def counting(state, which, conv=None):
+            calls.append(which)
+            return original(state, which, conv)
+
+        monkeypatch.setattr(brstmod, "apply_q", counting)
+        return calls
+
+    def test_threed_calibration_shares_outer_images(self, applied):
+        # 3 seeds x (4 outer images + 16 inner applications), not 32 per seed
+        _, report = calibrate_signs("threed")
+        assert report["stage"] == "identity-toggles"
+        assert len(applied) <= 60
+
+    def test_twistor_composes_once_per_inner_operator(self, applied):
+        state = random_state(get_table("threed"), seed=0)
+        assert check_twistor(state, (1, 2), (3, 1))["exact_zero"]
+        assert len(applied) == 8
+        # the outer images are shared with later checks of the same state
+        assert check_closure(state, (("Q", 1), ("Qbar", 2)))["exact_zero"]
+        assert len(applied) == 10
+
+    def test_memo_is_per_state_and_invisible(self):
+        table = get_table("covariant")
+        state = random_state(table, seed=0)
+        before = repr(state)
+        assert check_closure(state, closure_pairs(table)[1])["exact_zero"]
+        assert state.memo and repr(state) == before and "memo" not in before
+        derived = replace(state, values=dict(state.values))
+        assert derived.memo == {}
+        assert derived == state and replace(state) == state

@@ -137,6 +137,16 @@ class TestBrst:
         assert code == EXIT_PRECONDITION
         assert out == "" and "'Cc'" in err
 
+    def test_unknown_algebra_is_a_precondition(self, capsys, monkeypatch):
+        # read as u(1), su3 would make every bracket vanish and pass --strict vacuously
+        monkeypatch.setitem(brst.TABLE_TEXTS, "nonabelian", brst.TABLE_TEXTS["nonabelian"].replace(
+            "algebra su2", "algebra su3").replace("Q eta = i [phibar, phi]", "Q eta = i [phi, phi]"))
+        monkeypatch.setattr(brst, "_TABLE_CACHE", {})
+        code, out, err = run_cli(capsys, "brst", "--table", "nonabelian", "--check", "all",
+                                 "--strict")
+        assert code == EXIT_PRECONDITION
+        assert out == "" and "unknown algebra 'su3'" in err
+
 
 class TestReproducibility:
     def test_byte_identical_json(self, capsys):

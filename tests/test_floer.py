@@ -1,4 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -251,3 +256,16 @@ class TestNonnegativity:
             for c in series.terms.values():
                 assert c.im == 0
                 assert c.re >= 0 and c.re.denominator == 1
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_catalog_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "03_graded_series_catalog.py")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "3dc142636dce51785e08ec0fc0c5c6336856fc2d7c244df630733e845a53f7c6"
