@@ -32,9 +32,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratexpr import T, X, Y, Const, PoleError, rational_eval
+from .ratexpr import T, X, Y, Const, PoleError, rational_eval, reach
 from .roots import ComplexPolynomial, poly_roots
-from .series import PuiseuxSeries, SeriesError, _as_fraction, poly_mul
+from .series import PuiseuxSeries, SeriesError, _as_fraction, default_denominator, poly_mul
 
 __all__ = [
     "HiggsSector",
@@ -294,13 +294,31 @@ def s2xs1_closed_expr():
 
 
 def _expand_to(expr, variables, order):
-    """Expand with enough internal padding to certify the requested box."""
-    den = None
-    for pad in (4, 8, 16, 32, 64):
-        series = expr.expand(variables, order + pad, den)
-        if all(c >= order * series.den for c in series.cutoff):
-            return series.truncate(order)
-    raise SeriesError(f"could not certify expansion to order {order}")
+    """Expand once on the least box that certifies the requested one: the pad
+    is the largest cutoff loss `reach` predicts, widened so that each
+    half-integer power's base monomial lies in the box.  Leading terms that
+    cancel in a denominator can leave the box short; one more expansion then
+    adds the measured shortfall.
+    """
+    den = default_denominator(variables)
+    need = [0] * len(variables)
+    _, loss = reach(expr, variables, den, need)
+    size = -(-max(max(order * den + l, n) for l, n in zip(loss, need)) // den)
+    series = expr.expand(variables, size, den)
+    short = max(order * den - c for c in series.cutoff)
+    if short > 0:
+        series = expr.expand(variables, size - (-short // den), den)
+        if any(c < order * den for c in series.cutoff):
+            raise SeriesError(f"could not certify expansion to order {order}")
+    return series.truncate(order)
+
+
+def _genus_sum(g, multiplicities, elements, variables, order):
+    """Sum over vacuum classes of mult * S^{2-2g}, each class expanded once."""
+    if g == 1:
+        return PuiseuxSeries.constant(sum(multiplicities), variables, order=order)
+    return sum(_expand_to(e ** (1 - g), variables, order) * m
+               for m, e in zip(multiplicities, elements))
 
 
 def grdim_closed_form(manifold, order=20, g=None):
@@ -316,13 +334,7 @@ def grdim_closed_form(manifold, order=20, g=None):
     if manifold == "SigmaGxS1":
         if g is None or g < 0:
             raise ValueError("SigmaGxS1 requires a genus g >= 0")
-        if g == 1:
-            return PuiseuxSeries.constant(10, ("t", "x"), order=order)
-        total = None
-        for mult, expr in zip(CLASS_MULTIPLICITIES, s_elements_xy()):
-            term = _expand_to(expr ** (1 - g), ("t", "x"), order) * mult
-            total = term if total is None else total + term
-        return total
+        return _genus_sum(g, CLASS_MULTIPLICITIES, s_elements_xy(), ("t", "x"), order)
     raise ValueError(f"unknown manifold {manifold!r}")
 
 
@@ -379,13 +391,7 @@ def limit_specialize(mode, g, order=20):
         variables = ("t",)
     else:
         raise ValueError(f"unknown limit mode {mode!r}")
-    if g == 1:
-        return PuiseuxSeries.constant(sum(multiplicities), variables, order=order)
-    total = None
-    for mult, expr in zip(multiplicities, elements):
-        term = _expand_to(expr ** (1 - g), variables, order) * mult
-        total = term if total is None else total + term
-    return total
+    return _genus_sum(g, multiplicities, elements, variables, order)
 
 
 # ----------------------------------------------------------------------

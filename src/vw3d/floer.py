@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 
-from .series import PuiseuxSeries, SeriesError, poly_divmod, poly_mul, poly_pow
+from .series import (PuiseuxSeries, SeriesError, _unlift, default_denominator, poly_divmod,
+                     poly_mul, poly_pow)
 
 __all__ = [
     "Tower",
@@ -143,16 +145,10 @@ def hn_poincare(g):
     """
     if g < 2:
         raise ValueError("formula applies for g >= 2")
-    num = poly_pow([Fraction(1), Fraction(0), Fraction(0), Fraction(1)], 2 * g)
-    shift = poly_pow([Fraction(1), Fraction(1)], 2 * g)
-    shifted = [Fraction(0)] * (2 * g) + shift
-    num = [a - b for a, b in zip(num + [Fraction(0)] * len(shifted),
-                                 shifted + [Fraction(0)] * len(num))]
-    while num and num[-1] == 0:
-        num.pop()
-    den = poly_mul([Fraction(1), Fraction(0), Fraction(-1)],
-                   [Fraction(1), Fraction(0), Fraction(0), Fraction(0), Fraction(-1)])
-    q, rem = poly_divmod(num, den)
+    num = [Fraction(c) for c in poly_pow([1, 0, 0, 1], 2 * g)]  # degree 6g
+    for i, c in enumerate(poly_pow([1, 1], 2 * g)):
+        num[2 * g + i] -= c
+    q, rem = poly_divmod(num, poly_mul([1, 0, -1], [1, 0, 0, 0, -1]))
     if any(rem):
         raise ArithmeticError("moduli Poincare division left a remainder")
     assert len(q) - 1 == 6 * g - 6
@@ -180,17 +176,9 @@ def trivial_isotypic_dims(order):
     """
     dims = []
     for n in range(order + 1):
-        m0 = 0
-        m2 = 0
-        for a in range(n + 1):
-            for b in range(n - a + 1):
-                c = n - a - b
-                w = 2 * a - 2 * c
-                if w == 0:
-                    m0 += 1
-                elif w == 2:
-                    m2 += 1
-        dims.append(m0 - m2)
+        # a, n - a - c and c copies of the weights 2, 0 and -2
+        weights = [2 * a - 2 * c for a in range(n + 1) for c in range(n - a + 1)]
+        dims.append(weights.count(0) - weights.count(2))
     return dims
 
 
@@ -254,52 +242,58 @@ def standard_superspace_factors(g, second_odd_weight):
 
 
 def superspace_character(g, factors, order=12):
-    """Equivariant character of a product superspace.
+    """Equivariant character of a product superspace, cut to the box `order`.
 
-    Every even factor contributes 1/(1-w) per copy and every odd factor
-    (1+w); the torus factor contributes (1+s)^{2g} in the bookkeeping
-    variable s.  The configuration must be balanced (equal even and odd
-    complex dimensions) and even factors must carry a nontrivial weight.
+    An even factor of weight m and multiplicity k gives 1/(1-m)^k =
+    sum_n C(n+k-1, k-1) m^n, an odd one (1+m)^k = sum_n C(k, n) m^n, and the
+    torus (1+s)^{2k} in the bookkeeping variable s.  Factors of one weight
+    merge by `poly_mul`; each distinct weight then enters one outer product.
+    The configuration must be balanced (equal even and odd complex
+    dimensions), weights nonnegative, and even weights nontrivial.
     """
-    even_dim = 0
-    odd_dim = 0
-    variables = set()
+    dims = {"even": 0, "odd": 0}
+    lines = []  # (kind, weight, multiplicity); the torus is 2k odd lines of weight s
     for f in factors:
-        if f.kind == "torus":
-            even_dim += f.multiplicity
-            if f.multiplicity:
-                variables.add("s")
-        elif f.kind == "even":
-            even_dim += f.multiplicity
-            variables |= set(f.weight)
-        elif f.kind == "odd":
-            odd_dim += f.multiplicity
-            variables |= set(f.weight)
-        else:
+        if f.kind not in ("torus", "even", "odd"):
             raise ValueError(f"unknown factor kind {f.kind!r}")
-    if even_dim != odd_dim:
+        if any(e < 0 for e in f.weight.values()):
+            raise UnbalancedConfigurationError(f"weight {f.weight} has a negative exponent")
+        dims["odd" if f.kind == "odd" else "even"] += f.multiplicity
+        lines.append(("odd", {"s": 1} if f.multiplicity else {}, 2 * f.multiplicity)
+                     if f.kind == "torus" else (f.kind, f.weight, f.multiplicity))
+    if dims["even"] != dims["odd"]:
         raise UnbalancedConfigurationError(
-            f"even dimension {even_dim} != odd dimension {odd_dim}")
-    variables = tuple(sorted(variables, key="txyqzs".index))
-    result = PuiseuxSeries.constant(1, variables, order=order)
-    for f in factors:
-        if f.multiplicity == 0:
+            f"even dimension {dims['even']} != odd dimension {dims['odd']}")
+    variables = tuple(sorted({v for _, w, _ in lines for v in w}, key="txyqzs".index))
+    den = default_denominator(variables)
+    cut = order * den
+    polys = {}
+    for kind, weight, k in lines:
+        if k == 0:
             continue
-        if f.kind == "torus":
-            s_line = PuiseuxSeries.constant(1, variables, order=order) + \
-                PuiseuxSeries.monomial(variables, {"s": 1}, order=order)
-            result = result * s_line ** (2 * f.multiplicity)
-            continue
-        if not f.weight:
+        if kind == "even" and not any(weight.values()):
             raise UnbalancedConfigurationError(
                 "weightless non-compact factor has a divergent character")
-        mono = PuiseuxSeries.monomial(variables, f.weight, order=order)
-        one = PuiseuxSeries.constant(1, variables, order=order)
-        if f.kind == "even":
-            result = result * (one - mono).invert() ** f.multiplicity
-        else:
-            result = result * (one + mono) ** f.multiplicity
-    return result
+        scaled = [Fraction(weight.get(v, 0)) * den for v in variables]
+        if any(e.denominator != 1 for e in scaled):
+            raise SeriesError(f"weight {weight} not on lattice 1/{den}")
+        w = tuple(map(int, scaled))
+        top = min(((cut - 1) // e for e in w if e), default=None)  # highest power of m in the box
+        poly = ([comb(n + k - 1, k - 1) for n in range(top + 1)] if kind == "even"
+                else [comb(k, n) for n in range(k + 1)])
+        polys[w] = poly_mul(polys[w], poly, top) if w in polys else poly
+    terms = {(0,) * len(variables): 1}
+    for w, poly in polys.items():
+        steps = [(tuple(n * e for e in w), p) for n, p in enumerate(poly)]
+        product = {}
+        for e, c in terms.items():
+            room = min(((cut - 1 - a) // b for a, b in zip(e, w) if b), default=len(poly))
+            for step, p in steps[:room + 1]:
+                exps = tuple(map(add, e, step))
+                product[exps] = product.get(exps, 0) + c * p
+        terms = product
+    return PuiseuxSeries._from_terms(variables, den, {e: _unlift(c, 1) for e, c in terms.items()},
+                                     (cut,) * len(variables))
 
 
 # ----------------------------------------------------------------------

@@ -7,14 +7,15 @@ closed form used by the Verlinde-type engine.  Two consumers:
 * :func:`rational_eval` -- IEEE-double evaluation at a parameter point, with
   pole and branch guards;
 * :meth:`RationalExpr.expand` -- exact expansion into a PuiseuxSeries, used
-  for graded-dimension series.
+  for graded-dimension series; :func:`reach` predicts the box it loses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
-from .series import ExactComplex, PuiseuxSeries, SeriesError, default_denominator
+from .series import ExactComplex, INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
 
 __all__ = [
     "RationalExpr",
@@ -184,15 +185,23 @@ class Div(_Binary):
     op = "/"
 
     def eval(self, point, eps_pole=EPS_POLE):
-        den = self.right.eval(point, eps_pole)
-        if abs(den) < eps_pole:
-            raise PoleError(f"denominator {den} below pole threshold {eps_pole}")
-        return self.left.eval(point, eps_pole) / den
+        return self.left.eval(point, eps_pole) / _factor_eval(self.right, point, eps_pole)
 
     def expand(self, variables, order, den=None):
         numerator = self.left.expand(variables, order, den)
         denominator = self.right.expand(variables, order, den)
         return numerator * denominator.invert()
+
+
+def _factor_eval(expr, point, eps_pole):
+    """`expr.eval`, testing each factor of its product tree against eps_pole:
+    small factors can multiply to below it far from a pole (as in `bethe`)."""
+    if isinstance(expr, Mul):
+        return _factor_eval(expr.left, point, eps_pole) * _factor_eval(expr.right, point, eps_pole)
+    value = expr.eval(point, eps_pole)
+    if abs(value) < eps_pole:
+        raise PoleError(f"denominator factor {value} below pole threshold {eps_pole}")
+    return value
 
 
 class Pow(RationalExpr):
@@ -209,12 +218,14 @@ class Pow(RationalExpr):
             raise PoleError("negative power at a near-zero base")
         return value ** self.exponent
 
-    def expand(self, variables, order, den=None):
+    def _flipped(self):
         # (L/R)^{-k} expands as R^k / L^k so that only sparse polynomial
         # powers are ever inverted, never a dense series.
         if self.exponent < 0 and isinstance(self.base, Div):
-            flipped = Div(Pow(self.base.right, -self.exponent),
-                          Pow(self.base.left, -self.exponent))
+            return Div(Pow(self.base.right, -self.exponent), Pow(self.base.left, -self.exponent))
+
+    def expand(self, variables, order, den=None):
+        if flipped := self._flipped():
             return flipped.expand(variables, order, den)
         return self.base.expand(variables, order, den) ** self.exponent
 
@@ -248,17 +259,12 @@ class HalfPow(RationalExpr):
         if coeff.im != 0:
             raise BranchError("half power of a non-real monomial coefficient")
         root = ExactComplex.sqrt_of_positive(coeff.re)
-        new_coeff = ExactComplex(root ** self.exponent.numerator) if self.exponent.numerator >= 0 \
-            else ExactComplex(1 / root ** (-self.exponent.numerator))
-        scaled = []
-        for e in exps:
-            v = Fraction(e) * self.exponent
-            if v.denominator != 1:
-                raise SeriesError("half power leaves the exponent lattice")
-            scaled.append(int(v))
-        cutoff = series.cutoff
+        scaled = [e * self.exponent for e in exps]
+        if any(v.denominator != 1 for v in scaled):
+            raise SeriesError("half power leaves the exponent lattice")
         return PuiseuxSeries(series.variables, series.den,
-                             {tuple(scaled): new_coeff}, cutoff)
+                             {tuple(map(int, scaled)): root ** self.exponent.numerator},
+                             series.cutoff)
 
     def __repr__(self):
         return f"{self.base!r}^({self.exponent})"
@@ -270,3 +276,52 @@ T, X, Y, Z = Var("t"), Var("x"), Var("y"), Var("z")
 def rational_eval(expr, point, eps_pole=EPS_POLE):
     """Evaluate `expr` at `point` (mapping of variable name to value)."""
     return expr.eval(point, eps_pole)
+
+
+def reach(expr, variables, den, need):
+    """(valuation, loss) of `expr.expand(variables, order, den)`, per variable.
+
+    Scaled-int tuples: the leading exponents, and order * den minus the cutoff,
+    for any order whose box holds each leading term.  By the kernel's rules, a
+    product is cut at min(ca + vb, cb + va), an inversion loses 2m more, `**`
+    takes its square-and-multiply steps, and a sum has the least valuation of
+    its parts, so leading terms that cancel make the true loss larger.  Each
+    half-integer power raises need[i] to the least box holding its base.
+    """
+    zero = (0,) * len(variables)
+    if isinstance(expr, Const):
+        return (0 if expr.value else INF_CUTOFF,) * len(variables), zero
+    if isinstance(expr, Var):
+        return tuple(den if v == expr.name else 0 for v in variables), zero
+    if isinstance(expr, HalfPow):
+        val, loss = reach(expr.base, variables, den, need)
+        need[:] = [max(n, v + l + 1) for n, v, l in zip(need, val, loss)]
+        return tuple(v * expr.exponent.numerator // expr.exponent.denominator for v in val), loss
+    if isinstance(expr, Pow):
+        if flipped := expr._flipped():
+            return reach(flipped, variables, den, need)
+        base, n = reach(expr.base, variables, den, need), expr.exponent
+        if n < 0:
+            base, n = _inverse(base), -n
+        result = (zero, base[1])  # the `one` of PuiseuxSeries.__pow__
+        while n:
+            if n & 1:
+                result = _times(result, base)
+            base, n = _times(base, base), n >> 1
+        return result
+    a, b = reach(expr.left, variables, den, need), reach(expr.right, variables, den, need)
+    if isinstance(expr, (Add, Sub)):
+        return tuple(map(min, a[0], b[0])), tuple(map(max, a[1], b[1]))
+    return _times(a, _inverse(b) if isinstance(expr, Div) else b)
+
+
+def _times(a, b):
+    """`reach` of a product (`PuiseuxSeries.__mul__`) from its factors'."""
+    (va, la), (vb, lb) = a, b
+    return tuple(map(add, va, vb)), tuple(map(max, map(sub, la, vb), map(sub, lb, va)))
+
+
+def _inverse(a):
+    """`reach` of `PuiseuxSeries.invert`: the loss grows by twice the valuation."""
+    val, loss = a
+    return tuple(-v for v in val), tuple(l + 2 * v for l, v in zip(loss, val))

@@ -13,9 +13,10 @@ exponent tuples of the series' arity, each exponent below its cutoff.  The
 public constructor enforces this by coercing and filtering its input.  Kernel
 outputs that hold it by construction skip that pass through the trusted
 `PuiseuxSeries._from_terms`: `+`, `scale`, `*`, `**`, `invert`, unary `-`,
-`truncate`, `substitute_power`, `rescale`, `extend_variables`, and the
-integer q-series of `elliptic`.  `+` and `truncate` drop the terms beyond
-the new cutoff and `scale` by an exact 0 keeps none; the rest need no filter.
+`truncate`, `substitute_power`, `rescale`, `extend_variables`, the integer
+q-series of `elliptic` and the superspace character of `floer`.  `+` and
+`truncate` drop the terms beyond the new cutoff and `scale` by an exact 0
+keeps none; the rest need no filter.
 
 Products and inversion run one path for every coefficient, on integer
 numerators over one denominator as in FLINT's `fmpq_poly`.  The functions
@@ -386,7 +387,8 @@ class PuiseuxSeries:
         return (-self) + other
 
     def scale(self, value):
-        value = ExactComplex.coerce(value)
+        if type(value) is not int:  # ExactComplex * int has its own fast branch
+            value = ExactComplex.coerce(value)
         terms = {e: c * value for e, c in self.terms.items()} if value else {}
         return PuiseuxSeries._from_terms(self.variables, self.den, terms, self.cutoff)
 
@@ -552,21 +554,24 @@ class PuiseuxSeries:
         return {Fraction(e[0], self.den): c for e, c in sorted(self.terms.items())}
 
     def evaluate(self, point):
-        """Numerical evaluation; fractional exponents need positive real bases."""
+        """Numerical evaluation, one power per (variable, exponent); fractional
+        exponents need positive real bases."""
+        powers = {}
         total = 0j
         for exps, coeff in sorted(self.terms.items()):
             term = complex(coeff)
             for v, e in zip(self.variables, exps):
                 if e == 0:
                     continue
-                base = complex(point[v])
-                exponent = Fraction(e, self.den)
-                if exponent.denominator == 1:
-                    term *= base ** exponent.numerator
-                else:
-                    if base.imag != 0 or base.real <= 0:
+                if (v, e) not in powers:
+                    base, exponent = complex(point[v]), Fraction(e, self.den)
+                    if exponent.denominator == 1:
+                        powers[v, e] = base ** exponent.numerator
+                    elif base.imag != 0 or base.real <= 0:
                         raise SeriesError(f"fractional power of non-positive {v}={base}")
-                    term *= base.real ** float(exponent)
+                    else:
+                        powers[v, e] = base.real ** float(exponent)
+                term *= powers[v, e]
             total += term
         return total
 

@@ -10,6 +10,7 @@ import pytest
 
 from vw3d.bethe import (
     DegenerateParameterError,
+    _expand_to,
     admissible_roots,
     asymptotics_check,
     build_bethe,
@@ -19,6 +20,7 @@ from vw3d.bethe import (
     point_report,
     r0_limit_elements,
     r2_limit_elements,
+    r2_series_elements,
     s2s1_generic_expr,
     s2xs1_closed_expr,
     s_elements_generic,
@@ -26,9 +28,9 @@ from vw3d.bethe import (
     s_squared_values,
     verlinde_sum,
 )
-from vw3d.ratexpr import rational_eval
+from vw3d.ratexpr import Const, PoleError, T, rational_eval, reach
 from vw3d.roots import poly_roots
-from vw3d.series import poly_mul
+from vw3d.series import default_denominator, poly_mul
 
 GENERIC = {"x": 0.3, "y": 0.7, "t": 0.11}
 
@@ -206,15 +208,30 @@ class TestVerlindeSum:
         assert abs(direct - closed) <= 1e-9 * abs(closed)
 
     def test_genus_two_finite_below_closed_form_threshold(self):
-        # At eps = 1e-5 the closed form trips ratexpr's absolute 1e-12 pole
-        # threshold; the pipeline must stay finite and agree with it once
-        # that threshold is lowered.
+        # At eps = 1e-5 the closed form's whole denominator is below 1e-12;
+        # the pipeline must stay finite and agree with the closed form
+        # evaluated with no pole threshold at all.
         eps = 1e-5
         x, t = 1 - 2 * eps, 1 - eps
         direct = verlinde_sum(2, {"x": x, "y": x, "t": t})
         assert np.isfinite(direct)
         closed = closed_form_value(2, x, t, eps_pole=1e-30)
         assert abs(direct - closed) <= 1e-9 * abs(closed)
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6])
+    def test_closed_form_tests_each_denominator_factor(self, eps):
+        # Each factor of the x = y denominators is ~eps, so their product
+        # falls below 1e-12, yet no factor is near a pole.
+        x, t = 1 - 2 * eps, 1 - eps
+        direct = verlinde_sum(2, {"x": x, "y": x, "t": t})
+        closed = closed_form_value(2, x, t)
+        assert abs(direct - closed) <= 1e-9 * abs(closed)
+
+    @pytest.mark.parametrize("x, t", [(0.5, 1.0), (2.0, 0.25)])
+    def test_closed_form_true_pole_raises(self, x, t):
+        # t = 1 zeroes (t - 1) and (t^2 - 1); (x, t) = (2, 1/4) zeroes t x^2 - 1
+        with pytest.raises(PoleError):
+            closed_form_value(2, x, t)
 
     def test_higher_genus_generic_point(self):
         direct = verlinde_sum(2, GENERIC)
@@ -265,6 +282,66 @@ class TestClosedFormSeries:
         point = {"t": 0.1, "x": 0.15}
         direct = closed_form_value(2, 0.15, 0.1)
         assert abs(series.evaluate(point) - direct) < 1e-6 * abs(direct)
+
+
+def _expand_by_doubling(expr, variables, order):
+    """Reference `_expand_to`: retry at pads 4, 8, 16, ... until the box certifies."""
+    for pad in (4, 8, 16, 32, 64):
+        series = expr.expand(variables, order + pad)
+        if all(c >= order * series.den for c in series.cutoff):
+            return series.truncate(order)
+    raise AssertionError("reference expansion never certified")
+
+
+def _shipped_forms():
+    """Every closed form the genus sums and limits expand (65 in all)."""
+    forms = [("S3", Const(1) / (1 - T ** 2), ("t",)),
+             ("S2xS1", s2xs1_closed_expr(), ("t", "x"))]
+    for g in (0, 2, 3, 4, 5, 6, 7):
+        for label, elements, variables in (("xy", s_elements_xy(), ("t", "x")),
+                                           ("R2", r2_series_elements(), ("x",)),
+                                           ("R0", r0_limit_elements(), ("t",))):
+            forms += [(f"{label}{i}-g{g}", e ** (1 - g), variables)
+                      for i, e in enumerate(elements)]
+    return forms
+
+
+SHIPPED = _shipped_forms()
+
+
+class TestDerivedPad:
+    @pytest.mark.parametrize("name, expr, variables", SHIPPED, ids=[f[0] for f in SHIPPED])
+    def test_matches_pad_doubling(self, name, expr, variables):
+        for order in (1, 2, 3, 13):
+            assert _expand_to(expr, variables, order).to_json() == \
+                _expand_by_doubling(expr, variables, order).to_json()
+
+    @pytest.mark.parametrize("name, expr, variables", SHIPPED, ids=[f[0] for f in SHIPPED])
+    def test_predicted_loss_is_observed(self, name, expr, variables):
+        den = default_denominator(variables)
+        for order in (3, 6, 20):
+            need = [0] * len(variables)
+            _, loss = reach(expr, variables, den, need)
+            size = order + max(*loss, *need)  # scaled units: a box at least the derived one
+            series = expr.expand(variables, size, den)
+            assert tuple(size * den - c for c in series.cutoff) == loss
+
+    def test_cancelling_denominator_expands_once_more(self, monkeypatch):
+        # the walk sees valuation 0 in t + t^2 - (1 - 1), the kernel 1
+        expr = Const(1) / ((1 + T) - 1 + T ** 2)
+        sizes = []
+        expand = type(expr).expand
+        monkeypatch.setattr(type(expr), "expand",
+                            lambda self, v, o, d=None: sizes.append(o) or expand(self, v, o, d))
+        series = _expand_to(expr, ("t",), 6)
+        assert sizes == [6, 8]
+        assert series.to_json() == _expand_by_doubling(expr, ("t",), 6).to_json()
+
+    def test_half_power_base_stays_in_the_box(self):
+        # at order 1 the loss is 0, but t^{3/2} needs its base t in the box
+        series = grdim_closed_form("S2xS1", order=2)
+        assert series.coefficient({"t": Fraction(3, 2)}) == 2
+        assert grdim_closed_form("S2xS1", order=1).is_zero()
 
 
 class TestLimits:
@@ -329,6 +406,11 @@ class TestAsymptotics:
         report = asymptotics_check(2, a, b)
         predicted = ((2 * a + b) ** 2 + a ** 2) / (64 * b * b)
         assert abs(report["entries"][-1]["ratio"] - predicted) < 5e-3
+
+    def test_criterion_four_reading_is_unchanged(self):
+        # the factor-wise pole check does not move the deliberately red reading
+        report = asymptotics_check(2, -2.0, -1.0)
+        assert f"{report['entries'][-1]['ratio']:.6f}" == "0.453095"
 
     def test_genus_two_collapsing_x_regime(self):
         # (1-x) << (1-t): the corrected constant 4*8^{g-1} emerges

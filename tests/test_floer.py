@@ -22,6 +22,8 @@ from vw3d.floer import (
     tower_series,
     trivial_isotypic_dims,
 )
+from vw3d.series import ExactComplex, PuiseuxSeries
+
 
 class TestTowers:
     def test_bottom_zero(self):
@@ -197,6 +199,21 @@ class TestSuperspace:
         with pytest.raises(UnbalancedConfigurationError):
             superspace_character(0, factors)
 
+    def test_weightless_even_rejected_with_zero_exponent(self):
+        factors = (SuperspaceFactor("even", {"x": 0}, 1),
+                   SuperspaceFactor("odd", {"x": 1}, 1))
+        with pytest.raises(UnbalancedConfigurationError):
+            superspace_character(0, factors)
+
+    @pytest.mark.parametrize("kind", ["even", "odd"])
+    def test_negative_exponent_rejected(self, kind):
+        # a negative exponent has no expansion in the requested box
+        other = "odd" if kind == "even" else "even"
+        factors = (SuperspaceFactor(kind, {"x": -1}, 1),
+                   SuperspaceFactor(other, {"t": 1}, 1))
+        with pytest.raises(UnbalancedConfigurationError):
+            superspace_character(0, factors, order=3)
+
     def test_genus_zero_product(self):
         factors = standard_superspace_factors(0, {"t": 1})
         ch = superspace_character(0, factors, order=5)
@@ -211,6 +228,63 @@ class TestSuperspace:
         factors = standard_superspace_factors(1, {"y": 1})
         ch = superspace_character(1, factors, order=3)
         assert ch.coefficient({"s": 1}) == 2  # (1+s)^2 at genus one
+
+
+def _character_from_inversions(factors, order):
+    """Reference character: the product of (1 - m)^-1 and (1 + m) series."""
+    variables = set()
+    for f in factors:
+        variables |= {"s"} if f.kind == "torus" and f.multiplicity else set(f.weight)
+    variables = tuple(sorted(variables, key="txyqzs".index))
+    one = PuiseuxSeries.constant(1, variables, order=order)
+    result = one
+    for f in factors:
+        if f.multiplicity == 0:
+            continue
+        if f.kind == "torus":
+            s_line = one + PuiseuxSeries.monomial(variables, {"s": 1}, order=order)
+            result = result * s_line ** (2 * f.multiplicity)
+            continue
+        mono = PuiseuxSeries.monomial(variables, f.weight, order=order)
+        if f.kind == "even":
+            result = result * (one - mono).invert() ** f.multiplicity
+        else:
+            result = result * (one + mono) ** f.multiplicity
+    return result
+
+
+def _superspace_cases():
+    for g in range(6):
+        for w in ("t", "x", "y"):
+            for order in range(1, {0: 13, 1: 10}.get(g, 6)):
+                yield g, {w: 1}, order
+    for weight in ({"x": 1, "t": 1}, {"t": Fraction(1, 2)}, {"y": 2}, {"x": 0}):
+        for order in range(1, 7):
+            yield 2, weight, order
+
+
+class TestSuperspaceBinomials:
+    def test_matches_product_of_inversions(self):
+        for g, weight, order in _superspace_cases():
+            factors = standard_superspace_factors(g, weight)
+            ch = superspace_character(g, factors, order)
+            assert ch.to_json() == _character_from_inversions(factors, order).to_json(), \
+                (g, weight, order)
+            assert all(type(c) is ExactComplex and c and type(e) is tuple
+                       for e, c in ch.terms.items())
+
+    def test_merged_and_out_of_box_weights(self):
+        # zero-weight odd factors of different multiplicities, a weight past
+        # the box, a multiplicity-0 weightless even factor
+        cases = ((SuperspaceFactor("even", {"t": 1}, 4), SuperspaceFactor("odd", {"x": 0}, 1),
+                  SuperspaceFactor("odd", {"x": 0}, 3)),
+                 (SuperspaceFactor("even", {"t": 20}, 1), SuperspaceFactor("odd", {"x": 0}, 1)),
+                 (SuperspaceFactor("torus", {}, 0), SuperspaceFactor("even", {"t": 1}, 2),
+                  SuperspaceFactor("odd", {"t": 3}, 2), SuperspaceFactor("even", {}, 0)))
+        for factors in cases:
+            for order in (1, 3, 7):
+                assert superspace_character(0, factors, order).to_json() == \
+                    _character_from_inversions(factors, order).to_json()
 
 
 class TestBrieskorn:

@@ -30,6 +30,21 @@ class TestEval:
         with pytest.raises(PoleError):
             rational_eval(Const(1) / (X - 1), {"x": 1.0 + 1e-14})
 
+    def test_pole_threshold_applies_per_factor(self):
+        # the product (x-1)^2 ~ 1e-14 is below the threshold, each factor is not
+        expr = Const(1) / ((X - 1) * (X - 1))
+        value = rational_eval(expr, {"x": 1.0 + 1e-7})
+        assert abs(value * 1e-14 - 1) < 1e-6
+        with pytest.raises(PoleError):
+            rational_eval(expr * (X - 1), {"x": 1.0})
+
+    def test_factorwise_value_is_the_product(self):
+        # the factor-wise walk multiplies in the tree's own order
+        expr = Const(1) / ((X - 3) * ((X + 1) * (2 * X - 1)))
+        for xv in (0.1, 0.37, 2.5):
+            den = (xv - 3) * ((xv + 1) * (2 * xv - 1))
+            assert rational_eval(expr, {"x": xv}) == 1 / complex(den)
+
     def test_branch_error(self):
         with pytest.raises(BranchError):
             rational_eval((X - 2) ** Fraction(1, 2), {"x": 1.0})

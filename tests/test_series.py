@@ -587,6 +587,54 @@ class TestSerialization:
         assert abs(s.evaluate({"t": 4.0}) - 8.0) < 1e-12
 
 
+def _evaluate_per_term(s, point):
+    """Reference `evaluate`: every term takes its own powers."""
+    total = 0j
+    for exps, coeff in sorted(s.terms.items()):
+        term = complex(coeff)
+        for v, e in zip(s.variables, exps):
+            if e == 0:
+                continue
+            base = complex(point[v])
+            exponent = Fraction(e, s.den)
+            if exponent.denominator == 1:
+                term *= base ** exponent.numerator
+            else:
+                if base.imag != 0 or base.real <= 0:
+                    raise SeriesError(f"fractional power of non-positive {v}={base}")
+                term *= base.real ** float(exponent)
+        total += term
+    return total
+
+
+class TestEvaluatePowerTables:
+    @pytest.mark.parametrize("point", [{"t": 0.13, "x": 0.31}, {"t": 0.7, "x": -0.4 + 0.2j}])
+    def test_bit_identical_to_per_term_powers(self, point):
+        cases = [bethe.grdim_closed_form("SigmaGxS1", order=9, g=2),
+                 bethe.limit_specialize("R0", 3, order=12),
+                 bethe.limit_specialize("R2", 0, order=10),
+                 _random_series(random.Random(4), order=8)]
+        for s in cases:
+            p = {v: point[v] for v in s.variables}
+            assert s.evaluate(p) == _evaluate_per_term(s, p)
+
+    def test_fractional_power_of_negative_base_rejected(self):
+        s = t_poly({Fraction(1, 2): 1, 1: 2})
+        with pytest.raises(SeriesError):
+            s.evaluate({"t": -0.5})
+
+
+class TestIntegerScale:
+    def test_int_multiplier_matches_exact_one(self):
+        s = _random_series(random.Random(9)) + t_poly({1: ExactComplex(2, -3)})
+        for k in (-3, 0, 1, 7):
+            scaled = s.scale(k)
+            assert scaled.terms == s.scale(ExactComplex(k)).terms
+            assert scaled.cutoff == s.cutoff
+            assert all(type(c.re) is Fraction and type(c.im) is Fraction
+                       for c in scaled.terms.values())
+
+
 def _fraction_sign_substitute(s, variable, num):
     """Reference q -> -q^num terms: the parity read off Fraction(e, den)."""
     idx = s.variables.index(variable)
