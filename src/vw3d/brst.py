@@ -8,6 +8,8 @@ d(...) vanish, covariant derivatives dA(...) keep their commutator part
 is a separate algebra-valued supernumber.  `load_table` compiles each rule
 into flat term lists, one per (operator index, field slot), and validates it
 there: a malformed table raises TableFormatError at load, not at evaluation.
+Each rule image, weighted shift, gauge variation and gauge-fit residual is
+one linear combination (`GrassmannElement.combination`), reduced once.
 
 Nilpotency up to gauge transformations is a quadratic identity in the fields,
 so it is checked on random exact-rational field configurations.  Operator
@@ -486,10 +488,7 @@ class SignConvention:
     calibrated: bool = False
 
     def sign_of(self, family, fname):
-        for fam, fld, s in self.rule_signs:
-            if fam == family and fld == fname:
-                return s
-        return 1
+        return next((s for fam, fld, s in self.rule_signs if (fam, fld) == (family, fname)), 1)
 
 
 def default_convention(table):
@@ -515,10 +514,8 @@ def random_state(table, seed=0):
     values = {}
     gen = 0
     for key in table.state_keys():
-        fname = key[0]
-        spec = table.fields[fname]
         vec = tuple(_random_fraction(rng) for _ in range(ncomp))
-        if spec.parity == 0:
+        if table.fields[key[0]].parity == 0:
             values[key] = GrassmannElement.body(vec)
         else:
             values[key] = GrassmannElement.generator(gen, vec)
@@ -530,15 +527,15 @@ def random_state(table, seed=0):
 # rule evaluation
 
 def _rule_image(state, rule, op_index, slot, comp, conv):
-    """A rule's value at one form component: its compiled terms, summed in order."""
+    """A rule's value at one form component: one combination of its compiled terms."""
     values = state.values
-    terms = []
+    sign = conv.sign_of(rule.family, rule.field_name)
+    items = []
     for coeff, is_da, refs in state.table.images[rule.family, rule.field_name, op_index, slot]:
+        coeff = coeff * conv.da_coef if is_da else coeff
         args = [values[name, s, comp if own else 0] for name, s, own in refs]
-        value = args[0] if len(args) == 1 else lie_bracket(*args)
-        terms.append(value.scale(coeff * conv.da_coef if is_da else coeff))
-    total = GrassmannElement.sum(state.table.ncomp, terms)
-    return total if conv.sign_of(rule.family, rule.field_name) > 0 else -total
+        items.append((coeff if sign > 0 else -coeff, args[0] if len(args) == 1 else tuple(args)))
+    return GrassmannElement.combination(state.table.ncomp, items)
 
 
 def _resolve_which(which):
@@ -570,7 +567,7 @@ def gauge_variation(state, lam, conv=None):
     """delta X = sigma * (i) * [X, Lambda] on every adjoint field."""
     conv = conv or default_convention(state.table)
     coeff = ExactComplex(conv.sigma) * (I_UNIT if conv.gauge_includes_i else ExactComplex(1))
-    out = {key: lie_bracket(value, lam).scale(coeff)
+    out = {key: GrassmannElement.combination(state.table.ncomp, ((coeff, (value, lam)),))
            for key, value in state.values.items()}
     return replace(state, values=out)
 
@@ -579,12 +576,10 @@ def gauge_variation(state, lam, conv=None):
 # composition via the shift generator
 
 def _shifted_state(state, images, gen_index):
-    theta = GrassmannElement(1, 1, {1 << gen_index: (ExactComplex(1),)})
-    values = {}
-    for key, value in state.values.items():
-        values[key] = value + grassmann_mul(theta, images[key]) \
-            if not images[key].is_zero() else value
-    return replace(state, values=values)
+    theta = GrassmannElement.generator(gen_index, (1,))
+    return replace(state, values={key: value + grassmann_mul(theta, images[key])
+                                  if images[key].terms else value
+                                  for key, value in state.values.items()})
 
 
 def _extract_theta(element, gen_index):
@@ -616,7 +611,8 @@ def _shifted(state, combo, conv):
         if len(images) == 1 and images[0][1] == 1:  # one pair: the outer images themselves
             shift = images[0][0]
         else:
-            shift = {k: GrassmannElement.sum(state.table.ncomp, [v[k].scale(w) for v, w in images])
+            shift = {k: GrassmannElement.combination(state.table.ncomp,
+                                                     [(w, v[k]) for v, w in images])
                      for k in state.values}
         shifted = state.memo[key] = _shifted_state(state, shift, state.n_generators)
     return shifted
@@ -638,12 +634,12 @@ def _compose_sum(state, weights, conv):
     for (a, b), w in weights.items():
         combos.setdefault(b, []).append((a, w))
     gen_index = state.n_generators
-    total = {}
+    parts = {}
     for b, combo in combos.items():
         for key, value in apply_q(_shifted(state, tuple(combo), conv), b, conv).values.items():
-            value = _extract_theta(value, gen_index)
-            total[key] = total[key] + value if key in total else value
-    return total
+            parts.setdefault(key, []).append(_extract_theta(value, gen_index))
+    return {key: values[0] if len(values) == 1 else GrassmannElement.sum(state.table.ncomp, values)
+            for key, values in parts.items()}
 
 
 def q_squared_residual(state, which="Q", conv=None, param_field=None, fields=None):
@@ -756,13 +752,10 @@ def _fit_gauge(state, images, basis):
                 if any(coeffs) or rhs:
                     rows.append((coeffs, rhs))
     solution = _solve_exact(rows)
-    residuals = {}
-    for key, target in images.items():
-        acc = target
-        for c, bv in zip(solution, bracket_values[key]):
-            if c:
-                acc = acc - bv.scale(c)
-        residuals[key] = acc
+    minus = [-c for c in solution]
+    residuals = {key: GrassmannElement.combination(
+        table.ncomp, [(1, target), *zip(minus, bracket_values[key])])
+        for key, target in images.items()}
     return solution, residuals
 
 

@@ -15,18 +15,19 @@ dicts.  `cplx` records whether any numerator is complex, so real elements
 never scan for one.  The series kernel computes on the same form, and its
 `_numerator` and `_unlift` convert values here too.  Ints and ExactComplex
 share `+ - *`, so each kernel runs one path: products multiply the
-denominators, sums take their lcm.  The public constructor coerces and checks
-each component.  Kernel results use the trusted `GrassmannElement._from_terms`,
-which drops all-zero tuples, turns real Gaussian numerators into ints and
-divides out one gcd; only `+`, unary `-`, `scale`, `sum`, `grassmann_mul`,
-`lie_bracket` and `vw3d.brst._extract_theta` call it.
+denominators, and `GrassmannElement.combination`, the linear kernel behind
+`+`, `-`, `scale`, `sum` and the BRST rule images, takes their lcm.  The
+public constructor coerces and checks each component.  Kernel results use the
+trusted `_from_terms`, which takes no all-zero tuple, turns real Gaussian
+numerators into ints and divides out one gcd; only `combination`, unary `-`,
+`zero`, `body`, the two products and `vw3d.brst._extract_theta` call it.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .series import ExactComplex, _numerator, _unlift
 
@@ -37,18 +38,15 @@ def koszul_sign(mask_a, mask_b):
     """Sign from reordering theta^{mask_a} theta^{mask_b} into ascending order.
 
     Zero overlap is assumed (checked by callers via mask_a & mask_b).
-    Counts pairs (i in a, j in b) with i > j.
+    Counts pairs (i in a, j in b) with i > j: bit j of `suffix` is the parity
+    of a's bits at j and above (built by doubling shifts), so each j in b
+    contributes bit j + 1 of it.
     """
-    sign = 1
-    b = mask_b
-    while b:
-        j = b & -b
-        # each generator of a strictly above j must hop over it
-        above = mask_a & ~((j << 1) - 1)
-        if bin(above).count("1") % 2:
-            sign = -sign
-        b ^= j
-    return sign
+    suffix, shift, n = mask_a, 1, mask_a.bit_length()
+    while shift < n:
+        suffix ^= suffix >> shift
+        shift <<= 1
+    return -1 if (mask_b & (suffix >> 1)).bit_count() & 1 else 1
 
 
 class GrassmannElement:
@@ -56,23 +54,25 @@ class GrassmannElement:
 
     __slots__ = ("ncomp", "parity", "terms", "den", "cplx")
 
-    def __init__(self, ncomp, parity, terms=None):
+    def __new__(cls, ncomp, parity, terms=None):
         terms = {m: tuple(map(ExactComplex.coerce, c)) for m, c in (terms or {}).items()}
         if any(len(c) != ncomp for c in terms.values()):
             raise ValueError("component arity mismatch")
         den = lcm(*(p.denominator for c in terms.values() for x in c for p in (x.re, x.im)))
-        terms = {m: tuple(_numerator(x, den) for x in c) for m, c in terms.items()}
-        self._fill(ncomp, parity % 2, terms, den,
-                   any(type(x) is not int for x in chain.from_iterable(terms.values())))
+        terms = {m: tuple(_numerator(x, den) for x in c) for m, c in terms.items() if any(c)}
+        return GrassmannElement._from_terms(
+            ncomp, parity % 2, terms, den,
+            any(type(x) is not int for x in chain.from_iterable(terms.values())))
 
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
 
     # -- constructors ----------------------------------------------------
 
-    def _fill(self, ncomp, parity, terms, den, cplx):
-        """Set the slots from numerators over `den`, restoring the invariant."""
-        terms = {m: c for m, c in terms.items() if any(c)}
+    @staticmethod
+    def _from_terms(ncomp, parity, terms, den, cplx):
+        """Trusted constructor: nonzero numerator tuples over `den`, reduced to the
+        invariant; `cplx` False only if all are ints."""
         parts = chain.from_iterable(terms.values())
         if cplx:
             terms = {m: tuple(x if type(x) is int or x.im else x.re.numerator for x in c)
@@ -85,66 +85,88 @@ class GrassmannElement:
             den //= g
             terms = {m: tuple(x // g if type(x) is int else ExactComplex(x.re // g, x.im // g)
                               for x in c) for m, c in terms.items()}
-        for name, value in zip(self.__slots__, (ncomp, parity, terms, den, cplx)):
-            object.__setattr__(self, name, value)
-
-    @staticmethod
-    def _from_terms(ncomp, parity, terms, den, cplx):
-        """Trusted constructor: numerator tuples over `den`; `cplx` False only if all are ints."""
         element = object.__new__(GrassmannElement)
-        element._fill(ncomp, parity, terms, den, cplx)
+        for name, value in zip(GrassmannElement.__slots__, (ncomp, parity, terms, den, cplx)):
+            object.__setattr__(element, name, value)
         return element
 
     @staticmethod
-    def sum(ncomp, elements):
-        """`zero(ncomp) + e1 + e2 + ...` over the nonzero `elements`, in one accumulator."""
-        parts, parity = [], 0
-        for element in elements:
-            if element.ncomp != ncomp:
+    def combination(ncomp, items):
+        """sum_k c_k x_k over `items` (c_k, x_k), accumulated once on numerators.
+
+        c_k is an int, Fraction or ExactComplex; x_k is an element, or a pair
+        (a, b) standing for lie_bracket(a, b), taken from the raw product.  The
+        result, its mask order and parity are those of `sum` of the scaled x_k.
+        """
+        parts, parity, cplx = [], None, False
+        for c, x in items:
+            if type(x) is tuple:
+                a, b = x
+                if a.ncomp != ncomp or b.ncomp != ncomp:
+                    raise ValueError("component count mismatch")
+                terms = ncomp != 1 and _product(a, b, _cross)
+                x_den, x_parity, x_cplx = a.den * b.den, a.parity ^ b.parity, a.cplx or b.cplx
+            elif x.ncomp != ncomp:
                 raise ValueError("component count mismatch")
-            if element.terms:
-                if parts and element.parity != parity:
-                    raise ValueError("cannot add elements of opposite parity")
-                parity = element.parity
-                parts.append(element)
-        den = lcm(*(e.den for e in parts))
+            else:
+                terms, x_den, x_parity, x_cplx = x.terms, x.den, x.parity, x.cplx
+            if type(c) is int:
+                num, c_den = c, 1
+            elif (c := ExactComplex.coerce(c)).im:
+                c_den = lcm(c.re.denominator, c.im.denominator)
+                num = _numerator(c, c_den)
+            else:
+                num, c_den = c.re.numerator, c.re.denominator
+            if not (terms and num):
+                continue
+            if parity is not None and x_parity != parity:
+                raise ValueError("cannot add elements of opposite parity")
+            parity, cplx = x_parity, cplx or x_cplx or type(num) is not int
+            parts.append((num, c_den * x_den, terms))
+        den = lcm(*(d for _, d, _ in parts))
         acc = {}
-        for element in parts:
-            f = den // element.den
-            for mask, comps in element.terms.items():
-                if f != 1:
-                    comps = tuple(f * x for x in comps)
-                prev = acc.get(mask)
-                if prev is not None:
+        for num, d, terms in parts:
+            if type(f := num * (den // d)) is not int or f != 1:
+                terms = {m: tuple([f * x for x in c]) for m, c in terms.items()}
+            if not acc:
+                acc.update(terms)
+                continue
+            for mask, comps in terms.items():
+                if (prev := acc.get(mask)) is not None:
                     comps = tuple(map(add, prev, comps))
                     if not any(comps):
                         del acc[mask]  # a recurring mask lands where `+` puts it
                         continue
                 acc[mask] = comps
-        return GrassmannElement._from_terms(ncomp, parity, acc, den,
-                                            any(e.cplx for e in parts))
+        return GrassmannElement._from_terms(ncomp, parity or 0, acc, den, cplx)
+
+    @staticmethod
+    def sum(ncomp, elements):
+        """`zero(ncomp) + e1 + e2 + ...` over the nonzero `elements`, in one accumulator."""
+        return GrassmannElement.combination(ncomp, [(1, e) for e in elements])
 
     @staticmethod
     def zero(ncomp, parity=0):
-        return GrassmannElement(ncomp, parity, {})
+        return GrassmannElement._from_terms(ncomp, parity, {}, 1, False)
 
     @staticmethod
-    def body(comps, parity=0):
+    def body(comps, parity=0, mask=0):
+        """comps * theta^mask for int or Fraction comps, lifted over their lcm."""
         comps = tuple(comps)
-        return GrassmannElement(len(comps), parity, {0: comps})
+        den = lcm(*(x.denominator for x in comps))
+        nums = tuple(x.numerator * (den // x.denominator) for x in comps)
+        return GrassmannElement._from_terms(len(comps), parity, {mask: nums} if any(nums) else {},
+                                            den, False)
 
     @staticmethod
     def generator(index, comps):
         """comps * theta_index (an odd element)."""
-        comps = tuple(comps)
-        return GrassmannElement(len(comps), 1, {1 << index: comps})
+        return GrassmannElement.body(comps, 1, 1 << index)
 
     # -- linear structure -------------------------------------------------
 
     def __add__(self, other):
-        if self.ncomp == other.ncomp and not (self.terms and other.terms):
-            return self if self.terms else other
-        return GrassmannElement.sum(self.ncomp, (self, other))
+        return GrassmannElement.combination(self.ncomp, ((1, self), (1, other)))
 
     def __neg__(self):
         return GrassmannElement._from_terms(
@@ -152,17 +174,13 @@ class GrassmannElement:
             self.den, self.cplx)
 
     def __sub__(self, other):
-        return self + (-other)
+        return GrassmannElement.combination(self.ncomp, ((1, self), (-1, other)))
 
     def scale(self, value):
         value = ExactComplex.coerce(value)
         if not value.im and value.re in (1, -1):
             return self if value.re > 0 else -self
-        den = lcm(value.re.denominator, value.im.denominator)
-        num = _numerator(value, den)
-        return GrassmannElement._from_terms(
-            self.ncomp, self.parity, {m: tuple(x * num for x in c) for m, c in self.terms.items()},
-            self.den * den, self.cplx or type(num) is not int)
+        return GrassmannElement.combination(self.ncomp, ((value, self),))
 
     def is_zero(self):
         return not self.terms
@@ -202,38 +220,28 @@ def grassmann_mul(a, b):
     other's components; otherwise components multiply slotwise.  Lie
     structure enters only through :func:`lie_bracket`, never here.
     """
-    if a.ncomp == b.ncomp:
-        ncomp = a.ncomp
-        combine = lambda u, v: tuple(x * y for x, y in zip(u, v))
-    elif a.ncomp == 1:
-        ncomp = b.ncomp
-        combine = lambda u, v: tuple(u[0] * y for y in v)
-    elif b.ncomp == 1:
-        ncomp = a.ncomp
-        combine = lambda u, v: tuple(x * v[0] for x in u)
-    else:
+    ncomp = max(a.ncomp, b.ncomp)
+    if min(a.ncomp, b.ncomp) not in (1, ncomp):
         raise ValueError("incompatible component counts")
-    return _product(a, b, ncomp, combine)
+    combine = lambda u, v: tuple(map(mul, u * (ncomp // len(u)), v * (ncomp // len(v))))
+    return GrassmannElement._from_terms(ncomp, a.parity ^ b.parity, _product(a, b, combine),
+                                        a.den * b.den, a.cplx or b.cplx)
 
 
-def _product(a, b, ncomp, combine):
-    """Exterior product of a and b, numerator tuples joined by `combine`."""
+def _product(a, b, combine):
+    """Exterior product terms of a and b over a.den * b.den, numerator tuples
+    joined by `combine`, all-zero tuples dropped."""
     out = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             if ma & mb:
                 continue  # repeated generator: theta^2 = 0
-            sign = koszul_sign(ma, mb)
             comps = combine(ca, cb)
-            if sign < 0:
+            if koszul_sign(ma, mb) < 0:
                 comps = tuple(-x for x in comps)
             mask = ma | mb
-            if mask in out:
-                out[mask] = tuple(x + y for x, y in zip(out[mask], comps))
-            else:
-                out[mask] = comps
-    return GrassmannElement._from_terms(ncomp, a.parity ^ b.parity, out, a.den * b.den,
-                                        a.cplx or b.cplx)
+            out[mask] = tuple(map(add, out[mask], comps)) if mask in out else comps
+    return {m: c for m, c in out.items() if any(c)}
 
 
 def _cross(u, v):
@@ -255,6 +263,6 @@ def lie_bracket(a, b):
     """
     if a.ncomp != b.ncomp:
         raise ValueError("bracket needs matching component counts")
-    if a.ncomp == 1:
-        return GrassmannElement._from_terms(1, a.parity ^ b.parity, {}, 1, False)
-    return _product(a, b, a.ncomp, _cross)
+    terms = _product(a, b, _cross) if a.ncomp != 1 else {}
+    return GrassmannElement._from_terms(a.ncomp, a.parity ^ b.parity, terms, a.den * b.den,
+                                        a.cplx or b.cplx)

@@ -213,10 +213,9 @@ class Pow(RationalExpr):
         return self.base.contains(name)
 
     def eval(self, point, eps_pole=EPS_POLE):
-        value = self.base.eval(point, eps_pole)
-        if self.exponent < 0 and abs(value) < eps_pole:
-            raise PoleError("negative power at a near-zero base")
-        return value ** self.exponent
+        if self.exponent < 0:  # a denominator: tested factor by factor, as in Div
+            return _factor_eval(self.base, point, eps_pole) ** self.exponent
+        return self.base.eval(point, eps_pole) ** self.exponent
 
     def _flipped(self):
         # (L/R)^{-k} expands as R^k / L^k so that only sparse polynomial

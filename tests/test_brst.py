@@ -38,7 +38,7 @@ from vw3d.brst import (
     residual_report,
 )
 from vw3d.grassmann import GrassmannElement, lie_bracket
-from vw3d.series import ExactComplex
+from vw3d.series import ExactComplex, _numerator
 
 ZERO_FORM_SECTOR = {"phi", "phibar", "C", "eta", "zeta"}
 SHIPPED_TABLES = ("abelian", "nonabelian", "covariant", "threed")
@@ -402,6 +402,64 @@ def _assert_well_formed(element, ncomp):
     assert element.monomial_parities_match()
 
 
+def _assert_same_element(got, want):
+    """Equal values in the same form: terms and their order, den, cplx and parity."""
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert (got.den, got.cplx, got.parity) == (want.den, want.cplx, want.parity)
+
+
+# -- the scale-then-sum fold that `GrassmannElement.combination` replaced ------
+
+def _fold_scale(element, value):
+    """Every numerator times value's, over den times value's denominator."""
+    value = ExactComplex.coerce(value)
+    if not value.im and value.re in (1, -1):
+        return element if value.re > 0 else -element
+    if not value:
+        return GrassmannElement.zero(element.ncomp, element.parity)
+    den = math.lcm(value.re.denominator, value.im.denominator)
+    num = _numerator(value, den)
+    return GrassmannElement._from_terms(
+        element.ncomp, element.parity,
+        {m: tuple(x * num for x in c) for m, c in element.terms.items()},
+        element.den * den, element.cplx or type(num) is not int)
+
+
+def _fold_sum(ncomp, elements):
+    """The nonzero elements added in one accumulator over the lcm of their dens."""
+    parts, parity = [], 0
+    for element in elements:
+        if element.ncomp != ncomp:
+            raise ValueError("component count mismatch")
+        if element.terms:
+            if parts and element.parity != parity:
+                raise ValueError("cannot add elements of opposite parity")
+            parity = element.parity
+            parts.append(element)
+    den = math.lcm(*(e.den for e in parts))
+    acc = {}
+    for element in parts:
+        f = den // element.den
+        for mask, comps in element.terms.items():
+            comps = tuple(f * x for x in comps)
+            prev = acc.get(mask)
+            if prev is not None:
+                comps = tuple(a + b for a, b in zip(prev, comps))
+                if not any(comps):
+                    del acc[mask]
+                    continue
+            acc[mask] = comps
+    return GrassmannElement._from_terms(ncomp, parity, acc, den, any(e.cplx for e in parts))
+
+
+def fold_combination(ncomp, items):
+    """Reference for `GrassmannElement.combination`: each bracket built by
+    `lie_bracket`, each item scaled, then all summed."""
+    return _fold_sum(ncomp, [_fold_scale(lie_bracket(*x) if type(x) is tuple else x, c)
+                             for c, x in items])
+
+
 _EPS = {(1, 1): 0, (1, 2): 1, (2, 1): -1, (2, 2): 0}
 
 
@@ -658,6 +716,49 @@ class TestGroupedComposition:
                                 _per_pair_sum(state, weights, conv))
 
 
+class TestAgainstFoldEvaluator:
+    """Closure checks with every linear combination evaluated by the fold."""
+
+    @staticmethod
+    def _run(monkeypatch):
+        # apply_q and _compose_sum are looked up at call time, so the recording
+        # wrappers see every outer, inner and grouped evaluation of the checks
+        images = []
+
+        def recording(fn, values):
+            def wrapper(*args):
+                result = fn(*args)
+                images.append(values(result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(brstmod, "apply_q", recording(apply_q, lambda s: s.values))
+        monkeypatch.setattr(brstmod, "_compose_sum", recording(brstmod._compose_sum, dict))
+        reports = []
+        for name in SHIPPED_TABLES:
+            table = get_table(name)
+            conv = default_convention(table)
+            # threed: (Q1, Q2), (Q2, Qbar1) and (Qbar2, Qbar2) reach all four operators
+            pairs = closure_pairs(table)
+            pairs = [pairs[1], pairs[5], pairs[9]] if name == "threed" else pairs
+            for seed in range(4):
+                state = random_state(table, seed=seed)
+                reports += [check_closure(state, pair, conv) for pair in pairs]
+        monkeypatch.undo()
+        return reports, images
+
+    def test_apply_q_compose_and_closure_match_fold(self, monkeypatch):
+        reports, images = self._run(monkeypatch)
+        monkeypatch.setattr(GrassmannElement, "combination", staticmethod(fold_combination))
+        fold_reports, fold_images = self._run(monkeypatch)
+        assert reports == fold_reports
+        assert len(images) == len(fold_images) > 100
+        for got, want in zip(images, fold_images):
+            assert list(got) == list(want)
+            for key in want:
+                _assert_same_element(got[key], want[key])
+
+
 class TestSharedWork:
     @pytest.fixture
     def applied(self, monkeypatch):
@@ -684,6 +785,18 @@ class TestSharedWork:
         # the outer images are shared with later checks of the same state
         assert check_closure(state, (("Q", 1), ("Qbar", 2)))["exact_zero"]
         assert len(applied) == 10
+
+    def test_apply_q_builds_one_element_per_key(self, monkeypatch):
+        # each rule image is one combination: no per-term or per-bracket element
+        table = get_table("threed")
+        state = random_state(table, seed=0)
+        built, original = [], GrassmannElement._from_terms
+        monkeypatch.setattr(GrassmannElement, "_from_terms",
+                            staticmethod(lambda *a: built.append(a[0]) or original(*a)))
+        for which in (("Q", 1), ("Qbar", 2)):
+            built.clear()
+            images = apply_q(state, which).values
+            assert len(built) == len(images) == len(table.state_keys())
 
     def test_memo_is_per_state_and_invisible(self):
         table = get_table("covariant")

@@ -5,7 +5,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_brst import _assert_well_formed
+from test_brst import _assert_same_element, _assert_well_formed, fold_combination
 
 from vw3d.grassmann import GrassmannElement, grassmann_mul, koszul_sign, lie_bracket
 from vw3d.series import ExactComplex
@@ -25,6 +25,17 @@ def _rand_element(rng, parity, ngen=6, ncomp=3):
     return out
 
 
+def _koszul_walk(mask_a, mask_b):
+    """Reference sign: per generator j of b, the parity of a's generators above j."""
+    sign = 1
+    while mask_b:
+        j = mask_b & -mask_b
+        if bin(mask_a & ~((j << 1) - 1)).count("1") % 2:
+            sign = -sign
+        mask_b ^= j
+    return sign
+
+
 class TestKoszul:
     def test_disjoint_singletons(self):
         assert koszul_sign(0b01, 0b10) == 1
@@ -34,6 +45,15 @@ class TestKoszul:
         # moving theta2 theta3 past theta0 theta1 costs (+1)^4
         assert koszul_sign(0b1100, 0b0011) == 1
         assert koszul_sign(0b1010, 0b0101) == -1
+
+    @pytest.mark.parametrize("bits, count", [(8, 2000), (40, 2000), (64, 1000), (360, 200)])
+    def test_closed_form_matches_bit_walk(self, bits, count):
+        rng = random.Random(bits)
+        for _ in range(count):
+            a = rng.getrandbits(bits)
+            b = rng.getrandbits(bits) & ~a
+            assert koszul_sign(a, b) == _koszul_walk(a, b), (a, b)
+        assert koszul_sign(0, 0) == koszul_sign(1 << bits, 0) == koszul_sign(0, 1 << bits) == 1
 
 
 class TestProducts:
@@ -181,6 +201,68 @@ class TestHygiene:
     def test_scale_by_i(self):
         a = GrassmannElement.body((1, 2, 3))
         assert a.scale(ExactComplex(0, 1)).terms[0][0] == ExactComplex(0, 1)
+
+    def test_body_and_generator_match_constructor(self):
+        # the rational lift gives the public constructor's form, zeros included
+        rng = random.Random(3)
+        for ncomp in (1, 3):
+            for _ in range(30):
+                vec = _rand_vec(rng, ncomp)
+                for got, want in ((GrassmannElement.body(vec), GrassmannElement(ncomp, 0, {0: vec})),
+                                  (GrassmannElement.generator(5, iter(vec)),
+                                   GrassmannElement(ncomp, 1, {1 << 5: vec}))):
+                    _assert_same_element(got, want)
+                    _assert_well_formed(got, ncomp)
+
+
+class TestCombination:
+    """The linear kernel against the fold it replaced: scale each item, then `sum`."""
+
+    @staticmethod
+    def _coefficient(rng):
+        return rng.choice((0, 1, -1, 3, Fraction(-3, 4), ExactComplex(0), ExactComplex(-1),
+                           _rand_value(rng, "real"), _rand_value(rng, "gaussian")))
+
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    def test_matches_fold(self, ncomp):
+        rng = random.Random(f"combination-{ncomp}")
+        for _ in range(60):
+            parity = rng.randint(0, 1)
+            pool = [_rand_typed(rng, parity, kind, ncomp) for kind in ("real", "gaussian", "mixed")]
+            # a negated copy cancels masks; a zero of the other parity takes no part
+            pool += [-pool[0], pool[0].scale(Fraction(1, 3)), GrassmannElement.zero(ncomp, 1 - parity)]
+            items = []
+            for _ in range(rng.randint(0, 6)):
+                c = self._coefficient(rng)
+                if rng.random() < 0.4:
+                    pa = rng.randint(0, 1)
+                    a = _rand_typed(rng, pa, "mixed", ncomp)
+                    b = _rand_typed(rng, pa ^ parity, rng.choice(("real", "gaussian")), ncomp)
+                    # [b, a] = -(-1)^{|a||b|} [a, b]: the pair cancels
+                    pair = [(c, (a, b)), (-c if pa and pa ^ parity else c, (b, a))]
+                    assert GrassmannElement.combination(ncomp, pair).is_zero()
+                    items += pair[:rng.randint(1, 2)]
+                    if parity == 0:
+                        items.append((c, (a, a)))  # zero unless a is odd
+                else:
+                    items.append((c, rng.choice(pool)))
+            rng.shuffle(items)
+            # a mask that cancels, then recurs after new masks, comes last
+            c, x, y = self._coefficient(rng), pool[0], pool[rng.randint(1, 2)]
+            for items in (items, [(c, x), (-c, x), (1, y), (c, x)]):
+                got = GrassmannElement.combination(ncomp, items)
+                _assert_same_element(got, fold_combination(ncomp, items))
+                _assert_well_formed(got, ncomp)
+
+    def test_rejects_what_the_fold_rejects(self):
+        even = GrassmannElement.body((1, 0, 0))
+        odd, odd2 = GrassmannElement.generator(0, (1, 0, 0)), GrassmannElement.generator(1, (0, 1, 0))
+        # zero items of either parity take no part
+        assert GrassmannElement.combination(3, [(2, even), (0, odd), (1, (odd, odd))]) == even.scale(2)
+        for items in ([(1, even), (2, odd)], [(1, odd), (1, (odd, odd2))],
+                      [(1, GrassmannElement.body((1,)))], [(1, (even, GrassmannElement.body((1,))))]):
+            with pytest.raises(ValueError):
+                GrassmannElement.combination(3, items)
 
 
 # -- the ExactComplex kernels, kept as the reference for the numerator form ----

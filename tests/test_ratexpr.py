@@ -38,6 +38,19 @@ class TestEval:
         with pytest.raises(PoleError):
             rational_eval(expr * (X - 1), {"x": 1.0})
 
+    def test_negative_power_tests_each_factor(self):
+        # as for a quotient: the base (x-1)^2 ~ 1e-14 is below the threshold, each factor is not
+        expr = ((X - 1) * (X - 1)) ** -1
+        value = rational_eval(expr, {"x": 1.0 + 1e-7})
+        quotient = rational_eval(Const(1) / ((X - 1) * (X - 1)), {"x": 1.0 + 1e-7})
+        assert abs(value / quotient - 1) < 1e-12 and abs(value * 1e-14 - 1) < 1e-6
+        with pytest.raises(PoleError):
+            rational_eval(expr, {"x": 1.0})
+        with pytest.raises(PoleError):
+            rational_eval((X - 1) ** -2, {"x": 1.0 + 1e-14})
+        # a positive power has no pole to test
+        assert abs(rational_eval(((X - 1) * (X - 1)) ** 2, {"x": 1.0 + 1e-7})) < 1e-27
+
     def test_factorwise_value_is_the_product(self):
         # the factor-wise walk multiplies in the tree's own order
         expr = Const(1) / ((X - 3) * ((X + 1) * (2 * X - 1)))
