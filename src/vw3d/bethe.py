@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratexpr import T, X, Y, Const, PoleError, rational_eval, reach
+from .ratexpr import T, X, Y, Const, PoleError, rational_eval
 from .roots import ComplexPolynomial, poly_roots
 from .series import PuiseuxSeries, SeriesError, _as_fraction, default_denominator, poly_mul
 
@@ -294,20 +294,13 @@ def s2xs1_closed_expr():
 
 
 def _expand_to(expr, variables, order):
-    """Expand once on the least box that certifies the requested one: the pad
-    is the largest cutoff loss `reach` predicts, widened so that each
-    half-integer power's base monomial lies in the box.  Leading terms that
-    cancel in a denominator can leave the box short; one more expansion then
-    adds the measured shortfall.
-    """
+    """Expand at `order`, and once more by the shortfall if a Laurent product
+    or `**` of a truncated Laurent base leaves the box short (see `expand`)."""
     den = default_denominator(variables)
-    need = [0] * len(variables)
-    _, loss = reach(expr, variables, den, need)
-    size = -(-max(max(order * den + l, n) for l, n in zip(loss, need)) // den)
-    series = expr.expand(variables, size, den)
+    series = expr.expand(variables, order, den)
     short = max(order * den - c for c in series.cutoff)
     if short > 0:
-        series = expr.expand(variables, size - (-short // den), den)
+        series = expr.expand(variables, order - (-short // den), den)
         if any(c < order * den for c in series.cutoff):
             raise SeriesError(f"could not certify expansion to order {order}")
     return series.truncate(order)

@@ -7,15 +7,15 @@ closed form used by the Verlinde-type engine.  Two consumers:
 * :func:`rational_eval` -- IEEE-double evaluation at a parameter point, with
   pole and branch guards;
 * :meth:`RationalExpr.expand` -- exact expansion into a PuiseuxSeries, used
-  for graded-dimension series; :func:`reach` predicts the box it loses.
+  for graded-dimension series; each quotient certifies its own box.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
 
-from .series import ExactComplex, INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
+from .series import (ExactComplex, INF_CUTOFF, UNTRUNCATED, PuiseuxSeries, SeriesError,
+                     default_denominator)
 
 __all__ = [
     "RationalExpr",
@@ -87,7 +87,15 @@ class RationalExpr:
         raise NotImplementedError
 
     def expand(self, variables, order, den=None):
-        """Exact PuiseuxSeries expansion around the origin."""
+        """Exact PuiseuxSeries expansion around the origin.
+
+        Constants and variables are untruncated (cutoff at least `UNTRUNCATED`),
+        and so is every sum, product and power of them.  Each inversion is a
+        `Div`, cut to certify the box of `order`.  The box falls short only
+        where a truncated factor meets one of negative valuation, as in a
+        Laurent product or `**` of a truncated Laurent base; `bethe._expand_to`
+        then expands once more.
+        """
         raise NotImplementedError
 
 
@@ -108,8 +116,7 @@ class Const(RationalExpr):
         return complex(self.value)
 
     def expand(self, variables, order, den=None):
-        den = den or default_denominator(variables)
-        return PuiseuxSeries.constant(self.value, variables, order=order, den=den)
+        return _exact(variables, den, self.value)
 
     def __repr__(self):
         return repr(self.value)
@@ -128,13 +135,19 @@ class Var(RationalExpr):
         return complex(point[self.name])
 
     def expand(self, variables, order, den=None):
-        den = den or default_denominator(variables)
         if self.name not in variables:
             raise SeriesError(f"variable {self.name} missing from expansion set")
-        return PuiseuxSeries.variable(self.name, variables, order=order, den=den)
+        return _exact(variables, den, 1, self.name)
 
     def __repr__(self):
         return self.name
+
+
+def _exact(variables, den, coeff, name=None):
+    """The untruncated monomial coeff * name (coeff alone if name is None)."""
+    den = den or default_denominator(variables)
+    exps = tuple(den * (v == name) for v in variables)
+    return PuiseuxSeries(variables, den, {exps: coeff}, (INF_CUTOFF,) * len(variables))
 
 
 class _Binary(RationalExpr):
@@ -188,9 +201,16 @@ class Div(_Binary):
         return self.left.eval(point, eps_pole) / _factor_eval(self.right, point, eps_pole)
 
     def expand(self, variables, order, den=None):
+        # n d^-1 holds on the box B if d^-1 holds on B - vn and n on B + vd; invert
+        # loses 2 vd, so d is cut at B - vn + 2 vd (at least vd + 1: its corner).
         numerator = self.left.expand(variables, order, den)
         denominator = self.right.expand(variables, order, den)
-        return numerator * denominator.invert()
+        box = order * denominator.den
+        zero = (0,) * len(denominator.cutoff)
+        vn, vd = numerator._valuations() or zero, denominator._valuations() or zero
+        cut = tuple(min(max(box - n + 2 * d, d + 1), c)
+                    for n, d, c in zip(vn, vd, denominator.cutoff))
+        return numerator * denominator._cut(cut).invert()
 
 
 def _factor_eval(expr, point, eps_pole):
@@ -217,15 +237,17 @@ class Pow(RationalExpr):
             return _factor_eval(self.base, point, eps_pole) ** self.exponent
         return self.base.eval(point, eps_pole) ** self.exponent
 
-    def _flipped(self):
-        # (L/R)^{-k} expands as R^k / L^k so that only sparse polynomial
-        # powers are ever inverted, never a dense series.
-        if self.exponent < 0 and isinstance(self.base, Div):
-            return Div(Pow(self.base.right, -self.exponent), Pow(self.base.left, -self.exponent))
+    def _quotient(self):
+        """A negative power as the `Div` that inverts it: (L/R)^{-k} as R^k / L^k,
+        so that a sparse polynomial power is inverted, never a dense series."""
+        k = -self.exponent
+        if isinstance(self.base, Div):
+            return Div(Pow(self.base.right, k), Pow(self.base.left, k))
+        return Div(Const(1), Pow(self.base, k))
 
     def expand(self, variables, order, den=None):
-        if flipped := self._flipped():
-            return flipped.expand(variables, order, den)
+        if self.exponent < 0:
+            return self._quotient().expand(variables, order, den)
         return self.base.expand(variables, order, den) ** self.exponent
 
     def __repr__(self):
@@ -261,9 +283,12 @@ class HalfPow(RationalExpr):
         scaled = [e * self.exponent for e in exps]
         if any(v.denominator != 1 for v in scaled):
             raise SeriesError("half power leaves the exponent lattice")
+        # a base m (1 + O(C - v)) of valuation v gives m^k (1 + O(C - v)),
+        # whose box moves by (k - 1) v; an untruncated base stays untruncated
+        cutoff = [c if c >= UNTRUNCATED else int(c + s - e)
+                  for c, s, e in zip(series.cutoff, scaled, exps)]
         return PuiseuxSeries(series.variables, series.den,
-                             {tuple(map(int, scaled)): root ** self.exponent.numerator},
-                             series.cutoff)
+                             {tuple(map(int, scaled)): root ** self.exponent.numerator}, cutoff)
 
     def __repr__(self):
         return f"{self.base!r}^({self.exponent})"
@@ -275,52 +300,3 @@ T, X, Y, Z = Var("t"), Var("x"), Var("y"), Var("z")
 def rational_eval(expr, point, eps_pole=EPS_POLE):
     """Evaluate `expr` at `point` (mapping of variable name to value)."""
     return expr.eval(point, eps_pole)
-
-
-def reach(expr, variables, den, need):
-    """(valuation, loss) of `expr.expand(variables, order, den)`, per variable.
-
-    Scaled-int tuples: the leading exponents, and order * den minus the cutoff,
-    for any order whose box holds each leading term.  By the kernel's rules, a
-    product is cut at min(ca + vb, cb + va), an inversion loses 2m more, `**`
-    takes its square-and-multiply steps, and a sum has the least valuation of
-    its parts, so leading terms that cancel make the true loss larger.  Each
-    half-integer power raises need[i] to the least box holding its base.
-    """
-    zero = (0,) * len(variables)
-    if isinstance(expr, Const):
-        return (0 if expr.value else INF_CUTOFF,) * len(variables), zero
-    if isinstance(expr, Var):
-        return tuple(den if v == expr.name else 0 for v in variables), zero
-    if isinstance(expr, HalfPow):
-        val, loss = reach(expr.base, variables, den, need)
-        need[:] = [max(n, v + l + 1) for n, v, l in zip(need, val, loss)]
-        return tuple(v * expr.exponent.numerator // expr.exponent.denominator for v in val), loss
-    if isinstance(expr, Pow):
-        if flipped := expr._flipped():
-            return reach(flipped, variables, den, need)
-        base, n = reach(expr.base, variables, den, need), expr.exponent
-        if n < 0:
-            base, n = _inverse(base), -n
-        result = (zero, base[1])  # the `one` of PuiseuxSeries.__pow__
-        while n:
-            if n & 1:
-                result = _times(result, base)
-            base, n = _times(base, base), n >> 1
-        return result
-    a, b = reach(expr.left, variables, den, need), reach(expr.right, variables, den, need)
-    if isinstance(expr, (Add, Sub)):
-        return tuple(map(min, a[0], b[0])), tuple(map(max, a[1], b[1]))
-    return _times(a, _inverse(b) if isinstance(expr, Div) else b)
-
-
-def _times(a, b):
-    """`reach` of a product (`PuiseuxSeries.__mul__`) from its factors'."""
-    (va, la), (vb, lb) = a, b
-    return tuple(map(add, va, vb)), tuple(map(max, map(sub, la, vb), map(sub, lb, va)))
-
-
-def _inverse(a):
-    """`reach` of `PuiseuxSeries.invert`: the loss grows by twice the valuation."""
-    val, loss = a
-    return tuple(-v for v in val), tuple(l + 2 * v for l, v in zip(loss, val))

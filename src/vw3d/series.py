@@ -212,6 +212,7 @@ ZERO = ExactComplex(0)
 # Sentinel for "no truncation in this variable"; large enough that cutoff
 # arithmetic (shifts by valuations) never brings it into play.
 INF_CUTOFF = 10**9
+UNTRUNCATED = INF_CUTOFF // 2  # any cutoff at or above it is the shifted sentinel
 
 
 class PuiseuxSeries:
@@ -312,7 +313,7 @@ class PuiseuxSeries:
             raise SeriesError("lattice denominators must merge by lcm")
         f = new_den // self.den
         terms = {tuple(e * f for e in exps): c for exps, c in self.terms.items()}
-        cutoff = tuple(min(c * f, INF_CUTOFF) if c >= INF_CUTOFF // 2 else c * f
+        cutoff = tuple(min(c * f, INF_CUTOFF) if c >= UNTRUNCATED else c * f
                        for c in self.cutoff)
         return PuiseuxSeries._from_terms(self.variables, new_den, terms, cutoff)
 
@@ -469,7 +470,7 @@ class PuiseuxSeries:
         corner = self.terms.get(mins)
         if corner is None or not corner:
             raise SeriesError("no corner term: series is not a unit on its exponent box")
-        if any(c >= INF_CUTOFF for c in self.cutoff):
+        if any(c >= UNTRUNCATED for c in self.cutoff):
             raise SeriesError("inversion needs a fully truncated series")
         if corner.im:  # conj(c) s has the real corner |c|^2
             return self.scale(corner.conjugate()).invert().scale(corner.conjugate())

@@ -28,9 +28,9 @@ from vw3d.bethe import (
     s_squared_values,
     verlinde_sum,
 )
-from vw3d.ratexpr import Const, PoleError, T, rational_eval, reach
+from vw3d.ratexpr import Const, PoleError, T, rational_eval
 from vw3d.roots import poly_roots
-from vw3d.series import default_denominator, poly_mul
+from vw3d.series import poly_mul
 
 GENERIC = {"x": 0.3, "y": 0.7, "t": 0.11}
 
@@ -309,6 +309,17 @@ def _shipped_forms():
 SHIPPED = _shipped_forms()
 
 
+def _top_sizes(monkeypatch, expr, run):
+    """The orders at which `run()` expands the top node of `expr`."""
+    sizes = []
+    expand = type(expr).expand
+    monkeypatch.setattr(type(expr), "expand", lambda self, v, o, d=None:
+                        (self is expr and sizes.append(o)) or expand(self, v, o, d))
+    run()
+    monkeypatch.undo()
+    return sizes
+
+
 class TestDerivedPad:
     @pytest.mark.parametrize("name, expr, variables", SHIPPED, ids=[f[0] for f in SHIPPED])
     def test_matches_pad_doubling(self, name, expr, variables):
@@ -316,29 +327,31 @@ class TestDerivedPad:
             assert _expand_to(expr, variables, order).to_json() == \
                 _expand_by_doubling(expr, variables, order).to_json()
 
-    @pytest.mark.parametrize("name, expr, variables", SHIPPED, ids=[f[0] for f in SHIPPED])
-    def test_predicted_loss_is_observed(self, name, expr, variables):
-        den = default_denominator(variables)
-        for order in (3, 6, 20):
-            need = [0] * len(variables)
-            _, loss = reach(expr, variables, den, need)
-            size = order + max(*loss, *need)  # scaled units: a box at least the derived one
-            series = expr.expand(variables, size, den)
-            assert tuple(size * den - c for c in series.cutoff) == loss
+    def test_one_expansion_certifies_every_shipped_form(self, monkeypatch):
+        for name, expr, variables in SHIPPED:
+            sizes = _top_sizes(monkeypatch, expr, lambda: [
+                _expand_to(expr, variables, order) for order in (3, 6, 20)])
+            assert sizes == [3, 6, 20], name
 
     def test_cancelling_denominator_expands_once_more(self, monkeypatch):
-        # the walk sees valuation 0 in t + t^2 - (1 - 1), the kernel 1
+        # the constants in t + t^2 + (1 - 1) cancel exactly, so the
+        # quotient sees valuation 1 and needs no second expansion
         expr = Const(1) / ((1 + T) - 1 + T ** 2)
-        sizes = []
-        expand = type(expr).expand
-        monkeypatch.setattr(type(expr), "expand",
-                            lambda self, v, o, d=None: sizes.append(o) or expand(self, v, o, d))
-        series = _expand_to(expr, ("t",), 6)
-        assert sizes == [6, 8]
-        assert series.to_json() == _expand_by_doubling(expr, ("t",), 6).to_json()
+        assert _top_sizes(monkeypatch, expr, lambda: _expand_to(expr, ("t",), 6)) == [6]
+        assert _expand_to(expr, ("t",), 6).to_json() == \
+            _expand_by_doubling(expr, ("t",), 6).to_json()
+
+    def test_laurent_product_expands_once_more(self, monkeypatch):
+        # 1/(1 - t) is certified to t^6 and 1/t^2 has valuation -2: their
+        # product is short by t^2, which the second expansion adds
+        expr = (Const(1) / (1 - T)) * T ** -2
+        assert _top_sizes(monkeypatch, expr, lambda: _expand_to(expr, ("t",), 6)) == [6, 8]
+        assert _expand_to(expr, ("t",), 6).to_json() == \
+            _expand_by_doubling(expr, ("t",), 6).to_json()
 
     def test_half_power_base_stays_in_the_box(self):
-        # at order 1 the loss is 0, but t^{3/2} needs its base t in the box
+        # t expands untruncated, so t^{3/2} is a monomial at every order;
+        # the box of order 1 ends below it
         series = grdim_closed_form("S2xS1", order=2)
         assert series.coefficient({"t": Fraction(3, 2)}) == 2
         assert grdim_closed_form("S2xS1", order=1).is_zero()

@@ -5,6 +5,7 @@ import pytest
 
 from vw3d.bethe import s_elements_xy
 from vw3d.ratexpr import BranchError, Const, PoleError, T, X, rational_eval
+from vw3d.series import UNTRUNCATED, SeriesError
 
 
 class TestEval:
@@ -90,3 +91,20 @@ class TestExpansion:
         series = ((1 - T) ** -2).expand(("t",), 7)
         for k in range(7):
             assert series.coefficient({"t": k}) == k + 1
+
+    def test_polynomial_expands_exactly(self):
+        # constants and variables carry no truncation, so 1 - 1 cancels exactly
+        # and t^2 survives the box of order 1
+        series = ((1 + T) - 1 + T ** 2).expand(("t",), 1)
+        assert series.coefficient({"t": 1}) == 1 and series.coefficient({"t": 2}) == 1
+        assert len(series.terms) == 2 and series.cutoff[0] >= UNTRUNCATED
+
+    def test_half_power_of_truncated_base(self):
+        # (t^-2 (1 + t^8 + ...))^{3/2} = t^-3 (1 + (3/2) t^8 + ...): the base,
+        # certified to t^6, gives its power to t^{6 + (1/2)(-2)} = t^5
+        expr = (Const(1) / (T ** 2 * (1 - T ** 8))) ** Fraction(3, 2)
+        series = expr.expand(("t",), 6)
+        assert series.terms == {(-6,): 1} and series.cutoff == (10,)
+        for order in (8, 9):  # the base holds t^-2 + t^6: no monomial half power
+            with pytest.raises(SeriesError):
+                expr.expand(("t",), order)

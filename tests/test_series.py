@@ -144,6 +144,11 @@ class TestInvert:
         a = t_poly({0: 2, 1: 3, 3: -1}, order=9)
         assert a.invert().invert() == a
 
+    def test_untruncated_rejected(self):
+        # a sentinel cutoff shifted by a negative valuation is still no truncation
+        with pytest.raises(SeriesError):
+            PuiseuxSeries(("x",), 1, {(-1,): 1}, (series.INF_CUTOFF - 1,)).invert()
+
 
 def _random_series(rng, order=6):
     terms = {}
