@@ -30,7 +30,7 @@ from vw3d.bethe import (
 )
 from vw3d.ratexpr import Const, PoleError, T, rational_eval
 from vw3d.roots import poly_roots
-from vw3d.series import poly_mul
+from vw3d.series import default_denominator, poly_mul
 
 GENERIC = {"x": 0.3, "y": 0.7, "t": 0.11}
 
@@ -327,11 +327,16 @@ class TestDerivedPad:
             assert _expand_to(expr, variables, order).to_json() == \
                 _expand_by_doubling(expr, variables, order).to_json()
 
-    def test_one_expansion_certifies_every_shipped_form(self, monkeypatch):
-        for name, expr, variables in SHIPPED:
-            sizes = _top_sizes(monkeypatch, expr, lambda: [
-                _expand_to(expr, variables, order) for order in (3, 6, 20)])
-            assert sizes == [3, 6, 20], name
+    @pytest.mark.parametrize("name, expr, variables", SHIPPED, ids=[f[0] for f in SHIPPED])
+    def test_predicted_loss_is_observed(self, monkeypatch, name, expr, variables):
+        # each Div cuts its denominator to keep the requested box, so the
+        # predicted loss is none: one expansion at the order certifies it
+        den = default_denominator(variables)
+        for order in (3, 6, 20):
+            assert all(c >= order * den for c in expr.expand(variables, order, den).cutoff)
+        sizes = _top_sizes(monkeypatch, expr, lambda: [
+            _expand_to(expr, variables, order) for order in (3, 6, 20)])
+        assert sizes == [3, 6, 20]
 
     def test_cancelling_denominator_expands_once_more(self, monkeypatch):
         # the constants in t + t^2 + (1 - 1) cancel exactly, so the
