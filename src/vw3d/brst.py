@@ -589,8 +589,7 @@ def _extract_theta(element, gen_index):
         if mask & bit:
             rest = mask ^ bit
             terms[rest] = comps if koszul_sign(bit, rest) > 0 else tuple(-c for c in comps)
-    return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms,
-                                        element.den, element.cplx)
+    return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms, element.den)
 
 
 def _outer_images(state, which, conv):

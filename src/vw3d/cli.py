@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from . import bethe, brst, elliptic, floer
 from .ratexpr import BranchError, PoleError
@@ -27,15 +26,6 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_RESIDUAL = 4
-
-
-@dataclass
-class RunConfig:
-    command: str
-    parameters: dict = field(default_factory=dict)
-    output: str = "text"
-    order: int = 20
-    seed: int = 0
 
 
 def _order(args):
@@ -52,45 +42,35 @@ def _order(args):
     return order
 
 
-def _emit(config, report, text_lines):
-    if config.output == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # ----------------------------------------------------------------------
 # verlinde
 
-def _cmd_verlinde(args, config):
+def _cmd_verlinde(args, order):
     if args.sweep is not None:
         start = time.monotonic()
-        rep = bethe.sweep_report(args.sweep, seed=config.seed)
-        report = {"config": _config_dict(config), "mode": "sweep", **rep}
+        rep = bethe.sweep_report(args.sweep, seed=args.seed)
+        report = {"mode": "sweep", **rep}
         lines = [f"# stability sweep over {args.sweep} seeded points",
                  f"ok={rep['ok']} max_weyl_residual={rep['max_weyl_residual']:.3e} "
                  f"max_multiset_rel_error={rep['max_multiset_rel_error']:.3e} "
                  f"elapsed={time.monotonic() - start:.2f}s"]
         return report, lines, EXIT_OK if rep["ok"] else EXIT_NUMERICAL
     if args.limit:
-        series = bethe.limit_specialize(args.limit, args.g, order=config.order)
-        report = {"config": _config_dict(config), "mode": f"limit-{args.limit}",
-                  "g": args.g, "series": series.to_json_dict()}
+        series = bethe.limit_specialize(args.limit, args.g, order=order)
+        report = {"mode": f"limit-{args.limit}", "g": args.g, "series": series.to_json_dict()}
         return report, ["# limit {} (g={})".format(args.limit, args.g),
                         series.to_text()], EXIT_OK
     if args.series:
         if args.g == 0:
-            series = bethe.grdim_closed_form("S2xS1", order=config.order)
+            series = bethe.grdim_closed_form("S2xS1", order=order)
         else:
-            series = bethe.grdim_closed_form("SigmaGxS1", order=config.order, g=args.g)
-        report = {"config": _config_dict(config), "mode": "series", "g": args.g,
-                  "series": series.to_json_dict()}
+            series = bethe.grdim_closed_form("SigmaGxS1", order=order, g=args.g)
+        report = {"mode": "series", "g": args.g, "series": series.to_json_dict()}
         return report, ["# graded dimension series (g={})".format(args.g),
                         series.to_text()], EXIT_OK
     if args.asymptotics:
         rep = bethe.asymptotics_check(args.g, args.a, args.b)
-        report = {"config": _config_dict(config), "mode": "asymptotics", **rep}
+        report = {"mode": "asymptotics", **rep}
         lines = [f"# asymptotics g={args.g} path a={args.a} b={args.b}"]
         for e in rep["entries"]:
             lines.append(f"eps={e['eps']:g} value={e['value']:.10g} "
@@ -100,7 +80,7 @@ def _cmd_verlinde(args, config):
         raise ValueError("value mode needs --x --y --t")
     params = {"x": args.x, "y": args.y, "t": args.t}
     rep = bethe.point_report(params, genera=(0, 1, args.g))
-    report = {"config": _config_dict(config), "mode": "point", **rep}
+    report = {"mode": "point", **rep}
     value = rep["verlinde"][str(args.g)]
     lines = ["# Bethe pipeline at x={x} y={y} t={t}".format(**params),
              "roots: " + " ".join(f"{z[0]:+.6f}{z[1]:+.6f}i" for z in rep["roots"]),
@@ -114,15 +94,15 @@ def _cmd_verlinde(args, config):
 # ----------------------------------------------------------------------
 # elliptic
 
-def _cmd_elliptic(args, config):
+def _cmd_elliptic(args, order):
     if args.n < 2 or args.n % 2:
         raise ValueError("surface index n must be even and >= 2")
-    series = elliptic.z_vw_kahler(elliptic.sw_data_en(args.n), order=config.order)
-    report = {"config": _config_dict(config), "surface": f"E({args.n})",
-              "n": args.n, "order": config.order, "series": series.to_json_dict()}
-    lines = [f"# Z_VW(E({args.n})) through q^{config.order}", series.to_text()]
+    series = elliptic.z_vw_kahler(elliptic.sw_data_en(args.n), order=order)
+    report = {"surface": f"E({args.n})", "n": args.n, "order": order,
+              "series": series.to_json_dict()}
+    lines = [f"# Z_VW(E({args.n})) through q^{order}", series.to_text()]
     if args.gluing:
-        gl = elliptic.gluing_check(args.n, order=config.order)
+        gl = elliptic.gluing_check(args.n, order=order)
         report["gluing"] = gl
         lines.append(f"gluing: equal={gl['equal']} "
                      f"first_differing_exponent={gl['first_differing_exponent']}")
@@ -150,38 +130,37 @@ def _parse_hf(text):
                      "(use S2xS1, lens:p, or sigma:g,h)")
 
 
-def _cmd_floer(args, config):
+def _cmd_floer(args, order):
     if args.molien:
-        series = floer.molien_su2_adjoint(order=config.order)
-        report = {"config": _config_dict(config), "manifold": "S3 local observables",
-                  "series": series.to_json_dict()}
-        dims = [int(str(series.coefficient({"t": n}).re)) for n in range(config.order + 1)]
+        series = floer.molien_su2_adjoint(order=order)
+        report = {"manifold": "S3 local observables", "series": series.to_json_dict()}
+        dims = [int(str(series.coefficient({"t": n}).re)) for n in range(order + 1)]
         return report, ["# invariant dimensions of Sym^n(adjoint)",
                         ",".join(str(d) for d in dims)], EXIT_OK
     if args.hn is not None:
         coeffs = floer.hn_poincare(args.hn)
-        report = {"config": _config_dict(config), "manifold": f"Bun_SL2(Sigma_{args.hn})",
+        report = {"manifold": f"Bun_SL2(Sigma_{args.hn})",
                   "coefficients": [str(c) for c in coeffs]}
         return report, ["# rank-2 moduli Poincare polynomial",
                         " + ".join(f"{c}t^{k}" for k, c in enumerate(coeffs) if c)], EXIT_OK
     if args.brieskorn:
         datum = floer.brieskorn(args.brieskorn)
-        report = {"config": _config_dict(config), "manifold": datum.name,
+        report = {"manifold": datum.name,
                   "instanton_ranks": {str(k): v for k, v in datum.instanton_ranks.items()},
                   "hp_rank": datum.hp_rank,
                   "flat_connections": list(datum.flat_connection_counts)}
         lines = [f"# {datum.name}", f"instanton ranks: {datum.instanton_ranks}",
                  f"sheaf-model rank: {datum.hp_rank}"]
         if args.conjecture:
-            conj = floer.conjecture_series(args.brieskorn, order=config.order)
+            conj = floer.conjecture_series(args.brieskorn, order=order)
             report["conjecture"] = {"series": conj["series"].to_json_dict(),
                                     "conjectural": True}
             lines += ["conjectural graded dimension:", conj["series"].to_text()]
         return report, lines, EXIT_OK
     if args.hf:
         kind, kwargs = _parse_hf(args.hf)
-        result = floer.hf_plus(kind, order=config.order, **kwargs)
-        report = {"config": _config_dict(config), "manifold": result.manifold,
+        result = floer.hf_plus(kind, order=order, **kwargs)
+        report = {"manifold": result.manifold,
                   "series": result.series.to_json_dict(),
                   "rank": result.rank,
                   "relative_grading": result.relative_grading,
@@ -201,11 +180,11 @@ def _cmd_floer(args, config):
 # ----------------------------------------------------------------------
 # brst
 
-def _cmd_brst(args, config):
+def _cmd_brst(args, order):
     if args.states < 1:
         raise ValueError("--states must be at least 1")
     table = brst.get_table(args.table)
-    report = {"config": _config_dict(config), "table": args.table, "checks": []}
+    report = {"table": args.table, "checks": []}
     lines = [f"# closure checks on table {args.table}"]
     if args.calibrate:
         conv, cal = brst.calibrate_signs(args.table)
@@ -216,7 +195,7 @@ def _cmd_brst(args, config):
     else:
         conv = brst.default_convention(table)
     for state_index in range(args.states):
-        state = brst.random_state(table, seed=config.seed + state_index)
+        state = brst.random_state(table, seed=args.seed + state_index)
         if args.check in ("Q2", "all"):
             param = None if table.algebra == "u1" else "phi"
             if ("Q", "phi") in table.rules and table.fields["phi"].indices == 0:
@@ -244,11 +223,6 @@ def _cmd_brst(args, config):
 
 # ----------------------------------------------------------------------
 # top level
-
-def _config_dict(config):
-    return {"command": config.command, "order": config.order,
-            "seed": config.seed, "parameters": config.parameters}
-
 
 def _finite_float(text):
     """Type of the real-valued flags: nan, inf or a non-number exits 2 naming the flag."""
@@ -308,6 +282,8 @@ def build_parser():
     return parser
 
 
+# Each handler takes (args, order) and returns (report, text lines, exit code);
+# `main` adds the report's `config` block and prints one of the two forms.
 _HANDLERS = {
     "verlinde": _cmd_verlinde,
     "elliptic": _cmd_elliptic,
@@ -320,15 +296,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            parameters={k: v for k, v in sorted(vars(args).items())
-                        if k not in ("command", "json") and v is not None},
-            output="json" if args.json else "text",
-            order=_order(args),
-            seed=args.seed,
-        )
-        report, lines, code = _HANDLERS[args.command](args, config)
+        order = _order(args)
+        report, lines, code = _HANDLERS[args.command](args, order)
     except (ValueError, KeyError, brst.RuleMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
@@ -337,7 +306,10 @@ def main(argv=None):
             ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    _emit(config, report, lines)
+    report["config"] = {"command": args.command, "order": order, "seed": args.seed,
+                        "parameters": {k: v for k, v in sorted(vars(args).items())
+                                       if k not in ("command", "json") and v is not None}}
+    print(json.dumps(report, sort_keys=True, indent=2) if args.json else "\n".join(lines))
     return code
 
 

@@ -153,13 +153,14 @@ def z_vw_kahler(top, order=20):
     # internal padding: the Laurent tails of G(q^2)^exp1 and G(q^{1/2})^exp1
     # eat into the certified box
     internal = 2 * order + 2 * exp1 + 4
-    g = g_series(internal)
+    g_pow = g_series(internal) ** exp1
     sign1 = (-1) ** ((top.chi + top.sigma) // 4)
-    # powers of the integer series, then one weight per term: (1/4)^exp1 / 2
+    # substitution is a ring map, so G(q^2)^exp1 = (G^exp1)(q^2) and likewise at
+    # +-q^{1/2}: one power of the integer series, then one weight per term
     weight = Fraction(1, 4) ** exp1 / 2
-    term_q2 = g.substitute_power("q", 2) ** exp1
-    term_h = g.substitute_power("q", Fraction(1, 2)) ** exp1
-    term_mh = g.substitute_power("q", Fraction(1, 2), sign=-1) ** exp1
+    term_q2 = g_pow.substitute_power("q", 2)
+    term_h = g_pow.substitute_power("q", Fraction(1, 2))
+    term_mh = g_pow.substitute_power("q", Fraction(1, 2), sign=-1)
     sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
     sw_all = sum(c.sw for c in top.basic_classes)
     pref = Fraction(2 ** (1 - top.b1))

@@ -19,7 +19,6 @@ from .series import (PuiseuxSeries, SeriesError, _unlift, default_denominator, p
                      poly_mul, poly_pow)
 
 __all__ = [
-    "Tower",
     "tower_series",
     "HFResult",
     "hf_plus",
@@ -50,17 +49,6 @@ def _t_series(terms, order):
     return PuiseuxSeries(("t",), T_DEN, scaled, (int(order * T_DEN),))
 
 
-@dataclass(frozen=True)
-class Tower:
-    """Boson tower with ground degree `bottom`; optional truncated length."""
-
-    bottom: Fraction
-    truncation: int | None = None
-
-    def series(self, order):
-        return tower_series(self.bottom, self.truncation, order)
-
-
 def tower_series(bottom, truncation=None, order=20):
     """t^bottom (1 + t^2 + t^4 + ...), cut to `truncation` levels if given."""
     bottom = Fraction(bottom)
@@ -84,7 +72,6 @@ class HFResult:
     manifold: str
     series: PuiseuxSeries
     rank: int | None            # None for infinite rank
-    towers: tuple               # (multiplicity, Tower) summands
     spin_c_count: int | None = None
     relative_grading: bool = False
 
@@ -102,34 +89,28 @@ def hf_plus(manifold, order=20, p=None, g=None, h=None):
     if manifold == "lens":
         if p is None or p < 1:
             raise ValueError("lens space needs p >= 1")
-        tower = Tower(Fraction(0))
-        return HFResult(manifold=f"L({p},1)", series=tower.series(order),
-                        rank=None, towers=((1, tower),), spin_c_count=p)
+        return HFResult(manifold=f"L({p},1)", series=tower_series(0, order=order),
+                        rank=None, spin_c_count=p)
     if manifold == "S2xS1":
-        towers = ((1, Tower(Fraction(-1, 2))), (1, Tower(Fraction(1, 2))))
-        series = towers[0][1].series(order) + towers[1][1].series(order)
-        return HFResult(manifold="S2xS1", series=series, rank=None,
-                        towers=towers, spin_c_count=1)
+        series = (tower_series(Fraction(-1, 2), order=order)
+                  + tower_series(Fraction(1, 2), order=order))
+        return HFResult(manifold="S2xS1", series=series, rank=None, spin_c_count=1)
     if manifold == "SigmaGxS1":
         if g is None or h is None:
             raise ValueError("SigmaGxS1 needs g and h")
         if h == 0 or abs(h) > g - 1:
             raise ValueError("catalog covers 0 < |h| <= g-1 only")
         d = g - 1 - abs(h)
-        towers = []
         rank = 0
         series = None
         for i in range(d + 1):
             mult = comb(2 * g, i)
             length = d + 1 - i
-            tower = Tower(Fraction(0), truncation=length)
-            towers.append((mult, tower))
             rank += mult * length
-            part = tower.series(order) * mult
+            part = tower_series(0, length, order) * mult
             series = part if series is None else series + part
         return HFResult(manifold=f"SigmaGxS1(g={g},h={h})", series=series,
-                        rank=rank, towers=tuple(towers), spin_c_count=None,
-                        relative_grading=True)
+                        rank=rank, spin_c_count=None, relative_grading=True)
     raise ValueError(f"unknown manifold {manifold!r}")
 
 

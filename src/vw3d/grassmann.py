@@ -11,16 +11,15 @@ Invariant: an element stores integer numerators over one denominator
 `den` > 0 with gcd(den, every integral part) = 1.  Each of a tuple's `ncomp`
 numerators is an int, or a Gaussian-integer ExactComplex only where im != 0;
 no tuple is all zero.  The form is canonical, so `==` and `hash` compare
-dicts.  `cplx` records whether any numerator is complex, so real elements
-never scan for one.  The series kernel computes on the same form, and its
-`_numerator` and `_unlift` convert values here too.  Ints and ExactComplex
-share `+ - *`, so each kernel runs one path: products multiply the
-denominators, and `GrassmannElement.combination`, the linear kernel behind
-`+`, `-`, `scale`, `sum` and the BRST rule images, takes their lcm.  The
-public constructor coerces and checks each component.  Kernel results use the
-trusted `_from_terms`, which takes no all-zero tuple, turns real Gaussian
-numerators into ints and divides out one gcd; only `combination`, unary `-`,
-`zero`, `body`, the two products and `vw3d.brst._extract_theta` call it.
+dicts.  The series kernel computes on the same form, and its `_numerator` and
+`_unlift` convert values here too.  Ints and ExactComplex share `+ - *`, so
+each kernel runs one path: products multiply the denominators, and
+`GrassmannElement.combination`, the linear kernel behind `+`, `-`, `scale`,
+`sum` and the BRST rule images, takes their lcm.  The public constructor
+coerces and checks each component.  Kernel results use the trusted
+`_from_terms`, which takes no all-zero tuple, turns real Gaussian numerators
+into ints and divides out one gcd; only `combination`, unary `-`, `zero`,
+`body`, the two products and `vw3d.brst._extract_theta` call it.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def koszul_sign(mask_a, mask_b):
 class GrassmannElement:
     """Algebra-valued supernumber; `parity` is 0 (even) or 1 (odd)."""
 
-    __slots__ = ("ncomp", "parity", "terms", "den", "cplx")
+    __slots__ = ("ncomp", "parity", "terms", "den")
 
     def __new__(cls, ncomp, parity, terms=None):
         terms = {m: tuple(map(ExactComplex.coerce, c)) for m, c in (terms or {}).items()}
@@ -60,9 +59,7 @@ class GrassmannElement:
             raise ValueError("component arity mismatch")
         den = lcm(*(p.denominator for c in terms.values() for x in c for p in (x.re, x.im)))
         terms = {m: tuple(_numerator(x, den) for x in c) for m, c in terms.items() if any(c)}
-        return GrassmannElement._from_terms(
-            ncomp, parity % 2, terms, den,
-            any(type(x) is not int for x in chain.from_iterable(terms.values())))
+        return GrassmannElement._from_terms(ncomp, parity % 2, terms, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("GrassmannElement is immutable")
@@ -70,23 +67,22 @@ class GrassmannElement:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def _from_terms(ncomp, parity, terms, den, cplx):
+    def _from_terms(ncomp, parity, terms, den):
         """Trusted constructor: nonzero numerator tuples over `den`, reduced to the
-        invariant; `cplx` False only if all are ints."""
-        parts = chain.from_iterable(terms.values())
-        if cplx:
+        invariant."""
+        try:
+            g = gcd(den, *chain.from_iterable(terms.values()))
+        except TypeError:  # Gaussian numerators: real ones become ints, gcd over parts
             terms = {m: tuple(x if type(x) is int or x.im else x.re.numerator for x in c)
                      for m, c in terms.items()}
-            parts = [p for x in chain.from_iterable(terms.values())
-                     for p in ((x,) if type(x) is int else (x.re.numerator, x.im.numerator))]
-            cplx = len(parts) > sum(map(len, terms.values()))  # some x gave two parts
-        g = gcd(den, *parts) if den != 1 else 1
+            g = gcd(den, *(p for x in chain.from_iterable(terms.values()) for p in
+                           ((x,) if type(x) is int else (x.re.numerator, x.im.numerator))))
         if g != 1:
             den //= g
             terms = {m: tuple(x // g if type(x) is int else ExactComplex(x.re // g, x.im // g)
                               for x in c) for m, c in terms.items()}
         element = object.__new__(GrassmannElement)
-        for name, value in zip(GrassmannElement.__slots__, (ncomp, parity, terms, den, cplx)):
+        for name, value in zip(GrassmannElement.__slots__, (ncomp, parity, terms, den)):
             object.__setattr__(element, name, value)
         return element
 
@@ -98,18 +94,18 @@ class GrassmannElement:
         (a, b) standing for lie_bracket(a, b), taken from the raw product.  The
         result, its mask order and parity are those of `sum` of the scaled x_k.
         """
-        parts, parity, cplx = [], None, False
+        parts, parity = [], None
         for c, x in items:
             if type(x) is tuple:
                 a, b = x
                 if a.ncomp != ncomp or b.ncomp != ncomp:
                     raise ValueError("component count mismatch")
                 terms = ncomp != 1 and _product(a, b, _cross)
-                x_den, x_parity, x_cplx = a.den * b.den, a.parity ^ b.parity, a.cplx or b.cplx
+                x_den, x_parity = a.den * b.den, a.parity ^ b.parity
             elif x.ncomp != ncomp:
                 raise ValueError("component count mismatch")
             else:
-                terms, x_den, x_parity, x_cplx = x.terms, x.den, x.parity, x.cplx
+                terms, x_den, x_parity = x.terms, x.den, x.parity
             if type(c) is int:
                 num, c_den = c, 1
             elif (c := ExactComplex.coerce(c)).im:
@@ -121,7 +117,7 @@ class GrassmannElement:
                 continue
             if parity is not None and x_parity != parity:
                 raise ValueError("cannot add elements of opposite parity")
-            parity, cplx = x_parity, cplx or x_cplx or type(num) is not int
+            parity = x_parity
             parts.append((num, c_den * x_den, terms))
         den = lcm(*(d for _, d, _ in parts))
         acc = {}
@@ -138,7 +134,7 @@ class GrassmannElement:
                         del acc[mask]  # a recurring mask lands where `+` puts it
                         continue
                 acc[mask] = comps
-        return GrassmannElement._from_terms(ncomp, parity or 0, acc, den, cplx)
+        return GrassmannElement._from_terms(ncomp, parity or 0, acc, den)
 
     @staticmethod
     def sum(ncomp, elements):
@@ -147,7 +143,7 @@ class GrassmannElement:
 
     @staticmethod
     def zero(ncomp, parity=0):
-        return GrassmannElement._from_terms(ncomp, parity, {}, 1, False)
+        return GrassmannElement._from_terms(ncomp, parity, {}, 1)
 
     @staticmethod
     def body(comps, parity=0, mask=0):
@@ -155,8 +151,8 @@ class GrassmannElement:
         comps = tuple(comps)
         den = lcm(*(x.denominator for x in comps))
         nums = tuple(x.numerator * (den // x.denominator) for x in comps)
-        return GrassmannElement._from_terms(len(comps), parity, {mask: nums} if any(nums) else {},
-                                            den, False)
+        terms = {mask: nums} if any(nums) else {}
+        return GrassmannElement._from_terms(len(comps), parity, terms, den)
 
     @staticmethod
     def generator(index, comps):
@@ -169,9 +165,8 @@ class GrassmannElement:
         return GrassmannElement.combination(self.ncomp, ((1, self), (1, other)))
 
     def __neg__(self):
-        return GrassmannElement._from_terms(
-            self.ncomp, self.parity, {m: tuple(-x for x in c) for m, c in self.terms.items()},
-            self.den, self.cplx)
+        terms = {m: tuple(-x for x in c) for m, c in self.terms.items()}
+        return GrassmannElement._from_terms(self.ncomp, self.parity, terms, self.den)
 
     def __sub__(self, other):
         return GrassmannElement.combination(self.ncomp, ((1, self), (-1, other)))
@@ -224,8 +219,8 @@ def grassmann_mul(a, b):
     if min(a.ncomp, b.ncomp) not in (1, ncomp):
         raise ValueError("incompatible component counts")
     combine = lambda u, v: tuple(map(mul, u * (ncomp // len(u)), v * (ncomp // len(v))))
-    return GrassmannElement._from_terms(ncomp, a.parity ^ b.parity, _product(a, b, combine),
-                                        a.den * b.den, a.cplx or b.cplx)
+    terms = _product(a, b, combine)
+    return GrassmannElement._from_terms(ncomp, a.parity ^ b.parity, terms, a.den * b.den)
 
 
 def _product(a, b, combine):
@@ -264,5 +259,4 @@ def lie_bracket(a, b):
     if a.ncomp != b.ncomp:
         raise ValueError("bracket needs matching component counts")
     terms = _product(a, b, _cross) if a.ncomp != 1 else {}
-    return GrassmannElement._from_terms(a.ncomp, a.parity ^ b.parity, terms, a.den * b.den,
-                                        a.cplx or b.cplx)
+    return GrassmannElement._from_terms(a.ncomp, a.parity ^ b.parity, terms, a.den * b.den)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, ge, mul, sub
 
 __all__ = [
@@ -182,8 +182,8 @@ class ExactComplex:
         if value <= 0:
             raise SeriesError("exact sqrt requires a positive rational")
         num, den = value.numerator, value.denominator
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-        if rn is None or rd is None:
+        rn, rd = isqrt(num), isqrt(den)
+        if rn * rn != num or rd * rd != den:
             raise SeriesError(f"{value} is not a perfect rational square")
         return Fraction(rn, rd)
 
@@ -197,14 +197,6 @@ def _real(value):
     object.__setattr__(z, "re", value)
     object.__setattr__(z, "im", _FRACTION_ZERO)
     return z
-
-
-def _isqrt_exact(n):
-    r = int(n**0.5)
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c == n:
-            return c
-    return None
 
 
 ZERO = ExactComplex(0)
@@ -270,13 +262,7 @@ class PuiseuxSeries:
 
     @staticmethod
     def constant(value, variables=(), order=None, den=None):
-        variables = tuple(variables)
-        den = den if den is not None else default_denominator(variables)
-        order = order if order is not None else 21
-        cutoff = tuple(order * den for _ in variables)
-        value = ExactComplex.coerce(value)
-        terms = {tuple(0 for _ in variables): value} if value else {}
-        return PuiseuxSeries(variables, den, terms, cutoff)
+        return PuiseuxSeries.monomial(variables, {}, value, order=order, den=den)
 
     @staticmethod
     def monomial(variables, exponents, coeff=1, order=None, den=None):
@@ -293,11 +279,6 @@ class PuiseuxSeries:
             scaled.append(int(se))
         cutoff = tuple(order * den for _ in variables)
         return PuiseuxSeries(variables, den, {tuple(scaled): ExactComplex.coerce(coeff)}, cutoff)
-
-    @staticmethod
-    def variable(name, variables=None, order=None, den=None):
-        variables = (name,) if variables is None else tuple(variables)
-        return PuiseuxSeries.monomial(variables, {name: 1}, 1, order=order, den=den)
 
     # ------------------------------------------------------------------
     # structure helpers
@@ -380,8 +361,6 @@ class PuiseuxSeries:
                                          {e: -c for e, c in self.terms.items()}, self.cutoff)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ExactComplex, complex)):
-            return self + (-ExactComplex.coerce(other))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -539,7 +518,10 @@ class PuiseuxSeries:
     # queries
 
     def coefficient(self, exponents):
-        """Coefficient at unscaled exponents given as a {var: Fraction} map."""
+        """Coefficient at unscaled exponents given as a {var: Fraction} map;
+        ZERO when a variable outside the series has a nonzero exponent."""
+        if any(e and v not in self.variables for v, e in exponents.items()):
+            return ZERO
         key = []
         for v in self.variables:
             se = Fraction(exponents.get(v, 0)) * self.den

@@ -381,11 +381,11 @@ def _assert_well_formed(element, ncomp):
 
     Integer numerators over one denominator den > 0: each an int, or a
     Gaussian-integer ExactComplex with im != 0; no all-zero tuple;
-    gcd(den, every integral part) = 1; `cplx` says whether any is complex.
+    gcd(den, every integral part) = 1.
     """
     assert element.ncomp == ncomp and element.parity in (0, 1)
     assert type(element.den) is int and element.den > 0
-    parts, complex_seen = [element.den], False
+    parts = [element.den]
     for comps in element.terms.values():
         assert isinstance(comps, tuple) and len(comps) == ncomp
         for c in comps:
@@ -395,18 +395,19 @@ def _assert_well_formed(element, ncomp):
                 assert type(c) is ExactComplex and c.im != 0
                 assert c.re.denominator == 1 and c.im.denominator == 1
                 parts += [c.re.numerator, c.im.numerator]
-                complex_seen = True
         assert any(comps)
     assert math.gcd(*parts) == 1
-    assert element.cplx is complex_seen
     assert element.monomial_parities_match()
 
 
 def _assert_same_element(got, want):
-    """Equal values in the same form: terms and their order, den, cplx and parity."""
+    """Equal values in the same form: terms and their order, numerator types, den
+    and parity."""
     assert got == want
     assert list(got.terms) == list(want.terms)
-    assert (got.den, got.cplx, got.parity) == (want.den, want.cplx, want.parity)
+    assert ([tuple(map(type, c)) for c in got.terms.values()]
+            == [tuple(map(type, c)) for c in want.terms.values()])
+    assert (got.den, got.parity) == (want.den, want.parity)
 
 
 # -- the scale-then-sum fold that `GrassmannElement.combination` replaced ------
@@ -423,7 +424,7 @@ def _fold_scale(element, value):
     return GrassmannElement._from_terms(
         element.ncomp, element.parity,
         {m: tuple(x * num for x in c) for m, c in element.terms.items()},
-        element.den * den, element.cplx or type(num) is not int)
+        element.den * den)
 
 
 def _fold_sum(ncomp, elements):
@@ -450,7 +451,7 @@ def _fold_sum(ncomp, elements):
                     del acc[mask]
                     continue
             acc[mask] = comps
-    return GrassmannElement._from_terms(ncomp, parity, acc, den, any(e.cplx for e in parts))
+    return GrassmannElement._from_terms(ncomp, parity, acc, den)
 
 
 def fold_combination(ncomp, items):

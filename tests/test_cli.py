@@ -257,3 +257,40 @@ class TestJsonDigests:
         code, out, _ = run_cli(capsys, *command.split(), "--json")
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the text output of the same commands.  `main` prints the text and
+# the --json form through one statement, so the text is pinned as well.
+TEXT_DIGESTS = [
+    ("verlinde --g 0 --series --order 6",
+     "e1593b010dbdefabb9b57f3efebbc6da925211c494bb07a5de5a8c63fee94318"),
+    ("verlinde --g 2 --limit R2 --order 5",
+     "c1d23a90288c670022810e48a2b8931274319d07b058500ad830d265ab6ae7d1"),
+    ("elliptic --n 2 --order 4",
+     "143d400405a2fc9d56183d2996ef0241e41a22cc7dd37245a7da461c3a71deba"),
+    ("elliptic --n 6 --gluing",
+     "ae11ad528a590b0724972e12812e1eff0b789f178cf96d047778ecce29087211"),
+    ("floer --hf S2xS1",
+     "837844e4ef35b183af120b6a13ed7488e75b0961be5cb5207380ecb7eed7523b"),
+    ("floer --hf sigma:3,1",
+     "2ab799ce75a077c2de801adcd701b34b93b060eb7106e6b87b427456a30cb70a"),
+    ("floer --molien --order 10",
+     "07d3420a07115cb975e5d5c0e48f8f1044c6b6cd6a955508ba816d881b4d979b"),
+    ("floer --brieskorn Sigma237 --conjecture",
+     "9a1551af05648e54dc5def7742ec7fe038efcee94631316f68cbefb016aa99ca"),
+    ("brst --table abelian --check Q2",
+     "a51acfd307321968100623ebcd6c14c4da4e46ff0354e895d9cac71856ad27e6"),
+    ("brst --table nonabelian --check all",
+     "ff05d1de0b20306958e03fd7a32471583f30eb95ea50d49139c9b6095a81aad5"),
+    ("floer --hn 3",
+     "5ab6f8840dc8148adeb7ff0fbd9f26fa5ef9970f282696049538461a67733d37"),
+]
+
+
+class TestTextDigests:
+    @pytest.mark.parametrize("command,digest", TEXT_DIGESTS)
+    def test_text_output_is_pinned(self, capsys, monkeypatch, command, digest):
+        monkeypatch.delenv("VW3D_ORDER", raising=False)
+        code, out, _ = run_cli(capsys, *command.split())
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -20,6 +20,7 @@ from vw3d.elliptic import (
     sw_data_en,
     z_vw_kahler,
 )
+from vw3d.series import PuiseuxSeries
 
 G_LEADING = {-1: 1, 0: 24, 1: 324, 2: 3200, 3: 25650, 4: 176256, 5: 1073720}
 
@@ -124,6 +125,16 @@ class TestPartitionFunction:
     def test_pipeline_equals_closed_form(self):
         for n in (2, 4, 6, 8):
             assert z_vw_kahler(sw_data_en(n), order=20) == en_closed_form(n, order=20)
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_one_power_of_g(self, monkeypatch, n):
+        # substitution is a ring map: G^(n/2) is taken once, then substituted
+        # at q^2 and +-q^{1/2}
+        powers, power = [], PuiseuxSeries.__pow__
+        monkeypatch.setattr(PuiseuxSeries, "__pow__",
+                            lambda s, k: powers.append(k) or power(s, k))
+        z_vw_kahler(sw_data_en(n), order=4)
+        assert powers == [n // 2]
 
     def test_e6_leading(self):
         z = z_vw_kahler(sw_data_en(6), order=0)

@@ -131,8 +131,10 @@ class TestBracket:
             assert lie_bracket(a.scale(i), b) == lie_bracket(a, b).scale(i)
             for el in (a, b, lie_bracket(a, b)):
                 _assert_well_formed(el, 3)
-                assert not el.cplx  # so every numerator is an int
-            assert lie_bracket(a.scale(i), b).cplx == (not lie_bracket(a, b).is_zero())
+                assert all(type(x) is int for c in el.terms.values() for x in c)
+            gaussian = lie_bracket(a.scale(i), b)
+            assert (any(type(x) is ExactComplex for c in gaussian.terms.values() for x in c)
+                    == (not lie_bracket(a, b).is_zero()))
 
     def test_abelian_brackets_vanish(self):
         rng = random.Random(4)

@@ -99,6 +99,14 @@ class TestExpansion:
         assert series.coefficient({"t": 1}) == 1 and series.coefficient({"t": 2}) == 1
         assert len(series.terms) == 2 and series.cutoff[0] >= UNTRUNCATED
 
+    def test_half_power_of_a_large_square(self):
+        # the exact root of (10^30 + 12345)^2 is beyond a float square root
+        root = 10**30 + 12345
+        series = ((Const(root * root) * T) ** Fraction(3, 2)).expand(("t",), 4)
+        assert series.terms == {(3,): root ** 3}
+        with pytest.raises(SeriesError):
+            ((Const(root * root + 1) * T) ** Fraction(3, 2)).expand(("t",), 4)
+
     def test_half_power_of_truncated_base(self):
         # (t^-2 (1 + t^8 + ...))^{3/2} = t^-3 (1 + (3/2) t^8 + ...): the base,
         # certified to t^6, gives its power to t^{6 + (1/2)(-2)} = t^5

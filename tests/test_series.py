@@ -47,9 +47,12 @@ class TestExactComplex:
         assert complex(ExactComplex(Fraction(-7, 4))) == -1.75 + 0j
 
     def test_perfect_square_root(self):
-        assert ExactComplex.sqrt_of_positive(Fraction(9, 16)) == Fraction(3, 4)
-        with pytest.raises(SeriesError):
-            ExactComplex.sqrt_of_positive(Fraction(2))
+        big = 10**30 + 12345  # its square is beyond float precision
+        for root in (Fraction(3, 4), Fraction(big), Fraction(1, big), Fraction(2 * 10**200)):
+            assert ExactComplex.sqrt_of_positive(root * root) == root
+        for value in (Fraction(2), Fraction(big * big + 1), Fraction(big * big, 2)):
+            with pytest.raises(SeriesError):
+                ExactComplex.sqrt_of_positive(value)
 
 
 _PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -563,16 +566,36 @@ class TestPolyPow:
 
 class TestVariableMerging:
     def test_union_of_variables(self):
-        a = PuiseuxSeries.variable("t", order=6)
-        b = PuiseuxSeries.variable("x", order=6)
+        a = PuiseuxSeries.monomial(("t",), {"t": 1}, order=6)
+        b = PuiseuxSeries.monomial(("x",), {"x": 1}, order=6)
         s = a * b
         assert s.variables == ("t", "x")
         assert s.coefficient({"t": 1, "x": 1}) == 1
+
+    def test_coefficient_of_a_foreign_variable(self):
+        s = PuiseuxSeries.constant(3, ("t",))
+        assert s.coefficient({}) == s.coefficient({"x": 0}) == 3
+        assert s.coefficient({"x": 1}) == s.coefficient({"q": 5}) == 0
+        assert s.coefficient({"t": 0, "x": Fraction(1, 2)}) == 0
 
     def test_lattice_lcm(self):
         a = PuiseuxSeries.monomial(("t",), {"t": Fraction(1, 2)}, 1, den=2)
         b = PuiseuxSeries.monomial(("q",), {"q": 1}, 1, den=24)
         assert (a * b).den == 24
+
+
+class TestScalarOperands:
+    def test_constant(self):
+        for value in (0, 3, Fraction(-1, 2), ExactComplex(1, 2)):
+            c = PuiseuxSeries.constant(value, ("t", "x"), order=4)
+            assert (c.variables, c.den, c.cutoff) == (("t", "x"), 2, (8, 8))
+            assert c.terms == ({(0, 0): ExactComplex.coerce(value)} if value else {})
+
+    def test_subtracting_a_scalar(self):
+        s = PuiseuxSeries.monomial(("t",), {"t": 1}, 2, order=4)
+        for value in (3, Fraction(1, 2), ExactComplex(1, -2), 1j):
+            shift = PuiseuxSeries.constant(-ExactComplex.coerce(value), ("t",), order=4)
+            assert (s - value).terms == (s + shift).terms
 
 
 class TestSerialization:
