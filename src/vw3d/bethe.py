@@ -32,12 +32,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratexpr import T, X, Y, Const, PoleError, rational_eval
-from .roots import ComplexPolynomial, poly_roots
+from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, rational_eval
+from .roots import ComplexPolynomial, poly_roots, root_key
 from .series import PuiseuxSeries, SeriesError, _as_fraction, default_denominator, poly_mul
 
 __all__ = [
-    "HiggsSector",
     "BetheSystem",
     "BetheRoot",
     "SMatrixValue",
@@ -63,6 +62,9 @@ __all__ = [
 
 CLASS_MULTIPLICITIES = (2, 4, 4)
 
+# The R-charge of the adjoint Higgs field of each equivariant parameter.
+R_CHARGES = {"x": 2, "y": 0, "t": 0}
+
 
 class DegenerateParameterError(ArithmeticError):
     """Parameters sit on a singular locus: vacua merge or leave the count of ten."""
@@ -73,15 +75,6 @@ class ClassAssignmentError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class HiggsSector:
-    """One adjoint Higgs field: its R-charge and equivariant parameter."""
-
-    r_charge: int
-    param_name: str
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class BetheRoot:
     z: complex
     weyl_partner_index: int
@@ -89,16 +82,12 @@ class BetheRoot:
 
 @dataclass(frozen=True)
 class BetheSystem:
-    """The saddle polynomial in z and the exact (u_-, u_+) of its quadratic
-    factors w^2 - u w + 1 in w = z^2."""
+    """The exact parameters {x, y, t}, the saddle polynomial in z and the
+    exact (u_-, u_+) of its quadratic factors w^2 - u w + 1 in w = z^2."""
 
-    sectors: tuple
+    params: dict
     polynomial: ComplexPolynomial
     traces: tuple
-
-    @property
-    def params(self):
-        return {s.param_name: s.value for s in self.sectors}
 
 
 @dataclass(frozen=True)
@@ -122,11 +111,6 @@ def build_bethe(params):
     for name, p in (("x", x), ("y", y), ("t", t)):
         if p <= 0 or p == 1:
             raise DegenerateParameterError(f"parameter {name}={p} on a singular locus")
-    sectors = (
-        HiggsSector(2, "x", x),
-        HiggsSector(0, "y", y),
-        HiggsSector(0, "t", t),
-    )
     txy = t * x * y
     if txy == 1:
         raise DegenerateParameterError("leading coefficient vanishes (t*x*y = 1)")
@@ -151,11 +135,8 @@ def build_bethe(params):
         z_coeffs += [ca - cb, Fraction(0)]
     z_coeffs.pop()  # no z^13 slot
     poly = ComplexPolynomial(tuple(complex(c) for c in z_coeffs))
-    return BetheSystem(sectors=sectors, polynomial=poly, traces=(u_minus, u_plus))
-
-
-def _root_key(z):
-    return (round(z.real, 12), round(z.imag, 12))
+    return BetheSystem(params={"x": x, "y": y, "t": t}, polynomial=poly,
+                       traces=(u_minus, u_plus))
 
 
 def admissible_roots(system):
@@ -174,24 +155,23 @@ def admissible_roots(system):
         vacua += [z, 1 / z, -z, -1 / z]
     vacua += [1j, -1j]
     # vacua[i] and vacua[i ^ 1] are Weyl partners
-    order = sorted(range(10), key=lambda i: _root_key(vacua[i]))
+    order = sorted(range(10), key=lambda i: root_key(vacua[i]))
     rank = {i: k for k, i in enumerate(order)}
     return [BetheRoot(z=vacua[i], weyl_partner_index=rank[i ^ 1]) for i in order]
 
 
-def _dilaton_factor(p, w, r_charge, eps_pole):
+def _dilaton_factor(p, w, r_charge):
     # Each linear factor is tested on its own: near (1, 1) the product is
-    # far below eps_pole while no factor is near a pole.
-    p = float(p)
+    # far below EPS_POLE while no factor is near a pole.
     factors = (p - 1.0, p - w, p * w - 1.0)
     nearest = min(abs(f) for f in factors)
-    if nearest < eps_pole:
-        raise PoleError(f"dilaton factor {nearest} below {eps_pole}")
+    if nearest < EPS_POLE:
+        raise PoleError(f"dilaton factor {nearest} below {EPS_POLE}")
     base = p ** 1.5 * w / (factors[0] * factors[1] * factors[2])
     return base ** (r_charge - 1)
 
 
-def s_squared(root, system, eps_pole=1e-12, classify=True):
+def s_squared(root, system, classify=True):
     """One-loop weight S^2 at an admissible root.
 
     S^2 = [prod_sectors (p^{3/2} z^2 / ((p-1)(p-z^2)(p z^2-1)))^{R-1}]^{-1}
@@ -202,32 +182,32 @@ def s_squared(root, system, eps_pole=1e-12, classify=True):
     w = z * z
     dilaton = 1.0 + 0.0j
     hessian = 0.0 + 0.0j
-    for sector in system.sectors:
-        p = float(sector.value)
-        dilaton *= _dilaton_factor(sector.value, w, sector.r_charge, eps_pole)
+    for name, r_charge in R_CHARGES.items():
+        p = float(system.params[name])
+        dilaton *= _dilaton_factor(p, w, r_charge)
         d1 = w / p - 1.0
         d2 = w * p - 1.0
-        if min(abs(d1), abs(d2)) < eps_pole:
+        if min(abs(d1), abs(d2)) < EPS_POLE:
             raise PoleError("superpotential Hessian summand at a pole")
         hessian += 4.0 / d1 - 4.0 / d2
     gauge = (1.0 / z - z) ** 2
-    if abs(hessian) < eps_pole:
+    if abs(hessian) < EPS_POLE:
         raise PoleError("vanishing superpotential Hessian")
     value = (1.0 / dilaton) * gauge / hessian
     label = None
     if classify:
         params = system.params
         if params["x"] == params["y"]:
-            label = _classify_xy(value, params, eps_pole)
+            label = _classify_xy(value, params)
     return SMatrixValue(s_squared=value, root=root, class_label=label)
 
 
-def _classify_xy(value, params, eps_pole):
+def _classify_xy(value, params):
     point = {"t": float(params["t"]), "x": float(params["x"])}
     names = ("S00-class", "S02-class", "S06-class")
     matches = []
     for name, expr in zip(names, s_elements_xy()):
-        ref = rational_eval(expr, point, eps_pole)
+        ref = rational_eval(expr, point)
         if abs(value - ref) <= 1e-6 * max(1.0, abs(ref)):
             matches.append(name)
     if len(matches) != 1:
@@ -236,16 +216,16 @@ def _classify_xy(value, params, eps_pole):
     return matches[0]
 
 
-def s_squared_values(system, eps_pole=1e-12, classify=False):
-    return [s_squared(r, system, eps_pole, classify) for r in admissible_roots(system)]
+def s_squared_values(system, classify=False):
+    return [s_squared(r, system, classify) for r in admissible_roots(system)]
 
 
-def verlinde_sum(g, params, eps_pole=1e-12):
+def verlinde_sum(g, params):
     """Sum of S^{2-2g} over the ten admissible vacua at the given point."""
     if g < 0:
         raise ValueError("genus must be a nonnegative integer")
     system = build_bethe(params)
-    values = s_squared_values(system, eps_pole)
+    values = s_squared_values(system)
     return sum(v.s_squared ** (1 - g) for v in values)
 
 
@@ -297,10 +277,10 @@ def _expand_to(expr, variables, order):
     """Expand at `order`, and once more by the shortfall if a Laurent product
     or `**` of a truncated Laurent base leaves the box short (see `expand`)."""
     den = default_denominator(variables)
-    series = expr.expand(variables, order, den)
+    series = expr.expand(variables, order)
     short = max(order * den - c for c in series.cutoff)
     if short > 0:
-        series = expr.expand(variables, order - (-short // den), den)
+        series = expr.expand(variables, order - (-short // den))
         if any(c < order * den for c in series.cutoff):
             raise SeriesError(f"could not certify expansion to order {order}")
     return series.truncate(order)
@@ -391,27 +371,28 @@ def limit_specialize(mode, g, order=20):
 # asymptotics near x = t = 1
 
 
-def closed_form_value(g, x, t, eps_pole=1e-12):
+def closed_form_value(g, x, t):
     """Genus-g sum via the x = y closed forms at a numeric point."""
     point = {"t": float(t), "x": float(x)}
     if g == 1:
         return 10.0
     total = 0.0j
     for mult, expr in zip(CLASS_MULTIPLICITIES, s_elements_xy()):
-        total += mult * rational_eval(expr, point, eps_pole) ** (1 - g)
+        total += mult * rational_eval(expr, point) ** (1 - g)
     return total
 
 
-def asymptotics_check(g, a, b, eps_values=(1e-2, 1e-3, 1e-4)):
+def asymptotics_check(g, a, b):
     """Ratio of the genus-g sum to its quoted near-(1,1) asymptotic form.
 
-    Path (x, t) = (1 + a*eps, 1 + b*eps) with fixed a, b < 0.  Targets:
+    Path (x, t) = (1 + a*eps, 1 + b*eps) with fixed a, b < 0, at eps = 1e-2,
+    1e-3 and 1e-4.  Targets:
     g > 1: 4 * (8 (1-t)/(1-x))^{3g-3};  g = 1: 10;  g = 0: 1/((1-t)(1-t x^2)).
     """
     if a >= 0 or b >= 0:
         raise ValueError("path slopes a, b must be negative")
     entries = []
-    for eps in eps_values:
+    for eps in (1e-2, 1e-3, 1e-4):
         x = 1 + a * eps
         t = 1 + b * eps
         value = closed_form_value(g, x, t)
@@ -443,7 +424,7 @@ def _real_if_close(z):
 # machine-readable per-point report
 
 
-def point_report(params, genera=(0, 1, 2), eps_pole=1e-12):
+def point_report(params, genera=(0, 1, 2)):
     """JSON-ready report: roots, admissible set, weights, genus sums.
 
     "roots" lists all twelve roots of the saddle polynomial: the ten vacua
@@ -454,8 +435,8 @@ def point_report(params, genera=(0, 1, 2), eps_pole=1e-12):
     system = build_bethe(params)
     roots = admissible_roots(system)
     classify = system.params["x"] == system.params["y"]
-    values = [s_squared(r, system, eps_pole, classify=classify) for r in roots]
-    all_roots = sorted([r.z for r in roots] + [1.0 + 0j, -1.0 + 0j], key=_root_key)
+    values = [s_squared(r, system, classify=classify) for r in roots]
+    all_roots = sorted([r.z for r in roots] + [1.0 + 0j, -1.0 + 0j], key=root_key)
     point = {k: float(v) for k, v in system.params.items()}
     closed = {"genus0_generic": rational_eval(s2s1_generic_expr(), point).real}
     if classify:
@@ -477,10 +458,10 @@ def point_report(params, genera=(0, 1, 2), eps_pole=1e-12):
     return report
 
 
-def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
+def sweep_report(n_points, seed=0):
     """Seeded stability sweep: root counts, Weyl pairing, multiset match.
 
-    Draws n_points parameter triples uniformly from (low, high)^3, runs the
+    Draws n_points parameter triples uniformly from (0.05, 0.95)^3, runs the
     pipeline at each, and accumulates the worst deviations.  The numeric
     roots of the saddle polynomial are an independent cross-check of the
     closed-form vacua: `ok` requires 12 roots with both unit roots present,
@@ -494,7 +475,7 @@ def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
     worst_rel = 0.0
     counts_ok = True
     for _ in range(n_points):
-        params = {k: rng.uniform(low, high) for k in ("x", "y", "t")}
+        params = {k: rng.uniform(0.05, 0.95) for k in ("x", "y", "t")}
         system = build_bethe(params)
         roots = poly_roots(system.polynomial)
         counts_ok &= len(roots) == 12
@@ -505,7 +486,7 @@ def sweep_report(n_points, seed=0, low=0.05, high=0.95, eps_pole=1e-12):
         for r in admissible:
             worst_weyl = max(worst_weyl,
                              abs(r.z * admissible[r.weyl_partner_index].z - 1))
-        weights = [s_squared(r, system, eps_pole).s_squared for r in admissible]
+        weights = [s_squared(r, system).s_squared for r in admissible]
         point = {k: float(v) for k, v in params.items()}
         for mult, expr in zip(CLASS_MULTIPLICITIES, s_elements_generic()):
             value = rational_eval(expr, point)

@@ -474,18 +474,16 @@ class FieldState:
 
 @dataclass(frozen=True)
 class SignConvention:
-    """Per-rule sign toggles plus the two global convention choices.
-
-    sigma and gauge_includes_i fix the gauge variation delta X =
-    sigma * (i) * [X, Lambda]; da_coef is the constant-field reduction
-    coefficient of the covariant derivative, dA(X) -> da_coef * [A, X].
+    """Per-rule sign toggles and the constant-field reduction coefficient
+    of the covariant derivative, dA(X) -> da_coef * [A, X].  The gauge
+    variation is always delta X = i[X, Lambda] (`gauge_variation`).
     """
 
     rule_signs: tuple = ()          # ((family, field, +-1), ...)
-    sigma: int = 1
-    gauge_includes_i: bool = True
     da_coef: ExactComplex = I_UNIT
-    calibrated: bool = False
+    # not fields: the fixed gauge convention, as bench/layers.py reads it
+    sigma = 1
+    gauge_includes_i = True
 
     def sign_of(self, family, fname):
         return next((s for fam, fld, s in self.rule_signs if (fam, fld) == (family, fname)), 1)
@@ -563,11 +561,9 @@ def apply_q(state, which, conv=None):
     return replace(state, values=out)
 
 
-def gauge_variation(state, lam, conv=None):
-    """delta X = sigma * (i) * [X, Lambda] on every adjoint field."""
-    conv = conv or default_convention(state.table)
-    coeff = ExactComplex(conv.sigma) * (I_UNIT if conv.gauge_includes_i else ExactComplex(1))
-    out = {key: GrassmannElement.combination(state.table.ncomp, ((coeff, (value, lam)),))
+def gauge_variation(state, lam):
+    """delta X = i[X, Lambda] on every adjoint field."""
+    out = {key: GrassmannElement.combination(state.table.ncomp, ((I_UNIT, (value, lam)),))
            for key, value in state.values.items()}
     return replace(state, values=out)
 
@@ -642,11 +638,11 @@ def _compose_sum(state, weights, conv):
 
 
 def q_squared_residual(state, which="Q", conv=None, param_field=None, fields=None):
-    """Q(Q X) - sigma i [X, param] per field; param None means expected zero."""
+    """Q(Q X) - i[X, param] per field; param None means expected zero."""
     conv = conv or default_convention(state.table)
     images = compose(state, which, which, conv)
     if param_field is not None:
-        expected = gauge_variation(state, state.values[(param_field, (), 0)], conv).values
+        expected = gauge_variation(state, state.values[(param_field, (), 0)]).values
         images = {key: value - expected[key] for key, value in images.items()}
     return {key: value for key, value in images.items() if fields is None or key[0] in fields}
 
@@ -888,8 +884,7 @@ def calibrate_signs(table_name, seeds=(0, 1, 2)):
 
     for conv in starts:
         if closes(conv):
-            return replace(conv, calibrated=True), {
-                "calibrated": True, "stage": "identity-toggles", "failing_rules": []}
+            return conv, {"calibrated": True, "stage": "identity-toggles", "failing_rules": []}
     rule_keys = sorted(table.rules)
     best = None
     for conv in starts:
@@ -905,8 +900,7 @@ def calibrate_signs(table_name, seeds=(0, 1, 2)):
                     if not fails:
                         break
         if not fails and closes(conv, seeds[1:]):
-            return replace(conv, calibrated=True), {
-                "calibrated": True, "stage": "greedy-toggles", "failing_rules": []}
+            return conv, {"calibrated": True, "stage": "greedy-toggles", "failing_rules": []}
         if best is None or fails < best[0]:
             best = (fails, conv)
     conv = best[1]

@@ -86,7 +86,6 @@ class BasicClass:
 
     multiple: int
     self_intersection: int
-    pairing_with_flux: int
     sw: int
 
     @property
@@ -124,7 +123,7 @@ def sw_data_en(n):
         raise ValueError("E(n) data here requires even n >= 2")
     classes = tuple(
         BasicClass(multiple=n - 2 * j, self_intersection=0,
-                   pairing_with_flux=0, sw=(-1) ** (j + 1) * comb(n - 2, j - 1))
+                   sw=(-1) ** (j + 1) * comb(n - 2, j - 1))
         for j in range(1, n)
     )
     top = KahlerTopology(chi=12 * n, sigma=-8 * n, b1=0, flux=0,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import (ExactComplex, INF_CUTOFF, UNTRUNCATED, PuiseuxSeries, SeriesError,
-                     default_denominator)
+from .series import ExactComplex, INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
 
 __all__ = [
     "RationalExpr",
@@ -27,6 +26,7 @@ __all__ = [
     "BranchError",
 ]
 
+# The one pole threshold: a denominator factor of smaller magnitude is a pole.
 EPS_POLE = 1e-12
 
 
@@ -83,18 +83,19 @@ class RationalExpr:
     def contains(self, name):
         raise NotImplementedError
 
-    def eval(self, point, eps_pole=EPS_POLE):
+    def eval(self, point):
         raise NotImplementedError
 
-    def expand(self, variables, order, den=None):
-        """Exact PuiseuxSeries expansion around the origin.
+    def expand(self, variables, order):
+        """Exact PuiseuxSeries expansion around the origin, on the lattice
+        `default_denominator(variables)`.
 
-        Constants and variables are untruncated (cutoff at least `UNTRUNCATED`),
-        and so is every sum, product and power of them.  Each inversion is a
-        `Div`, cut to certify the box of `order`.  The box falls short only
-        where a truncated factor meets one of negative valuation, as in a
-        Laurent product or `**` of a truncated Laurent base; `bethe._expand_to`
-        then expands once more.
+        Constants and variables are untruncated (cutoff `INF_CUTOFF`, which
+        is infinite), and so is every sum, product and power of them.  Each
+        inversion is a `Div`, cut to certify the box of `order`.  The box
+        falls short only where a truncated factor meets one of negative
+        valuation, as in a Laurent product or `**` of a truncated Laurent
+        base; `bethe._expand_to` then expands once more.
         """
         raise NotImplementedError
 
@@ -112,11 +113,11 @@ class Const(RationalExpr):
     def contains(self, name):
         return False
 
-    def eval(self, point, eps_pole=EPS_POLE):
+    def eval(self, point):
         return complex(self.value)
 
-    def expand(self, variables, order, den=None):
-        return _exact(variables, den, self.value)
+    def expand(self, variables, order):
+        return _exact(variables, self.value)
 
     def __repr__(self):
         return repr(self.value)
@@ -131,21 +132,21 @@ class Var(RationalExpr):
     def contains(self, name):
         return self.name == name
 
-    def eval(self, point, eps_pole=EPS_POLE):
+    def eval(self, point):
         return complex(point[self.name])
 
-    def expand(self, variables, order, den=None):
+    def expand(self, variables, order):
         if self.name not in variables:
             raise SeriesError(f"variable {self.name} missing from expansion set")
-        return _exact(variables, den, 1, self.name)
+        return _exact(variables, 1, self.name)
 
     def __repr__(self):
         return self.name
 
 
-def _exact(variables, den, coeff, name=None):
+def _exact(variables, coeff, name=None):
     """The untruncated monomial coeff * name (coeff alone if name is None)."""
-    den = den or default_denominator(variables)
+    den = default_denominator(variables)
     exps = tuple(den * (v == name) for v in variables)
     return PuiseuxSeries(variables, den, {exps: coeff}, (INF_CUTOFF,) * len(variables))
 
@@ -167,44 +168,44 @@ class _Binary(RationalExpr):
 class Add(_Binary):
     op = "+"
 
-    def eval(self, point, eps_pole=EPS_POLE):
-        return self.left.eval(point, eps_pole) + self.right.eval(point, eps_pole)
+    def eval(self, point):
+        return self.left.eval(point) + self.right.eval(point)
 
-    def expand(self, variables, order, den=None):
-        return self.left.expand(variables, order, den) + self.right.expand(variables, order, den)
+    def expand(self, variables, order):
+        return self.left.expand(variables, order) + self.right.expand(variables, order)
 
 
 class Sub(_Binary):
     op = "-"
 
-    def eval(self, point, eps_pole=EPS_POLE):
-        return self.left.eval(point, eps_pole) - self.right.eval(point, eps_pole)
+    def eval(self, point):
+        return self.left.eval(point) - self.right.eval(point)
 
-    def expand(self, variables, order, den=None):
-        return self.left.expand(variables, order, den) - self.right.expand(variables, order, den)
+    def expand(self, variables, order):
+        return self.left.expand(variables, order) - self.right.expand(variables, order)
 
 
 class Mul(_Binary):
     op = "*"
 
-    def eval(self, point, eps_pole=EPS_POLE):
-        return self.left.eval(point, eps_pole) * self.right.eval(point, eps_pole)
+    def eval(self, point):
+        return self.left.eval(point) * self.right.eval(point)
 
-    def expand(self, variables, order, den=None):
-        return self.left.expand(variables, order, den) * self.right.expand(variables, order, den)
+    def expand(self, variables, order):
+        return self.left.expand(variables, order) * self.right.expand(variables, order)
 
 
 class Div(_Binary):
     op = "/"
 
-    def eval(self, point, eps_pole=EPS_POLE):
-        return self.left.eval(point, eps_pole) / _factor_eval(self.right, point, eps_pole)
+    def eval(self, point):
+        return self.left.eval(point) / _factor_eval(self.right, point)
 
-    def expand(self, variables, order, den=None):
+    def expand(self, variables, order):
         # n d^-1 holds on the box B if d^-1 holds on B - vn and n on B + vd; invert
         # loses 2 vd, so d is cut at B - vn + 2 vd (at least vd + 1: its corner).
-        numerator = self.left.expand(variables, order, den)
-        denominator = self.right.expand(variables, order, den)
+        numerator = self.left.expand(variables, order)
+        denominator = self.right.expand(variables, order)
         box = order * denominator.den
         zero = (0,) * len(denominator.cutoff)
         vn, vd = numerator._valuations() or zero, denominator._valuations() or zero
@@ -213,14 +214,14 @@ class Div(_Binary):
         return numerator * denominator._cut(cut).invert()
 
 
-def _factor_eval(expr, point, eps_pole):
-    """`expr.eval`, testing each factor of its product tree against eps_pole:
+def _factor_eval(expr, point):
+    """`expr.eval`, testing each factor of its product tree against EPS_POLE:
     small factors can multiply to below it far from a pole (as in `bethe`)."""
     if isinstance(expr, Mul):
-        return _factor_eval(expr.left, point, eps_pole) * _factor_eval(expr.right, point, eps_pole)
-    value = expr.eval(point, eps_pole)
-    if abs(value) < eps_pole:
-        raise PoleError(f"denominator factor {value} below pole threshold {eps_pole}")
+        return _factor_eval(expr.left, point) * _factor_eval(expr.right, point)
+    value = expr.eval(point)
+    if abs(value) < EPS_POLE:
+        raise PoleError(f"denominator factor {value} below pole threshold {EPS_POLE}")
     return value
 
 
@@ -232,10 +233,10 @@ class Pow(RationalExpr):
     def contains(self, name):
         return self.base.contains(name)
 
-    def eval(self, point, eps_pole=EPS_POLE):
+    def eval(self, point):
         if self.exponent < 0:  # a denominator: tested factor by factor, as in Div
-            return _factor_eval(self.base, point, eps_pole) ** self.exponent
-        return self.base.eval(point, eps_pole) ** self.exponent
+            return _factor_eval(self.base, point) ** self.exponent
+        return self.base.eval(point) ** self.exponent
 
     def _quotient(self):
         """A negative power as the `Div` that inverts it: (L/R)^{-k} as R^k / L^k,
@@ -245,10 +246,10 @@ class Pow(RationalExpr):
             return Div(Pow(self.base.right, k), Pow(self.base.left, k))
         return Div(Const(1), Pow(self.base, k))
 
-    def expand(self, variables, order, den=None):
+    def expand(self, variables, order):
         if self.exponent < 0:
-            return self._quotient().expand(variables, order, den)
-        return self.base.expand(variables, order, den) ** self.exponent
+            return self._quotient().expand(variables, order)
+        return self.base.expand(variables, order) ** self.exponent
 
     def __repr__(self):
         return f"{self.base!r}^{self.exponent}"
@@ -264,14 +265,14 @@ class HalfPow(RationalExpr):
     def contains(self, name):
         return self.base.contains(name)
 
-    def eval(self, point, eps_pole=EPS_POLE):
-        value = self.base.eval(point, eps_pole)
+    def eval(self, point):
+        value = self.base.eval(point)
         if abs(value.imag) > 1e-13 * max(1.0, abs(value.real)) or value.real <= 0:
             raise BranchError(f"half power of non-positive-real value {value}")
         return complex(value.real ** float(self.exponent))
 
-    def expand(self, variables, order, den=None):
-        series = self.base.expand(variables, order, den)
+    def expand(self, variables, order):
+        series = self.base.expand(variables, order)
         # Supported exactly when the base is a single monomial (covers every
         # closed form in use: t^{3/2}, y^{3/2}/x^{3/2}, (x/(y t))^{3/2}, ...).
         if len(series.terms) != 1:
@@ -283,12 +284,12 @@ class HalfPow(RationalExpr):
         scaled = [e * self.exponent for e in exps]
         if any(v.denominator != 1 for v in scaled):
             raise SeriesError("half power leaves the exponent lattice")
+        scaled = tuple(map(int, scaled))
         # a base m (1 + O(C - v)) of valuation v gives m^k (1 + O(C - v)),
         # whose box moves by (k - 1) v; an untruncated base stays untruncated
-        cutoff = [c if c >= UNTRUNCATED else int(c + s - e)
-                  for c, s, e in zip(series.cutoff, scaled, exps)]
+        cutoff = [c + s - e for c, s, e in zip(series.cutoff, scaled, exps)]
         return PuiseuxSeries(series.variables, series.den,
-                             {tuple(map(int, scaled)): root ** self.exponent.numerator}, cutoff)
+                             {scaled: root ** self.exponent.numerator}, cutoff)
 
     def __repr__(self):
         return f"{self.base!r}^({self.exponent})"
@@ -297,6 +298,6 @@ class HalfPow(RationalExpr):
 T, X, Y, Z = Var("t"), Var("x"), Var("y"), Var("z")
 
 
-def rational_eval(expr, point, eps_pole=EPS_POLE):
+def rational_eval(expr, point):
     """Evaluate `expr` at `point` (mapping of variable name to value)."""
-    return expr.eval(point, eps_pole)
+    return expr.eval(point)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ComplexPolynomial", "poly_roots", "RootConvergenceError"]
+__all__ = ["ComplexPolynomial", "poly_roots", "root_key", "RootConvergenceError"]
 
 
 class RootConvergenceError(ArithmeticError):
@@ -67,6 +67,11 @@ def _residual(coeffs, z):
     return abs(value) / scale if scale else abs(value)
 
 
+def root_key(z):
+    """The canonical root order: real part, then imaginary part, to 12 digits."""
+    return (round(z.real, 12), round(z.imag, 12))
+
+
 def poly_roots(poly, tol=1e-9):
     """All `degree` roots (with multiplicity), canonically ordered.
 
@@ -112,5 +117,5 @@ def poly_roots(poly, tol=1e-9):
     if worst > tol:
         raise RootConvergenceError(
             f"root residual {worst:.3e} exceeds tolerance {tol:.3e}", worst)
-    roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
+    roots.sort(key=root_key)
     return roots

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isqrt, lcm
 from operator import add, ge, mul, sub
 
 __all__ = [
@@ -201,10 +201,11 @@ def _real(value):
 
 ZERO = ExactComplex(0)
 
-# Sentinel for "no truncation in this variable"; large enough that cutoff
-# arithmetic (shifts by valuations) never brings it into play.
-INF_CUTOFF = 10**9
-UNTRUNCATED = INF_CUTOFF // 2  # any cutoff at or above it is the shifted sentinel
+# The cutoff of a variable with no truncation: shifted or scaled, it stays one.
+INF_CUTOFF = inf
+
+# The scalars `+`, `-` and `*` take besides a series.
+_SCALARS = (int, float, Fraction, ExactComplex, complex)
 
 
 class PuiseuxSeries:
@@ -294,8 +295,7 @@ class PuiseuxSeries:
             raise SeriesError("lattice denominators must merge by lcm")
         f = new_den // self.den
         terms = {tuple(e * f for e in exps): c for exps, c in self.terms.items()}
-        cutoff = tuple(min(c * f, INF_CUTOFF) if c >= UNTRUNCATED else c * f
-                       for c in self.cutoff)
+        cutoff = tuple(c * f for c in self.cutoff)
         return PuiseuxSeries._from_terms(self.variables, new_den, terms, cutoff)
 
     def extend_variables(self, variables):
@@ -305,8 +305,8 @@ class PuiseuxSeries:
         if not set(self.variables) <= set(variables):
             raise SeriesError("can only extend the variable set")
         pos = {v: i for i, v in enumerate(variables)}
-        # Variables absent from self carry no truncation; INF_CUTOFF acts as
-        # +infinity and the partner's cutoff takes over in binary operations.
+        # Variables absent from self carry no truncation, and the partner's
+        # cutoff takes over in binary operations.
         cutoff = [INF_CUTOFF] * len(variables)
         for v, c in zip(self.variables, self.cutoff):
             cutoff[pos[v]] = c
@@ -336,7 +336,7 @@ class PuiseuxSeries:
     # arithmetic
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, ExactComplex, complex)):
+        if isinstance(other, _SCALARS):
             other = PuiseuxSeries(self.variables, self.den,
                                   {(0,) * len(self.variables): other}, self.cutoff)
         a, b = PuiseuxSeries._align(self, other)
@@ -373,7 +373,7 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_terms(self.variables, self.den, terms, self.cutoff)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactComplex, complex)):
+        if isinstance(other, _SCALARS):
             return self.scale(other)
         a, b = PuiseuxSeries._align(self, other)
         va, vb = a._valuations(), b._valuations()
@@ -449,7 +449,7 @@ class PuiseuxSeries:
         corner = self.terms.get(mins)
         if corner is None or not corner:
             raise SeriesError("no corner term: series is not a unit on its exponent box")
-        if any(c >= UNTRUNCATED for c in self.cutoff):
+        if INF_CUTOFF in self.cutoff:
             raise SeriesError("inversion needs a fully truncated series")
         if corner.im:  # conj(c) s has the real corner |c|^2
             return self.scale(corner.conjugate()).invert().scale(corner.conjugate())
@@ -510,8 +510,8 @@ class PuiseuxSeries:
             e = [v * num.denominator for v in exps]
             e[idx] = exps[idx] * num.numerator
             terms[tuple(e)] = coeff
-        cutoff = [min(c * num.denominator, INF_CUTOFF) for c in self.cutoff]
-        cutoff[idx] = min(self.cutoff[idx] * num.numerator, INF_CUTOFF)
+        cutoff = [c * num.denominator for c in self.cutoff]
+        cutoff[idx] = self.cutoff[idx] * num.numerator
         return PuiseuxSeries._from_terms(self.variables, new_den, terms, tuple(cutoff))
 
     # ------------------------------------------------------------------
@@ -561,8 +561,8 @@ class PuiseuxSeries:
     def __eq__(self, other):
         """Equality of stored terms on the common box."""
         if not isinstance(other, PuiseuxSeries):
-            other = PuiseuxSeries.constant(other, self.variables, den=self.den,
-                                           order=max(self.cutoff, default=0) // self.den + 1)
+            other = PuiseuxSeries(self.variables, self.den,
+                                  {(0,) * len(self.variables): other}, self.cutoff)
         a, b = PuiseuxSeries._align(self, other)
         cutoff = tuple(map(min, a.cutoff, b.cutoff))
         return a._cut(cutoff).terms == b._cut(cutoff).terms

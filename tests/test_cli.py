@@ -247,6 +247,19 @@ JSON_DIGESTS = [
      "9191d925a1e79c4cf05544c79ee80ff352e4bf91a7053069e5f6db7596bf4386"),
     ("floer --hn 3",
      "09f39195183091bfc9c50151c269577788ed86f45b1ae4b8dd9fb1c9eef33806"),
+    # floating-point outputs: point mode (x = y runs the class assignment),
+    # asymptotics, the sweep and --calibrate.  Their floats come from CPython
+    # float, cmath and libm only; numpy's roots reach only the sweep's `ok`.
+    ("verlinde --g 1 --x 0.3 --y 0.7 --t 0.11",
+     "e68b0bc19cba23ac9d7f29a9edb6a85b9e717ca9786fa14b268c0920a104ba38"),
+    ("verlinde --g 2 --x 0.35 --y 0.35 --t 0.15",
+     "19dc183dd2347fde74b0f810ab6744123375414738b70a7bf7ff1d791b5d0db6"),
+    ("verlinde --g 0 --asymptotics --a -1 --b -1",
+     "e97f401ee23368010e26d65a3bcd0a343c1fb7f130d280ba903fc5ebce2ad4cd"),
+    ("verlinde --sweep 20 --seed 0",
+     "c435143f1052b5944fe965244074db8853d9616a2d2cae3244d368d633284e04"),
+    ("brst --table covariant --check all --calibrate --strict --states 1",
+     "4200bbf5241595d3e3787f385fb95ab8530fcd45e73a32473293df5b2e2c3f7b"),
 ]
 
 

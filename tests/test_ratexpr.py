@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from vw3d.bethe import s_elements_xy
 from vw3d.ratexpr import BranchError, Const, PoleError, T, X, rational_eval
-from vw3d.series import UNTRUNCATED, SeriesError
+from vw3d.series import INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
 
 
 class TestEval:
@@ -97,7 +98,7 @@ class TestExpansion:
         # and t^2 survives the box of order 1
         series = ((1 + T) - 1 + T ** 2).expand(("t",), 1)
         assert series.coefficient({"t": 1}) == 1 and series.coefficient({"t": 2}) == 1
-        assert len(series.terms) == 2 and series.cutoff[0] >= UNTRUNCATED
+        assert len(series.terms) == 2 and series.cutoff[0] == INF_CUTOFF
 
     def test_half_power_of_a_large_square(self):
         # the exact root of (10^30 + 12345)^2 is beyond a float square root
@@ -116,3 +117,31 @@ class TestExpansion:
         for order in (8, 9):  # the base holds t^-2 + t^6: no monomial half power
             with pytest.raises(SeriesError):
                 expr.expand(("t",), order)
+
+
+class TestUntruncatedCutoff:
+    def test_leaves_expand_untruncated(self):
+        assert INF_CUTOFF == math.inf
+        for expr in (T, X, Const(3)):
+            assert expr.expand(("t", "x"), 4).cutoff == (math.inf, math.inf)
+
+    def test_infinity_survives_cutoff_arithmetic(self):
+        t = T.expand(("t",), 4)
+        assert t.rescale(24).cutoff == (math.inf,)
+        assert t.substitute_power("t", Fraction(1, 2)).cutoff == (math.inf,)
+        assert t.substitute_power("t", 3, sign=-1).cutoff == (math.inf,)
+        assert t.extend_variables(("t", "x")).cutoff == (math.inf, math.inf)
+        assert (T ** Fraction(3, 2)).expand(("t",), 4).cutoff == (math.inf,)
+        with pytest.raises(SeriesError):  # an untruncated series is not inverted
+            (1 + T).expand(("t",), 4).invert()
+
+    def test_truncated_laurent_factor_cuts_the_product(self):
+        # t (untruncated) times t^-1 + O(t^4): known only to O(t^5)
+        laurent = PuiseuxSeries(("t",), 2, {(-2,): 1}, (8,))
+        assert (T.expand(("t",), 4) * laurent).cutoff == (10,)
+
+    @pytest.mark.parametrize("variables", [("x",), ("t", "x"), ("t", "x", "y"), ("x", "q"),
+                                           ("x", "z")])
+    def test_lattice_follows_the_variables(self, variables):
+        for expr in (Const(2), X + 1, (X ** 2 + 1) ** 3, Const(1) / (1 - X)):
+            assert expr.expand(variables, 3).den == default_denominator(variables)

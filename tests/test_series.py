@@ -597,6 +597,14 @@ class TestScalarOperands:
             shift = PuiseuxSeries.constant(-ExactComplex.coerce(value), ("t",), order=4)
             assert (s - value).terms == (s + shift).terms
 
+    def test_float_scalars(self):
+        # a float coerces like the other scalars: 0.5 is exactly 1/2
+        s = PuiseuxSeries.monomial(("t",), {"t": 1}, 2, order=4) + 3
+        half = Fraction(1, 2)
+        for got, want in ((s * 0.5, s * half), (0.5 * s, half * s), (s + 0.5, s + half),
+                          (s - 0.5, s - half), (0.5 - s, half - s)):
+            assert got.to_json() == want.to_json()
+
 
 class TestSerialization:
     def test_text_format_sorted(self):
