@@ -31,8 +31,9 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, rational_eval
+from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, common_quotients, rational_eval
 from .roots import ComplexPolynomial, poly_roots, root_key
 from .series import PuiseuxSeries, SeriesError, _as_fraction, default_denominator, poly_mul
 
@@ -286,12 +287,26 @@ def _expand_to(expr, variables, order):
     return series.truncate(order)
 
 
-def _genus_sum(g, multiplicities, elements, variables, order):
-    """Sum over vacuum classes of mult * S^{2-2g}, each class expanded once."""
+@cache
+def _factored(forms, variables):
+    """The class elements `forms()` as `Factored`s, compiled on first use."""
+    return tuple(e.factored(variables) for e in forms())
+
+
+def _genus_sum(g, multiplicities, forms, variables, order):
+    """Sum over vacuum classes of mult * S^{2-2g} for the elements `forms()`.
+
+    Each element, compiled once per process to coeff * m * prod f^k, is raised
+    to 1 - g by scaling its k's.  Classes whose terms share a denominator
+    factor are added over one lcm, and each such shared factor is cancelled
+    from the exact numerator as often as it divides it (at g = 0 the Hessian
+    bracket of S00 and S02 goes); `common_quotients` has the rule.  Each group
+    is then expanded once as a quotient of untruncated polynomials.
+    """
     if g == 1:
         return PuiseuxSeries.constant(sum(multiplicities), variables, order=order)
-    return sum(_expand_to(e ** (1 - g), variables, order) * m
-               for m, e in zip(multiplicities, elements))
+    terms = [e ** (1 - g) * m for m, e in zip(multiplicities, _factored(forms, variables))]
+    return sum(_expand_to(q, variables, order) for q in common_quotients(terms))
 
 
 def grdim_closed_form(manifold, order=20, g=None):
@@ -307,7 +322,7 @@ def grdim_closed_form(manifold, order=20, g=None):
     if manifold == "SigmaGxS1":
         if g is None or g < 0:
             raise ValueError("SigmaGxS1 requires a genus g >= 0")
-        return _genus_sum(g, CLASS_MULTIPLICITIES, s_elements_xy(), ("t", "x"), order)
+        return _genus_sum(g, CLASS_MULTIPLICITIES, s_elements_xy, ("t", "x"), order)
     raise ValueError(f"unknown manifold {manifold!r}")
 
 
@@ -355,16 +370,16 @@ def limit_specialize(mode, g, order=20):
     if g < 0:
         raise ValueError("genus must be nonnegative")
     if mode == "R2":
-        elements = r2_series_elements()
+        forms = r2_series_elements
         multiplicities = (1, 2, 2)
         variables = ("x",)
     elif mode == "R0":
-        elements = r0_limit_elements()
+        forms = r0_limit_elements
         multiplicities = CLASS_MULTIPLICITIES
         variables = ("t",)
     else:
         raise ValueError(f"unknown limit mode {mode!r}")
-    return _genus_sum(g, multiplicities, elements, variables, order)
+    return _genus_sum(g, multiplicities, forms, variables, order)
 
 
 # ----------------------------------------------------------------------

@@ -8,18 +8,27 @@ closed form used by the Verlinde-type engine.  Two consumers:
   pole and branch guards;
 * :meth:`RationalExpr.expand` -- exact expansion into a PuiseuxSeries, used
   for graded-dimension series; each quotient certifies its own box.
+
+:meth:`RationalExpr.factored` compiles a closed form into a `Factored`, a
+coefficient times a lattice monomial times signed powers of polynomial
+factors, so that a sum of such forms can be put over one denominator and
+shared factors cancelled exactly (:func:`common_quotients`) before anything
+is truncated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
-from .series import ExactComplex, INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
+from .series import ZERO, ExactComplex, INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
 
 __all__ = [
     "RationalExpr",
     "Var",
     "Const",
+    "Factored",
+    "common_quotients",
     "T", "X", "Y", "Z",
     "rational_eval",
     "PoleError",
@@ -98,6 +107,15 @@ class RationalExpr:
         base; `bethe._expand_to` then expands once more.
         """
         raise NotImplementedError
+
+    def factored(self, variables):
+        """This expression as a `Factored` on the lattice of `variables`.
+
+        Products, quotients and integer powers combine the forms of their
+        children; any other node must expand to an untruncated polynomial,
+        which becomes one factor (a sum is never split).
+        """
+        return Factored.of(self.expand(variables, 0))
 
 
 def _coerce(value):
@@ -194,6 +212,9 @@ class Mul(_Binary):
     def expand(self, variables, order):
         return self.left.expand(variables, order) * self.right.expand(variables, order)
 
+    def factored(self, variables):
+        return self.left.factored(variables) * self.right.factored(variables)
+
 
 class Div(_Binary):
     op = "/"
@@ -212,6 +233,9 @@ class Div(_Binary):
         cut = tuple(min(max(box - n + 2 * d, d + 1), c)
                     for n, d, c in zip(vn, vd, denominator.cutoff))
         return numerator * denominator._cut(cut).invert()
+
+    def factored(self, variables):
+        return self.left.factored(variables) * self.right.factored(variables) ** -1
 
 
 def _factor_eval(expr, point):
@@ -250,6 +274,9 @@ class Pow(RationalExpr):
         if self.exponent < 0:
             return self._quotient().expand(variables, order)
         return self.base.expand(variables, order) ** self.exponent
+
+    def factored(self, variables):
+        return self.base.factored(variables) ** self.exponent
 
     def __repr__(self):
         return f"{self.base!r}^{self.exponent}"
@@ -293,6 +320,132 @@ class HalfPow(RationalExpr):
 
     def __repr__(self):
         return f"{self.base!r}^({self.exponent})"
+
+
+class Poly(RationalExpr):
+    """An untruncated polynomial series as a leaf, equal and hashed by its terms."""
+
+    def __init__(self, series):
+        self.series, self.key = series, frozenset(series.terms.items())
+
+    def __eq__(self, other):
+        return isinstance(other, Poly) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def expand(self, variables, order):
+        return self.series
+
+
+class Factored:
+    """coeff * m * prod f^k: an exact coefficient, a lattice monomial m (its
+    scaled exponents `mono`) and `powers` {f: k} with nonzero signed ints k.
+
+    Each factor f is a `Poly` of at least two terms, untruncated, with
+    valuation 0 in every variable and coefficient 1 at its least exponent
+    tuple, so a polynomial names one f whatever unit it is written with
+    (1 - t^2 and t^2 - 1 alike).  Factors are not factorised, so two of them
+    need not be coprime.  A power of the form scales its k's.
+    """
+
+    def __init__(self, variables, coeff, mono, powers):
+        self.variables, self.coeff, self.mono, self.powers = variables, coeff, mono, powers
+
+    @staticmethod
+    def of(series):
+        """The untruncated polynomial `series` as coeff * m * f (no f if one term)."""
+        if any(c != INF_CUTOFF for c in series.cutoff):
+            raise SeriesError("only an untruncated polynomial compiles to a factor")
+        mono = series._valuations() or (0,) * len(series.variables)
+        if len(series.terms) < 2:
+            return Factored(series.variables, series.terms.get(mono, ZERO), mono, {})
+        lead = series.terms[min(series.terms)]
+        terms = {tuple(map(sub, e, mono)): c / lead for e, c in series.terms.items()}
+        f = PuiseuxSeries._from_terms(series.variables, series.den, terms, series.cutoff)
+        return Factored(series.variables, lead, mono, {Poly(f): 1})
+
+    def __mul__(self, other):
+        """The product with another form or with an int multiplicity."""
+        if isinstance(other, int):
+            return Factored(self.variables, self.coeff * other, self.mono, self.powers)
+        powers = dict(self.powers)
+        for f, k in other.powers.items():
+            if k := k + powers.pop(f, 0):
+                powers[f] = k
+        return Factored(self.variables, self.coeff * other.coeff,
+                        tuple(map(add, self.mono, other.mono)), powers)
+
+    def __pow__(self, k):
+        return Factored(self.variables, self.coeff ** k, tuple(e * k for e in self.mono),
+                        {f: j * k for f, j in self.powers.items()} if k else {})
+
+    def denominator(self):
+        return {f: -k for f, k in self.powers.items() if k < 0}
+
+    def expanded(self, powers):
+        """Multiplied out, untruncated; every k must be positive.  `powers`
+        keeps each f^k taken, for the caller's next forms."""
+        series = PuiseuxSeries._from_terms(
+            self.variables, default_denominator(self.variables),
+            {self.mono: self.coeff} if self.coeff else {}, (INF_CUTOFF,) * len(self.mono))
+        for f, k in self.powers.items():
+            if (f, k) not in powers:
+                powers[f, k] = f.series ** k
+            series = series * powers[f, k]
+        return series
+
+
+def common_quotients(terms):
+    """The sum of `Factored` terms as `Div`s of untruncated polynomials N / D.
+
+    Terms linked by shared denominator factors, directly or through other
+    terms, form one group, and so do the terms with no denominator.  A group
+    is put over the lcm of its denominators (factors taken as atoms at their
+    largest power).  Each lcm factor that two or more terms have in their
+    denominators is divided out of N for as long as it divides exactly.
+    `Div.expand` of each group certifies its box.
+    """
+    groups = []  # (denominator factors, terms)
+    for term in terms:
+        factors, members = set(term.denominator()), [term]
+        for group in [group for group in groups if group[0] & factors or not group[0] | factors]:
+            groups.remove(group)
+            factors |= group[0]
+            members += group[1]
+        groups.append((factors, members))
+    quotients = []
+    for _, members in groups:
+        dens = [term.denominator() for term in members]
+        lcm = {f: max(d.get(f, 0) for d in dens) for d in dens for f in d}
+        variables = members[0].variables
+        unit = (variables, ExactComplex(1), (0,) * len(variables))
+        powers = {}
+        numerator = sum((term * Factored(*unit, lcm)).expanded(powers) for term in members)
+        for f in [f for f in lcm if sum(f in d for d in dens) > 1]:
+            while lcm[f] and (quotient := _exact_quotient(numerator, f.series)) is not None:
+                numerator, lcm[f] = quotient, lcm[f] - 1
+        denominator = Factored(*unit, {f: k for f, k in lcm.items() if k}).expanded(powers)
+        quotients.append(Div(Poly(numerator), Poly(denominator)))
+    return quotients
+
+
+def _exact_quotient(n, f):
+    """n / f for untruncated polynomials, or None if f does not divide n.
+
+    A quotient's exponents lie from vn - vf to top(n) - top(f) (v the
+    valuation, top the largest exponent, per variable); f is inverted to
+    certify n / f on that box, and the quotient is kept if it times f is n.
+    """
+    vn, vf = n._valuations(), f._valuations()
+    if vn is None or vf not in f.terms:
+        return None
+    box = tuple(max(a) - max(b) + 1 for a, b in zip(zip(*n.terms), zip(*f.terms)))
+    cut = tuple(b - v + 2 * w for b, v, w in zip(box, vn, vf))
+    if any(c <= w for c, w in zip(cut, vf)):
+        return None
+    q = PuiseuxSeries._from_terms(n.variables, n.den, (n * f._cut(cut).invert()).terms, n.cutoff)
+    return q if q * f == n else None
 
 
 T, X, Y, Z = Var("t"), Var("x"), Var("y"), Var("z")

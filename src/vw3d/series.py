@@ -4,7 +4,13 @@ Coefficients are exact complex rationals (`ExactComplex`).  Exponents of a
 `PuiseuxSeries` live on a scaled integer lattice (1/D)Z per variable, so
 half-integer powers such as t^{3/2} and the denominator-24 lattice used for
 q-series coexist in one type.  Truncation is a per-variable exclusive upper
-bound (a "box"); Laurent tails (negative exponents) are allowed.
+bound (a "box"); Laurent tails (negative exponents) are allowed.  An
+untruncated variable has the cutoff `INF_CUTOFF`, which JSON writes as null.
+
+A series stands for its stored terms plus terms it does not store, all at or
+beyond its cutoff.  `*` is sound only when every such unstored term also lies
+at or above the stored valuation in each variable, as for a monomial times a
+power series; the product's cutoff min(ca + vb, cb + va) assumes it.
 
 All values are immutable after construction; operations are pure functions.
 
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm
+from math import gcd, inf, isqrt, lcm, prod
 from operator import add, ge, mul, sub
 
 __all__ = [
@@ -149,8 +155,14 @@ class ExactComplex:
     def __rtruediv__(self, other):
         return ExactComplex.coerce(other) / self
 
+    def __pow__(self, k):
+        """An integer power."""
+        if not self.im:
+            return _real(self.re ** k)
+        return prod([self if k >= 0 else 1 / self] * abs(k), start=ExactComplex(1))
+
     def __eq__(self, other):
-        if isinstance(other, (ExactComplex, int, Fraction, complex)):
+        if isinstance(other, (ExactComplex, int, float, Fraction, complex)):
             other = ExactComplex.coerce(other)
             return self.re == other.re and self.im == other.im
         return NotImplemented
@@ -594,15 +606,15 @@ class PuiseuxSeries:
             "variables": list(self.variables),
             "denominator": self.den,
             "terms": [[list(e), [str(c.re), str(c.im)]] for e, c in self._sorted_terms()],
-            "truncation": list(self.cutoff),
+            "truncation": [None if c == INF_CUTOFF else c for c in self.cutoff],
         }
 
     @staticmethod
     def from_json_dict(data):
         terms = {tuple(e): ExactComplex(Fraction(re), Fraction(im))
                  for e, (re, im) in data["terms"]}
-        return PuiseuxSeries(tuple(data["variables"]), data["denominator"],
-                             terms, tuple(data["truncation"]))
+        cutoff = tuple(INF_CUTOFF if c is None else c for c in data["truncation"])
+        return PuiseuxSeries(tuple(data["variables"]), data["denominator"], terms, cutoff)
 
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True)

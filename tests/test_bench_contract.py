@@ -83,3 +83,18 @@ def test_closed_forms_layers_see_calls():
     seen = dict(snap["calls"], **snap["counters"])
     expected = set(layers.EXPECTED["closed_forms"]) - {"cli.main"}
     assert [name for name in expected if not seen.get(name)] == []
+
+
+def test_closed_forms_layers_see_calls_with_a_warm_cache():
+    # the genus sums compile their class elements once per process; the
+    # traced layers must still see every call once that compilation is cached
+    def calls():
+        bethe.grdim_closed_form("SigmaGxS1", order=8, g=2)
+        bethe.limit_specialize("R2", 2, order=8)
+        floer.hf_plus("lens", p=3, order=10)
+
+    calls()
+    snap = _traced(calls).snapshot()
+    seen = dict(snap["calls"], **snap["counters"])
+    expected = set(layers.EXPECTED["closed_forms"]) - {"cli.main"}
+    assert [name for name in expected if not seen.get(name)] == []

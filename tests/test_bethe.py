@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from vw3d.bethe import (
+    CLASS_MULTIPLICITIES,
     DegenerateParameterError,
     _expand_to,
+    _factored,
     admissible_roots,
     asymptotics_check,
     build_bethe,
@@ -28,9 +30,10 @@ from vw3d.bethe import (
     s_squared_values,
     verlinde_sum,
 )
-from vw3d.ratexpr import Const, PoleError, T, rational_eval
+from vw3d.ratexpr import (Const, Factored, PoleError, T, X, _exact_quotient, common_quotients,
+                          rational_eval)
 from vw3d.roots import poly_roots
-from vw3d.series import default_denominator, poly_mul
+from vw3d.series import INF_CUTOFF, default_denominator, poly_mul
 
 GENERIC = {"x": 0.3, "y": 0.7, "t": 0.11}
 
@@ -360,6 +363,67 @@ class TestDerivedPad:
         series = grdim_closed_form("S2xS1", order=2)
         assert series.coefficient({"t": Fraction(3, 2)}) == 2
         assert grdim_closed_form("S2xS1", order=1).is_zero()
+
+
+def _per_class_sum(g, multiplicities, elements, variables, order):
+    """Reference genus sum: each class term expanded on its own, then added."""
+    return sum(_expand_to(e ** (1 - g), variables, order) * m
+               for m, e in zip(multiplicities, elements))
+
+
+# (label, shipped genus sum, class elements, multiplicities, variables)
+GENUS_SUMS = [
+    ("xy", lambda g, o: grdim_closed_form("SigmaGxS1", order=o, g=g), s_elements_xy,
+     CLASS_MULTIPLICITIES, ("t", "x")),
+    ("R2", lambda g, o: limit_specialize("R2", g, order=o), r2_series_elements, (1, 2, 2),
+     ("x",)),
+    ("R0", lambda g, o: limit_specialize("R0", g, order=o), r0_limit_elements,
+     CLASS_MULTIPLICITIES, ("t",)),
+]
+
+
+def _group_quotients(forms, multiplicities, variables, g):
+    terms = [e ** (1 - g) * m for m, e in zip(multiplicities, _factored(forms, variables))]
+    return common_quotients(terms)
+
+
+def _same_up_to_unit(a, b):
+    fa, fb = Factored.of(a), Factored.of(b)
+    return fa.mono == fb.mono and fa.powers == fb.powers
+
+
+class TestGenusSumQuotients:
+    @pytest.mark.parametrize("g", [0, 1, 2, 3, 4, 5, 6, 7, 9])
+    @pytest.mark.parametrize("label, shipped, forms, mults, variables", GENUS_SUMS,
+                             ids=[s[0] for s in GENUS_SUMS])
+    def test_matches_the_per_class_sum(self, label, shipped, forms, mults, variables, g):
+        for order in (1, 2, 3, 6, 13, 20, 35):
+            assert shipped(g, order).to_json() == \
+                _per_class_sum(g, mults, forms(), variables, order).to_json()
+
+    def test_hessian_bracket_cancels_at_genus_zero(self):
+        # the g = 0 classes form one group, and the dense bracket
+        # t(3x - 1) + x - 3 of S00 and S02 leaves its denominator, which is
+        # then a product of binomials
+        (group,) = _group_quotients(s_elements_xy, CLASS_MULTIPLICITIES, ("t", "x"), 0)
+        binomials = (1 - T) * (1 - T ** 2) * (1 - T * X ** 2) * (1 + T * X ** 2)
+        assert _same_up_to_unit(group.right.series, binomials.expand(("t", "x"), 0))
+        bracket = (T * (3 * X - 1) + X - 3).expand(("t", "x"), 0)
+        assert _exact_quotient(group.right.series, bracket) is None
+
+    def test_r2_genus_two_denominator(self):
+        # S00 and S02 share 1 - x; their group is over (1 - x^2)^3, the
+        # denominator of test_r2_genus_two_closed_ratio
+        groups = _group_quotients(r2_series_elements, (1, 2, 2), ("x",), 2)
+        assert _same_up_to_unit(groups[0].right.series, ((1 - X ** 2) ** 3).expand(("x",), 0))
+
+    @pytest.mark.parametrize("label, shipped, forms, mults, variables", GENUS_SUMS,
+                             ids=[s[0] for s in GENUS_SUMS])
+    def test_groups_are_untruncated(self, label, shipped, forms, mults, variables):
+        for g in (0, 2, 5):
+            for q in _group_quotients(forms, mults, variables, g):
+                for side in (q.left.series, q.right.series):
+                    assert side.cutoff == (INF_CUTOFF,) * len(variables)
 
 
 class TestLimits:

@@ -260,6 +260,17 @@ JSON_DIGESTS = [
      "c435143f1052b5944fe965244074db8853d9616a2d2cae3244d368d633284e04"),
     ("brst --table covariant --check all --calibrate --strict --states 1",
      "4200bbf5241595d3e3787f385fb95ab8530fcd45e73a32473293df5b2e2c3f7b"),
+    # genus sums and limits put over one denominator per group of classes
+    ("verlinde --g 2 --series --order 12",
+     "9f19c6f6891c3a19174542342be281d65368ef56c9b6c2586e22f9d670583f8b"),
+    ("verlinde --g 4 --series --order 8",
+     "6a6b46eadb4cc75045964d424bee5ce4454bcbdb87bf422384bcb22220fa9a71"),
+    ("verlinde --g 3 --limit R0 --order 20",
+     "34274eadf8b98612be6ed7e8d1c25f532b836be33685162fe042c036d1ffb1fc"),
+    ("verlinde --g 0 --limit R2 --order 30",
+     "d7fa397e9949e89f7f60dfc83aafcb2c32780f5cf1f96fef7cf74f896debb154"),
+    ("verlinde --g 4 --limit R2 --order 16",
+     "2e340f748afdfd0bc551c4586ae9805b7ce1f09474465009e7b2e694ac3b213c"),
 ]
 
 

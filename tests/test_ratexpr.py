@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from vw3d.bethe import s_elements_xy
-from vw3d.ratexpr import BranchError, Const, PoleError, T, X, rational_eval
+from vw3d.ratexpr import (BranchError, Const, Factored, PoleError, T, X, _exact_quotient,
+                          common_quotients, rational_eval)
 from vw3d.series import INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
 
 
@@ -145,3 +146,80 @@ class TestUntruncatedCutoff:
     def test_lattice_follows_the_variables(self, variables):
         for expr in (Const(2), X + 1, (X ** 2 + 1) ** 3, Const(1) / (1 - X)):
             assert expr.expand(variables, 3).den == default_denominator(variables)
+
+
+def _poly(variables, terms):
+    """An untruncated polynomial from {unscaled exponent tuple: coefficient}."""
+    den = default_denominator(variables)
+    return PuiseuxSeries(variables, den,
+                         {tuple(int(e * den) for e in exps): c for exps, c in terms.items()},
+                         (INF_CUTOFF,) * len(variables))
+
+
+class TestFactored:
+    def test_a_polynomial_names_one_factor_up_to_a_unit(self):
+        a, b = (1 - T ** 2).factored(("t",)), (T ** 2 - 1).factored(("t",))
+        assert a.powers == b.powers and list(a.powers.values()) == [1]
+        assert (a.coeff, b.coeff) == (1, -1) and a.mono == b.mono == (0,)
+        (f,) = a.powers
+        assert f.series == _poly(("t",), {(0,): 1, (2,): -1})
+
+    def test_monomials_and_half_powers_carry_no_factor(self):
+        form = (3 * T ** Fraction(3, 2) * X ** 2).factored(("t", "x"))
+        assert (form.coeff, form.mono, form.powers) == (3, (3, 4), {})
+
+    def test_products_and_powers_combine_exponents(self):
+        form = ((X + 1) ** 3 * (1 - X) / ((X + 1) * (2 * X - 2) ** 2)).factored(("x",))
+        assert sorted(form.powers.values()) == [-1, 2]
+        # 2x - 2 = -2 (1 - x), so the form is (1 + x)^2 / (4 (1 - x))
+        assert form.coeff == Fraction(1, 4)
+        cubed = form ** -3
+        assert sorted(cubed.powers.values()) == [-6, 3] and cubed.coeff == 64
+        assert (form * (X - 1).factored(("x",))).powers == {
+            f: k for f, k in form.powers.items() if k > 0}
+
+    def test_a_sum_must_be_a_polynomial(self):
+        with pytest.raises(SeriesError):
+            (1 + Const(1) / (1 - X)).factored(("x",))
+
+    def test_expanded_multiplies_out(self):
+        form = (2 * T ** Fraction(1, 2) * (1 + T) ** 2 * (1 - T)).factored(("t",))
+        assert form.expanded({}) == _poly(("t",), {(Fraction(1, 2),): 2, (Fraction(3, 2),): 2,
+                                                 (Fraction(5, 2),): -2, (Fraction(7, 2),): -2})
+
+
+class TestExactQuotient:
+    def test_divides_exactly(self):
+        f = _poly(("t", "x"), {(0, 0): 1, (1, 1): 3, (0, 1): -1})
+        q = _poly(("t", "x"), {(0, 0): 2, (2, 0): Fraction(1, 2), (1, 3): -1})
+        got = _exact_quotient(q * f, f)
+        assert got == q and got.cutoff == (INF_CUTOFF, INF_CUTOFF)
+        laurent = _poly(("t", "x"), {(Fraction(-3, 2), -1): 5}) * q
+        assert _exact_quotient(laurent * f, f) == laurent
+
+    def test_rejects_a_non_divisor(self):
+        one_minus_t = _poly(("t",), {(0,): 1, (1,): -1})
+        assert _exact_quotient(_poly(("t",), {(0,): 1, (1,): 1}), one_minus_t) is None
+        # a quotient box smaller than the divisor's span: no quotient at all
+        assert _exact_quotient(_poly(("t",), {(0,): 1}), one_minus_t) is None
+        # t^2 - 1 = (t - 1)(t + 1), but t + t^3 is not a multiple of 1 - t
+        assert _exact_quotient(_poly(("t",), {(1,): 1, (3,): 1}), one_minus_t) is None
+
+
+class TestCommonQuotients:
+    def test_groups_follow_shared_denominator_factors(self):
+        variables = ("x",)
+        exprs = (Const(1) / (1 - X), X ** 2, Const(-3) / ((1 - X) * (2 + X)), Const(1) / (3 + X),
+                 5 * X)
+        groups = common_quotients([e.factored(variables) for e in exprs])
+        assert len(groups) == 3
+        # 1/(1-x) - 3/((1-x)(2+x)) = -1/(2+x) once 1 - x cancels
+        assert Factored.of(groups[0].right.series).powers == (2 + X).factored(variables).powers
+        # the two polynomials share the denominator 1
+        assert groups[2].left.series == (X ** 2 + 5 * X).expand(variables, 0)
+        assert groups[2].right.series == Const(1).expand(variables, 0)
+        for q in groups:
+            assert q.left.series.cutoff == q.right.series.cutoff == (INF_CUTOFF,)
+        total = sum(q.expand(variables, 9) for q in groups).truncate(9)
+        want = sum(e.expand(variables, 9) for e in exprs).truncate(9)
+        assert total.to_json() == want.to_json()

@@ -1,4 +1,5 @@
 import heapq
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -53,6 +54,18 @@ class TestExactComplex:
         for value in (Fraction(2), Fraction(big * big + 1), Fraction(big * big, 2)):
             with pytest.raises(SeriesError):
                 ExactComplex.sqrt_of_positive(value)
+
+    def test_equals_a_float_as_the_constructor_reads_it(self):
+        assert ExactComplex(Fraction(1, 2)) == 0.5
+        assert ExactComplex(1) == 1.0 and ExactComplex(Fraction(3, 10)) == 0.3
+        assert ExactComplex(Fraction(1, 3)) != 0.5
+        assert PuiseuxSeries.constant(1, ("t",)).coefficient({"t": 0}) == 1.0
+
+    def test_integer_powers(self):
+        a = ExactComplex(Fraction(-2, 3))
+        assert a ** 3 == Fraction(-8, 27) and a ** -2 == Fraction(9, 4) and a ** 0 == 1
+        b = ExactComplex(1, 2)
+        assert b ** 3 == b * b * b and b ** -2 == 1 / (b * b) and b ** 0 == 1
 
 
 _PARTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -617,6 +630,15 @@ class TestSerialization:
         s = q_poly({-1: 1, 0: 24, 2: Fraction(3, 2)})
         again = PuiseuxSeries.from_json_dict(s.to_json_dict())
         assert again == s and again.den == s.den
+
+    def test_untruncated_cutoff_is_null(self):
+        # strict JSON has no Infinity: an untruncated variable writes null
+        s = PuiseuxSeries(("t", "x"), 2, {(0, 2): 3, (4, 0): Fraction(1, 2)},
+                          (series.INF_CUTOFF, 8))
+        text = s.to_json()
+        assert '"truncation": [null, 8]' in text and "Infinity" not in text
+        again = PuiseuxSeries.from_json_dict(json.loads(text))
+        assert again.cutoff == s.cutoff and again.terms == s.terms
 
     def test_evaluate(self):
         s = t_poly({Fraction(3, 2): 1})
