@@ -22,7 +22,9 @@ of S^{2-2g} over the ten vacua.
 
 Closed forms for the weights (generic, the x=y specialization, the g=0 sum
 and its y=x simplification) are provided as RationalExpr trees for direct
-evaluation and exact series expansion.
+evaluation and exact series expansion.  Each tree builder runs once per
+process, on its first call, and hands the same trees to every caller, who
+must not mutate them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, common_quotients, rational_eval
 from .roots import ComplexPolynomial, poly_roots, root_key
@@ -203,12 +205,21 @@ def s_squared(root, system, classify=True):
     return SMatrixValue(s_squared=value, root=root, class_label=label)
 
 
+@lru_cache(maxsize=1)
+def _xy_references(t, x):
+    """The three x = y class weights at the exact point (t, x).
+
+    One entry, keyed on the point's exact Fractions: the ten roots of one
+    point are classified in a row, and a new point replaces the entry.
+    """
+    point = {"t": float(t), "x": float(x)}
+    return tuple(rational_eval(expr, point) for expr in s_elements_xy())
+
+
 def _classify_xy(value, params):
-    point = {"t": float(params["t"]), "x": float(params["x"])}
     names = ("S00-class", "S02-class", "S06-class")
     matches = []
-    for name, expr in zip(names, s_elements_xy()):
-        ref = rational_eval(expr, point)
+    for name, ref in zip(names, _xy_references(params["t"], params["x"])):
         if abs(value - ref) <= 1e-6 * max(1.0, abs(ref)):
             matches.append(name)
     if len(matches) != 1:
@@ -234,8 +245,9 @@ def verlinde_sum(g, params):
 # closed forms
 
 
+@cache
 def s_elements_xy():
-    """The three squared weights at x = y, as expressions in (t, x)."""
+    """The three squared weights at x = y, in (t, x).  Shared: do not mutate."""
     t32 = T ** Fraction(3, 2)
     bracket = T * (3 * X - 1) + X - 3
     s00 = t32 * (X + 1) / ((T ** 2 - 1) * bracket)
@@ -244,8 +256,9 @@ def s_elements_xy():
     return (s00, s02, s06)
 
 
+@cache
 def s_elements_generic():
-    """The three squared weights at generic (x, y, t)."""
+    """The three squared weights at generic (x, y, t).  Shared: do not mutate."""
     t32 = T ** Fraction(3, 2)
     y32 = Y ** Fraction(3, 2)
     x32 = X ** Fraction(3, 2)
@@ -259,8 +272,10 @@ def s_elements_generic():
     return (s00, s02, s06)
 
 
+@cache
 def s2s1_generic_expr():
-    """Genus-0 sum at generic (x, y, t): the S^2 x S^1 graded dimension."""
+    """Genus-0 sum at generic (x, y, t): the S^2 x S^1 graded dimension.
+    Shared: do not mutate."""
     inner = X * (T * (X * Y * (T * (X ** 2 + X + 1) * Y - (T + 1) * X - X * Y)
                       + Y + 1) - X + Y - 1) - 1
     return (2 * T ** Fraction(3, 2) * (X - 1) * Y ** Fraction(3, 2) * inner) / (
@@ -268,8 +283,9 @@ def s2s1_generic_expr():
         * (T ** 2 * X ** 2 * Y ** 2 - 1))
 
 
+@cache
 def s2xs1_closed_expr():
-    """Genus-0 sum specialized to y = x, in (t, x)."""
+    """Genus-0 sum specialized to y = x, in (t, x).  Shared: do not mutate."""
     return 2 * T ** Fraction(3, 2) * (T * X ** 4 + 1) / (
         (1 - T ** 2) * (1 - T ** 2 * X ** 4))
 
@@ -289,7 +305,11 @@ def _expand_to(expr, variables, order):
 
 @cache
 def _factored(forms, variables):
-    """The class elements `forms()` as `Factored`s, compiled on first use."""
+    """The class elements `forms()` as `Factored`s, compiled on first use.
+
+    The key is the builder itself: callers pass the module attribute, the
+    builder's own cache wrapper, so one form set compiles once.
+    """
     return tuple(e.factored(variables) for e in forms())
 
 
@@ -330,13 +350,14 @@ def grdim_closed_form(manifold, order=20, g=None):
 # limits
 
 
+@cache
 def r2_limit_elements():
     """Normalized weight limits for y -> 0, t -> 0 (printed convention).
 
     These are the rational functions the limit is conventionally quoted as;
     the derivation-consistent limits of (y t / x)^{3/2} S^2 are their
     negatives (see r2_series_elements), and the genus sums below use the
-    derivation-consistent sign.
+    derivation-consistent sign.  Shared: do not mutate.
     """
     return (
         (X - 1) * (X + 1) ** 3 / (X + 3),
@@ -345,12 +366,15 @@ def r2_limit_elements():
     )
 
 
+@cache
 def r2_series_elements():
+    """The R2 weights in the derivation-consistent sign.  Shared: do not mutate."""
     return tuple(Const(-1) * e for e in r2_limit_elements())
 
 
+@cache
 def r0_limit_elements():
-    """Weights at x = y -> 0 with t fixed, as expressions in t."""
+    """Weights at x = y -> 0 with t fixed, in t.  Shared: do not mutate."""
     t32 = T ** Fraction(3, 2)
     return (
         t32 / ((1 - T ** 2) * (T + 3)),

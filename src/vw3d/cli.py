@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from functools import cache
 
 from . import bethe, brst, elliptic, floer
 from .ratexpr import BranchError, PoleError
@@ -234,7 +235,13 @@ def _finite_float(text):
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    Parsing leaves no state on the parser: each call returns a fresh
+    namespace, and defaults such as `_order`'s $VW3D_ORDER are read later.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--order", type=int, default=None,
@@ -293,13 +300,15 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         order = _order(args)
         report, lines, code = _HANDLERS[args.command](args, order)
-    except (ValueError, KeyError, brst.RuleMissingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError) as exc:
+        # str() of a KeyError (RuleMissingError too) is the repr of its
+        # argument: print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (PoleError, BranchError, RootConvergenceError, SeriesError,
             bethe.DegenerateParameterError, bethe.ClassAssignmentError,

@@ -385,6 +385,13 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_terms(self.variables, self.den, terms, self.cutoff)
 
     def __mul__(self, other):
+        """The truncated product, cut at min(ca + vb, cb + va) per variable.
+
+        Precondition, not checked: every term an operand does not store lies
+        at or above its stored valuation in each variable, as for a monomial
+        times a power series.  Otherwise the product can miss terms inside
+        its claimed cutoff.
+        """
         if isinstance(other, _SCALARS):
             return self.scale(other)
         a, b = PuiseuxSeries._align(self, other)

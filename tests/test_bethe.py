@@ -10,7 +10,9 @@ import pytest
 
 from vw3d.bethe import (
     CLASS_MULTIPLICITIES,
+    ClassAssignmentError,
     DegenerateParameterError,
+    _classify_xy,
     _expand_to,
     _factored,
     admissible_roots,
@@ -168,6 +170,26 @@ class TestWeights:
         got = sorted((v.s_squared for v in values), key=_sorted_key)
         for a, b in zip(got, expected):
             assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
+
+    def test_classes_follow_the_point(self):
+        # two x = y points in a row that differ only in t: the class
+        # references are cached per point, so the second must not see the first's
+        names = ("S00-class", "S02-class", "S06-class")
+        for t in (Fraction(1, 9), Fraction(3, 10)):
+            values = s_squared_values(build_bethe({"x": 0.25, "y": 0.25, "t": t}),
+                                      classify=True)
+            labels = [v.class_label for v in values]
+            assert tuple(labels.count(n) for n in names) == CLASS_MULTIPLICITIES
+            refs = dict(zip(names, (rational_eval(e, {"x": 0.25, "t": float(t)})
+                                    for e in s_elements_xy())))
+            for v in values:
+                ref = refs[v.class_label]
+                assert abs(v.s_squared - ref) <= 1e-6 * max(1.0, abs(ref))
+
+    def test_unmatched_weight_raises(self):
+        params = build_bethe({"x": 0.25, "y": 0.25, "t": 1 / 9}).params
+        with pytest.raises(ClassAssignmentError, match="none"):
+            _classify_xy(1e6 + 1e6j, params)
 
     def test_specialization_coherence(self):
         # generic pipeline evaluated at y = x agrees with the x = y forms

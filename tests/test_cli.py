@@ -102,6 +102,12 @@ class TestFloer:
         code, _, err = run_cli(capsys, "floer", "--hf", "poincare")
         assert code == EXIT_PRECONDITION
 
+    def test_key_error_message_prints_unquoted(self, capsys):
+        code, out, err = run_cli(capsys, "floer", "--brieskorn", "P", "--conjecture")
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert err == "error: sheaf-model rank for Sigma(2,3,5) is not tabulated\n"
+
 
 class TestBrst:
     def test_abelian_q2(self, capsys):
@@ -170,6 +176,42 @@ class TestReproducibility:
         _, out, _ = run_cli(capsys, "floer", "--molien", "--json")
         parsed = json.loads(out)
         assert parsed["config"]["order"] == 5
+
+
+class TestParserReuse:
+    """`main` parses every call with the one parser of the process."""
+
+    def test_second_call_carries_no_option_of_the_first(self, capsys):
+        code, out, _ = run_cli(capsys, "elliptic", "--n", "6", "--order", "2",
+                               "--gluing", "--json")
+        assert code == EXIT_OK and "gluing" in json.loads(out)
+        code, out, _ = run_cli(capsys, "elliptic", "--n", "4", "--order", "2", "--json")
+        assert code == EXIT_OK
+        parsed = json.loads(out)
+        assert "gluing" not in parsed
+        assert parsed["config"]["parameters"] == {"gluing": False, "n": 4, "order": 2,
+                                                  "seed": 0}
+        code, out, _ = run_cli(capsys, "floer", "--hn", "3", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["config"]["parameters"] == {
+            "conjecture": False, "hn": 3, "molien": False, "seed": 0}
+
+    def test_order_follows_the_environment_between_calls(self, capsys, monkeypatch):
+        for order in ("5", "7"):
+            monkeypatch.setenv("VW3D_ORDER", order)
+            code, out, _ = run_cli(capsys, "floer", "--molien", "--json")
+            assert code == EXIT_OK
+            assert json.loads(out)["config"]["order"] == int(order)
+
+    def test_valid_call_after_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verlinde", "--x", "nan"])
+        assert exc.value.code == EXIT_PRECONDITION
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "verlinde", "--g", "1", "--x", "0.3", "--y", "0.7",
+                               "--t", "0.11")
+        assert code == EXIT_OK
+        assert "verlinde(g=1) = 10" in out
 
 
 class TestInputContract:

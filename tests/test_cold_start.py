@@ -1,4 +1,5 @@
-"""numpy stays off the import path: only root solving loads it.
+"""numpy stays off the import path: only root solving loads it, and no
+closed-form tree is built before its first use.
 
 pytest itself has imported numpy by now, so each check runs in a fresh
 interpreter.
@@ -19,12 +20,16 @@ def check(stage, loaded=False):
 
 import vw3d
 check("import vw3d")
-from vw3d import brst, cli
+from vw3d import bethe, brst, cli
 for name in ("abelian", "nonabelian", "covariant", "threed"):
     brst.get_table(name)
 check("brst.get_table")
 cli.build_parser()
 check("cli.build_parser")
+for cached in (bethe.s_elements_xy, bethe.s_elements_generic, bethe.s2s1_generic_expr,
+               bethe.s2xs1_closed_expr, bethe.r2_limit_elements, bethe.r2_series_elements,
+               bethe.r0_limit_elements, bethe._factored, bethe._xy_references):
+    assert cached.cache_info().currsize == 0, f"{cached.__name__} built at import"
 for argv in (["verlinde", "--g", "1", "--x", "0.3", "--y", "0.7", "--t", "0.11", "--json"],
              ["floer", "--hf", "S2xS1", "--json"],
              ["brst", "--table", "abelian", "--check", "Q2", "--json"]):

@@ -236,6 +236,61 @@ def _random_operand(rng, variables, den, kind):
     return PuiseuxSeries(variables, den, terms, cutoff)
 
 
+def _exact_product_in_box(a_full, b_full, cutoff):
+    """The product of two untruncated term maps, restricted to the box below `cutoff`."""
+    terms = {}
+    for ea, ca in a_full.items():
+        for eb, cb in b_full.items():
+            e = tuple(map(add, ea, eb))
+            if all(map(lt, e, cutoff)):
+                terms[e] = terms.get(e, 0) + ca * cb
+    return {e: ExactComplex(c) for e, c in terms.items() if c}
+
+
+class TestProductPrecondition:
+    """`*` is exact in its claimed box when every term an operand does not
+    store lies at or above its stored valuation in each variable."""
+
+    def test_unstored_term_below_the_valuation_is_missed(self):
+        # a stands for t x^-3 + t^-1 x^2 and b for t^-3 x^5 + t^3 x^-1; the
+        # unstored t^-1 x^2 lies below a's stored t-valuation 1
+        a_full = {(1, -3): 1, (-1, 2): 1}
+        b_full = {(-3, 5): 1, (3, -1): 1}
+        prod = (PuiseuxSeries(("t", "x"), 1, a_full, (14, 2))
+                * PuiseuxSeries(("t", "x"), 1, b_full, (3, 12)))
+        assert prod.terms == {(-2, 2): ExactComplex(1)}
+        assert prod.cutoff == (4, 7)
+        assert _exact_product_in_box(a_full, b_full, prod.cutoff) == {
+            (-2, 2): ExactComplex(1), (2, 1): ExactComplex(1)}
+
+    def test_monomial_times_polynomial_with_its_corner_stored(self):
+        rng = random.Random(59)
+        variables = ("t", "x")
+        for _ in range(200):
+            # a: a stored monomial m; its unstored tail lies at or above m
+            m = tuple(rng.randint(-4, 4) for _ in variables)
+            ca = tuple(e + rng.randint(1, 6) for e in m)
+            a_full = {m: Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))}
+            for _ in range(rng.randint(0, 3)):
+                k = rng.randrange(len(variables))
+                e = [v + rng.randint(0, 8) for v in m]
+                e[k] = ca[k] + rng.randint(0, 3)
+                a_full[tuple(e)] = rng.randint(-3, 3)
+            # b: a polynomial whose corner, its least exponent in every
+            # variable, is stored, so its other terms all lie above it
+            corner = tuple(rng.randint(-4, 4) for _ in variables)
+            cb = tuple(e + rng.randint(1, 9) for e in corner)
+            b_full = {corner: rng.choice((-2, -1, 1, 3))}
+            for _ in range(rng.randint(0, 10)):
+                b_full.setdefault(tuple(v + rng.randint(0, 10) for v in corner),
+                                  rng.randint(-3, 3))
+            a = PuiseuxSeries(variables, 1, a_full, ca)
+            b = PuiseuxSeries(variables, 1, b_full, cb)
+            assert len(a.terms) == 1 and corner in b.terms
+            prod = a * b if rng.random() < 0.5 else b * a
+            assert prod.terms == _exact_product_in_box(a_full, b_full, prod.cutoff)
+
+
 class TestRealFastPath:
     """The integer-numerator product against the schoolbook ExactComplex loop."""
 
