@@ -13,7 +13,7 @@ from vw3d.bethe import (
     build_bethe,
     grdim_closed_form,
     s2xs1_closed_expr,
-    s_squared_values,
+    s_squared,
     verlinde_sum,
 )
 from vw3d.ratexpr import rational_eval
@@ -32,8 +32,8 @@ for r in roots:
     print(f"  z = {r.z:+.6f}   1/z ~ {partner:+.6f}")
 
 print("\none-loop weights with their closed-form class at x = y:")
-for v in s_squared_values(system, classify=True):
-    print(f"  S^2 = {v.s_squared.real:+.8f}   {v.class_label}")
+for r in roots:
+    print(f"  S^2 = {s_squared(r, system).real:+.8f}   {r.class_label}")
 
 print("\ngenus sums:")
 print("  g=1:", verlinde_sum(1, params).real)

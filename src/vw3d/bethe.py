@@ -18,7 +18,9 @@ z = +-i and z = (+-sqrt(u+2) +- sqrt(u-2))/2 for u in {u_-, u_+}: closed
 forms with exact rational radicands, no root search.  Each vacuum carries a
 one-loop weight S^2 assembled from the dilaton, gauge and
 superpotential-Hessian factors, and the genus-g graded dimension is the sum
-of S^{2-2g} over the ten vacua.
+of S^{2-2g} over the ten vacua.  The factor a vacuum is a root of fixes its
+closed-form class: the four roots of the u_- quadratic are S06, the four of
+the u_+ quadratic S02 and z = +-i the two S00 vacua.
 
 Closed forms for the weights (generic, the x=y specialization, the g=0 sum
 and its y=x simplification) are provided as RationalExpr trees for direct
@@ -33,7 +35,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, common_quotients, rational_eval
 from .roots import ComplexPolynomial, poly_roots, root_key
@@ -42,7 +44,6 @@ from .series import PuiseuxSeries, SeriesError, _as_fraction, default_denominato
 __all__ = [
     "BetheSystem",
     "BetheRoot",
-    "SMatrixValue",
     "build_bethe",
     "admissible_roots",
     "s_squared",
@@ -60,9 +61,11 @@ __all__ = [
     "point_report",
     "sweep_report",
     "DegenerateParameterError",
-    "ClassAssignmentError",
 ]
 
+# The vacuum classes in the order of the closed-form elements, with the
+# number of vacua in each.
+CLASS_LABELS = ("S00-class", "S02-class", "S06-class")
 CLASS_MULTIPLICITIES = (2, 4, 4)
 
 # The R-charge of the adjoint Higgs field of each equivariant parameter.
@@ -73,14 +76,11 @@ class DegenerateParameterError(ArithmeticError):
     """Parameters sit on a singular locus: vacua merge or leave the count of ten."""
 
 
-class ClassAssignmentError(ArithmeticError):
-    """No (or ambiguous) closed-form class for a weight at x = y."""
-
-
 @dataclass(frozen=True)
 class BetheRoot:
     z: complex
     weyl_partner_index: int
+    class_label: str
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,6 @@ class BetheSystem:
     params: dict
     polynomial: ComplexPolynomial
     traces: tuple
-
-
-@dataclass(frozen=True)
-class SMatrixValue:
-    s_squared: complex
-    root: BetheRoot
-    class_label: str | None = None
 
 
 def build_bethe(params):
@@ -149,7 +142,8 @@ def admissible_roots(system):
     2/(sqrt(u+2) + sqrt(u-2)), and -z, -1/z are the other pair; both
     square roots point into the same closed quadrant, so the sum never
     cancels.  Both members of each pair {z, 1/z} are kept; the genus sums
-    below run over individual roots, not Weyl orbits.  Roots come in the
+    below run over individual roots, not Weyl orbits.  Each root is labelled
+    by the factor it solves (see the module docstring).  Roots come in the
     canonical (re, im) order.
     """
     vacua = []
@@ -157,10 +151,12 @@ def admissible_roots(system):
         z = (cmath.sqrt(float(u + 2)) + cmath.sqrt(float(u - 2))) / 2
         vacua += [z, 1 / z, -z, -1 / z]
     vacua += [1j, -1j]
-    # vacua[i] and vacua[i ^ 1] are Weyl partners
+    # vacua[i] and vacua[i ^ 1] are Weyl partners; vacua[i] solves factor i // 4
+    origin = ("S06-class", "S02-class", "S00-class")  # u_-, u_+, w = -1
     order = sorted(range(10), key=lambda i: root_key(vacua[i]))
     rank = {i: k for k, i in enumerate(order)}
-    return [BetheRoot(z=vacua[i], weyl_partner_index=rank[i ^ 1]) for i in order]
+    return [BetheRoot(z=vacua[i], weyl_partner_index=rank[i ^ 1], class_label=origin[i // 4])
+            for i in order]
 
 
 def _dilaton_factor(p, w, r_charge):
@@ -174,7 +170,7 @@ def _dilaton_factor(p, w, r_charge):
     return base ** (r_charge - 1)
 
 
-def s_squared(root, system, classify=True):
+def s_squared(root, system):
     """One-loop weight S^2 at an admissible root.
 
     S^2 = [prod_sectors (p^{3/2} z^2 / ((p-1)(p-z^2)(p z^2-1)))^{R-1}]^{-1}
@@ -196,49 +192,18 @@ def s_squared(root, system, classify=True):
     gauge = (1.0 / z - z) ** 2
     if abs(hessian) < EPS_POLE:
         raise PoleError("vanishing superpotential Hessian")
-    value = (1.0 / dilaton) * gauge / hessian
-    label = None
-    if classify:
-        params = system.params
-        if params["x"] == params["y"]:
-            label = _classify_xy(value, params)
-    return SMatrixValue(s_squared=value, root=root, class_label=label)
+    return (1.0 / dilaton) * gauge / hessian
 
 
-@lru_cache(maxsize=1)
-def _xy_references(t, x):
-    """The three x = y class weights at the exact point (t, x).
-
-    One entry, keyed on the point's exact Fractions: the ten roots of one
-    point are classified in a row, and a new point replaces the entry.
-    """
-    point = {"t": float(t), "x": float(x)}
-    return tuple(rational_eval(expr, point) for expr in s_elements_xy())
-
-
-def _classify_xy(value, params):
-    names = ("S00-class", "S02-class", "S06-class")
-    matches = []
-    for name, ref in zip(names, _xy_references(params["t"], params["x"])):
-        if abs(value - ref) <= 1e-6 * max(1.0, abs(ref)):
-            matches.append(name)
-    if len(matches) != 1:
-        raise ClassAssignmentError(
-            f"S^2={value} matched classes {matches or 'none'} at x=y")
-    return matches[0]
-
-
-def s_squared_values(system, classify=False):
-    return [s_squared(r, system, classify) for r in admissible_roots(system)]
+def s_squared_values(system):
+    return [s_squared(r, system) for r in admissible_roots(system)]
 
 
 def verlinde_sum(g, params):
     """Sum of S^{2-2g} over the ten admissible vacua at the given point."""
     if g < 0:
         raise ValueError("genus must be a nonnegative integer")
-    system = build_bethe(params)
-    values = s_squared_values(system)
-    return sum(v.s_squared ** (1 - g) for v in values)
+    return sum(w ** (1 - g) for w in s_squared_values(build_bethe(params)))
 
 
 # ----------------------------------------------------------------------
@@ -473,39 +438,41 @@ def point_report(params, genera=(0, 1, 2)):
         raise ValueError("genus must be a nonnegative integer")
     system = build_bethe(params)
     roots = admissible_roots(system)
-    classify = system.params["x"] == system.params["y"]
-    values = [s_squared(r, system, classify=classify) for r in roots]
+    diagonal = system.params["x"] == system.params["y"]
+    weights = [s_squared(r, system) for r in roots]
     all_roots = sorted([r.z for r in roots] + [1.0 + 0j, -1.0 + 0j], key=root_key)
     point = {k: float(v) for k, v in system.params.items()}
     closed = {"genus0_generic": rational_eval(s2s1_generic_expr(), point).real}
-    if classify:
+    if diagonal:
         closed["genus0_xy"] = rational_eval(
             s2xs1_closed_expr(), {"t": point["t"], "x": point["x"]}).real
     report = {
         "params": point,
         "roots": [[z.real, z.imag] for z in all_roots],
-        "admissible": [[v.root.z.real, v.root.z.imag] for v in values],
-        "weyl_partners": [v.root.weyl_partner_index for v in values],
-        "s_squared": [[v.s_squared.real, v.s_squared.imag] for v in values],
-        "class_labels": [v.class_label for v in values],
+        "admissible": [[r.z.real, r.z.imag] for r in roots],
+        "weyl_partners": [r.weyl_partner_index for r in roots],
+        "s_squared": [[w.real, w.imag] for w in weights],
+        "class_labels": [r.class_label if diagonal else None for r in roots],
         "closed_form": closed,
         "verlinde": {},
     }
     for g in genera:
-        total = sum(v.s_squared ** (1 - g) for v in values)
+        total = sum(w ** (1 - g) for w in weights)
         report["verlinde"][str(g)] = [total.real, total.imag]
     return report
 
 
 def sweep_report(n_points, seed=0):
-    """Seeded stability sweep: root counts, Weyl pairing, multiset match.
+    """Seeded stability sweep: root counts, Weyl pairing, class weights.
 
     Draws n_points parameter triples uniformly from (0.05, 0.95)^3, runs the
     pipeline at each, and accumulates the worst deviations.  The numeric
     roots of the saddle polynomial are an independent cross-check of the
     closed-form vacua: `ok` requires 12 roots with both unit roots present,
-    every vacuum within 1e-8 of one of them, Weyl pairing, and the weight
-    multiset to match the generic closed forms with multiplicities (2,4,4).
+    every vacuum within 1e-8 of one of them, Weyl pairing, and each vacuum's
+    weight within 1e-6 (relative, floored at 1) of the generic closed form of
+    its own class.  Since the labels have multiplicities (2, 4, 4), the
+    weights then match the closed-form multiset too.
     """
     if n_points < 1:
         raise ValueError("a stability sweep needs at least one point")
@@ -525,16 +492,13 @@ def sweep_report(n_points, seed=0):
         for r in admissible:
             worst_weyl = max(worst_weyl,
                              abs(r.z * admissible[r.weyl_partner_index].z - 1))
-        weights = [s_squared(r, system).s_squared for r in admissible]
         point = {k: float(v) for k, v in params.items()}
-        for mult, expr in zip(CLASS_MULTIPLICITIES, s_elements_generic()):
-            value = rational_eval(expr, point)
-            matches = [w for w in weights
-                       if abs(w - value) <= 1e-6 * max(1.0, abs(value))]
-            counts_ok &= len(matches) == mult
-            for w in matches:
-                worst_rel = max(worst_rel,
-                                abs(w - value) / max(1.0, abs(value)))
+        closed = dict(zip(CLASS_LABELS, (rational_eval(e, point) for e in s_elements_generic())))
+        for r in admissible:
+            value = closed[r.class_label]
+            rel = abs(s_squared(r, system) - value) / max(1.0, abs(value))
+            counts_ok &= rel <= 1e-6
+            worst_rel = max(worst_rel, rel)
     return {
         "points": n_points,
         "seed": seed,

@@ -19,9 +19,6 @@ import time
 from functools import cache
 
 from . import bethe, brst, elliptic, floer
-from .ratexpr import BranchError, PoleError
-from .roots import RootConvergenceError
-from .series import SeriesError
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -310,9 +307,9 @@ def main(argv=None):
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (PoleError, BranchError, RootConvergenceError, SeriesError,
-            bethe.DegenerateParameterError, bethe.ClassAssignmentError,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        # every numerical error of the package (PoleError, BranchError,
+        # RootConvergenceError, DegenerateParameterError) is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     report["config"] = {"command": args.command, "order": order, "seed": args.seed,

@@ -410,27 +410,28 @@ class PuiseuxSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        """Square-and-multiply, then the product with 1 + O(self.cutoff).
+
+        The 1 goes last: first, it can empty a product whose valuation the
+        next `*` needs for a sound cutoff.
+        """
         if not isinstance(n, int):
             raise SeriesError("series powers must be integers")
         if n < 0:
             return self.invert() ** (-n)
-        one = PuiseuxSeries(self.variables, self.den, {(0,) * len(self.variables): 1}, self.cutoff)
+        if n == 0:
+            return PuiseuxSeries(self.variables, self.den, {(0,) * len(self.variables): 1},
+                                 self.cutoff)
         result, base = None, self
         while n:
             if n & 1:
-                result = base._times_one(one) if result is None else result * base
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        return one if result is None else result
-
-    def _times_one(self, one):
-        """`one * self` for `one` the constant 1 (or 0), with the cutoff of `*`."""
-        val = self._valuations()
-        if val is None or not one.terms:
-            cutoff = tuple(map(min, one.cutoff, self.cutoff))
-            return PuiseuxSeries._from_terms(self.variables, self.den, {}, cutoff)
-        return self._cut(tuple(map(min, map(add, one.cutoff, val), self.cutoff)))
+        val = result._valuations()
+        shifted = self.cutoff if val is None else map(add, self.cutoff, val)
+        return result._cut(tuple(map(min, shifted, result.cutoff)))
 
     def _cut(self, cutoff):
         """The trusted restriction to `cutoff`, componentwise <= self.cutoff."""

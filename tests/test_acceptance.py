@@ -68,7 +68,7 @@ def bethe_sweep():
         system = build_bethe(params)
         roots = poly_roots(system.polynomial)
         admissible = admissible_roots(system)
-        weights = [v.s_squared for v in s_squared_values(system)]
+        weights = s_squared_values(system)
         points.append({"params": params, "system": system, "roots": roots,
                        "admissible": admissible, "weights": weights})
     elapsed = time.monotonic() - start

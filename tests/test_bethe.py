@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -9,10 +10,9 @@ import numpy as np
 import pytest
 
 from vw3d.bethe import (
+    CLASS_LABELS,
     CLASS_MULTIPLICITIES,
-    ClassAssignmentError,
     DegenerateParameterError,
-    _classify_xy,
     _expand_to,
     _factored,
     admissible_roots,
@@ -29,6 +29,7 @@ from vw3d.bethe import (
     s2xs1_closed_expr,
     s_elements_generic,
     s_elements_xy,
+    s_squared,
     s_squared_values,
     verlinde_sum,
 )
@@ -152,50 +153,79 @@ def closed_multiset(point, elements, mults):
 
 class TestWeights:
     def test_multiset_matches_generic_closed_forms(self):
-        values = sorted((v.s_squared for v in s_squared_values(build_bethe(GENERIC))),
-                        key=_sorted_key)
+        values = sorted(s_squared_values(build_bethe(GENERIC)), key=_sorted_key)
         expected = closed_multiset(GENERIC, s_elements_generic(), (2, 4, 4))
         for got, want in zip(values, expected):
             assert abs(got - want) <= 1e-6 * max(1.0, abs(want))
 
     def test_multiset_and_classes_at_equal_parameters(self):
         params = {"x": 0.25, "y": 0.25, "t": 1 / 9}
-        values = s_squared_values(build_bethe(params), classify=True)
-        labels = sorted(v.class_label for v in values)
+        system = build_bethe(params)
+        labels = [r.class_label for r in admissible_roots(system)]
         assert labels.count("S00-class") == 2
         assert labels.count("S02-class") == 4
         assert labels.count("S06-class") == 4
         point = {"x": 0.25, "t": 1 / 9}
         expected = closed_multiset(point, s_elements_xy(), (2, 4, 4))
-        got = sorted((v.s_squared for v in values), key=_sorted_key)
+        got = sorted(s_squared_values(system), key=_sorted_key)
         for a, b in zip(got, expected):
             assert abs(a - b) <= 1e-6 * max(1.0, abs(b))
 
     def test_classes_follow_the_point(self):
-        # two x = y points in a row that differ only in t: the class
-        # references are cached per point, so the second must not see the first's
-        names = ("S00-class", "S02-class", "S06-class")
+        # two x = y points in a row that differ only in t: each vacuum's
+        # weight is its own class's x = y closed form at that point
         for t in (Fraction(1, 9), Fraction(3, 10)):
-            values = s_squared_values(build_bethe({"x": 0.25, "y": 0.25, "t": t}),
-                                      classify=True)
-            labels = [v.class_label for v in values]
-            assert tuple(labels.count(n) for n in names) == CLASS_MULTIPLICITIES
-            refs = dict(zip(names, (rational_eval(e, {"x": 0.25, "t": float(t)})
-                                    for e in s_elements_xy())))
-            for v in values:
-                ref = refs[v.class_label]
-                assert abs(v.s_squared - ref) <= 1e-6 * max(1.0, abs(ref))
+            system = build_bethe({"x": 0.25, "y": 0.25, "t": t})
+            roots = admissible_roots(system)
+            labels = [r.class_label for r in roots]
+            assert tuple(labels.count(n) for n in CLASS_LABELS) == CLASS_MULTIPLICITIES
+            refs = dict(zip(CLASS_LABELS, (rational_eval(e, {"x": 0.25, "t": float(t)})
+                                           for e in s_elements_xy())))
+            for r in roots:
+                ref = refs[r.class_label]
+                assert abs(s_squared(r, system) - ref) <= 1e-6 * max(1.0, abs(ref))
 
-    def test_unmatched_weight_raises(self):
-        params = build_bethe({"x": 0.25, "y": 0.25, "t": 1 / 9}).params
-        with pytest.raises(ClassAssignmentError, match="none"):
-            _classify_xy(1e6 + 1e6j, params)
+    @staticmethod
+    def _rational_points(seed, diagonal, n=400):
+        """n seeded non-degenerate points with x, y, t in {1, ..., 99}/100."""
+        rng = random.Random(seed)
+        points = []
+        while len(points) < n:
+            x, y, t = (Fraction(rng.randint(1, 99), 100) for _ in range(3))
+            params = {"x": x, "y": x if diagonal else y, "t": t}
+            try:
+                system = build_bethe(params)
+                weights = s_squared_values(system)
+            except (DegenerateParameterError, PoleError):
+                continue
+            points.append((system, weights))
+        return points
+
+    def test_origin_labels_equal_the_float_match_at_x_eq_y(self):
+        # the float classification the labels replaced: each weight must
+        # match exactly one x = y closed form within 1e-6 (relative, floored
+        # at 1), and that class is the vacuum's origin
+        for system, weights in self._rational_points(11, diagonal=True):
+            point = {"t": float(system.params["t"]), "x": float(system.params["x"])}
+            refs = [rational_eval(e, point) for e in s_elements_xy()]
+            for r, w in zip(admissible_roots(system), weights):
+                matches = [name for name, ref in zip(CLASS_LABELS, refs)
+                           if abs(w - ref) <= 1e-6 * max(1.0, abs(ref))]
+                assert matches == [r.class_label], (system.params, w, matches)
+
+    def test_weights_equal_their_class_closed_form(self):
+        for system, weights in self._rational_points(12, diagonal=False):
+            point = {k: float(v) for k, v in system.params.items()}
+            refs = dict(zip(CLASS_LABELS, (rational_eval(e, point)
+                                           for e in s_elements_generic())))
+            for r, w in zip(admissible_roots(system), weights):
+                ref = refs[r.class_label]
+                assert abs(w - ref) <= 1e-6 * max(1.0, abs(ref)), (system.params, r)
 
     def test_specialization_coherence(self):
         # generic pipeline evaluated at y = x agrees with the x = y forms
         params = {"x": 0.4, "y": 0.4, "t": 0.2}
-        got = sorted((v.s_squared for v in s_squared_values(build_bethe(params))),
-                     key=_sorted_key)
+        got = sorted(s_squared_values(build_bethe(params)), key=_sorted_key)
         generic = closed_multiset(params, s_elements_generic(), (2, 4, 4))
         for a, b in zip(got, generic):
             assert abs(a - b) <= 1e-9 * max(1.0, abs(b))
@@ -560,3 +590,5 @@ def test_bethe_demo_runs():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "cleared saddle polynomial: degree 12" in proc.stdout
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+        "8c8d7ba61e06f6d5762a3f4645205465fbd02d46239e02c30bdb34704466f426"

@@ -51,6 +51,16 @@ class TestVerlinde:
         assert first[0] == EXIT_OK and first == second
         assert "elapsed" not in first[1]
 
+    @pytest.mark.parametrize("x,t", [("0.99", "0.003"), ("0.05", "0.0003")])
+    def test_small_t_diagonal_labels(self, capsys, x, t):
+        # every weight carries t^{3/2}: here two classes lie within 1e-6 of
+        # each other, and only the vacuum's origin tells them apart
+        code, out, _ = run_cli(capsys, "verlinde", "--g", "2", "--x", x, "--y", x,
+                               "--t", t, "--json")
+        assert code == EXIT_OK
+        labels = json.loads(out)["class_labels"]
+        assert [labels.count(c) for c in ("S00-class", "S02-class", "S06-class")] == [2, 4, 4]
+
     def test_singular_point_is_numerical(self, capsys):
         code, _, err = run_cli(capsys, "verlinde", "--g", "1",
                                "--x", "1.0", "--y", "0.5", "--t", "0.2")
@@ -289,7 +299,7 @@ JSON_DIGESTS = [
      "9191d925a1e79c4cf05544c79ee80ff352e4bf91a7053069e5f6db7596bf4386"),
     ("floer --hn 3",
      "09f39195183091bfc9c50151c269577788ed86f45b1ae4b8dd9fb1c9eef33806"),
-    # floating-point outputs: point mode (x = y runs the class assignment),
+    # floating-point outputs: point mode (x = y writes the class labels),
     # asymptotics, the sweep and --calibrate.  Their floats come from CPython
     # float, cmath and libm only; numpy's roots reach only the sweep's `ok`.
     ("verlinde --g 1 --x 0.3 --y 0.7 --t 0.11",

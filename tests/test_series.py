@@ -2,7 +2,7 @@ import heapq
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from operator import add, lt, sub
 
 import pytest
@@ -244,7 +244,7 @@ def _exact_product_in_box(a_full, b_full, cutoff):
             e = tuple(map(add, ea, eb))
             if all(map(lt, e, cutoff)):
                 terms[e] = terms.get(e, 0) + ca * cb
-    return {e: ExactComplex(c) for e, c in terms.items() if c}
+    return {e: ExactComplex.coerce(c) for e, c in terms.items() if c}
 
 
 class TestProductPrecondition:
@@ -433,26 +433,84 @@ class TestInvertAgainstHeapWalk:
 
 
 @st.composite
-def _units(draw):
-    variables = draw(st.sampled_from([("q",), ("t", "x"), ("t", "x", "y")]))
+def _in_domain(draw, variables=("t", "x")):
+    """An in-domain series and the untruncated term map it stands for.
+
+    The map is a stored monomial times a polynomial with a constant term, so
+    its corner (least exponent in every variable) is stored and every term
+    cut off lies above it, as `*` requires.  The box is random; the series
+    is a unit, since its corner is stored and nonzero.
+    """
     den = 24 if variables == ("q",) else 2
     coeffs = draw(st.sampled_from([st.builds(ExactComplex, _PARTS), _EXACT]))
     corner = tuple(draw(st.integers(-6, 6)) for _ in variables)
-    terms = {}
+    full = {}
     for _ in range(draw(st.integers(0, 6))):
         offset = tuple(draw(st.integers(0, 10)) for _ in variables)
         if any(offset):
-            terms[tuple(map(add, corner, offset))] = draw(coeffs)
-    terms[corner] = draw(coeffs.filter(bool))
+            full[tuple(map(add, corner, offset))] = draw(coeffs)
+    full[corner] = draw(coeffs.filter(bool))
     cutoff = tuple(m + draw(st.integers(1, 14)) for m in corner)
-    return PuiseuxSeries(variables, den, terms, cutoff)
+    return full, PuiseuxSeries(variables, den, full, cutoff)
+
+
+_units = st.sampled_from([("q",), ("t", "x"), ("t", "x", "y")]).flatmap(_in_domain).map(
+    lambda pair: pair[1])
+
+_UNBOUNDED = (inf, inf)
+
+
+def _exact_inverse_in_box(full, cutoff):
+    """1/full restricted to the box below `cutoff`, by the geometric series.
+
+    full = c x^m (1 + h) with every exponent of h nonnegative and nonzero,
+    so (-h)^k leaves the (finite) box once k exceeds its total degree.
+    """
+    m = tuple(map(min, zip(*(e for e, c in full.items() if c))))
+    c = ExactComplex.coerce(full[m])
+    minus_h = {tuple(map(sub, e, m)): -v / c for e, v in full.items() if v and e != m}
+    box = tuple(map(add, cutoff, m))  # x^-m x^j lies below cutoff iff j < cutoff + m
+    power = total = {(0,) * len(m): ExactComplex(1)}
+    while power:
+        power = _exact_product_in_box(power, minus_h, box)
+        total = {e: total.get(e, 0) + power.get(e, 0) for e in total.keys() | power.keys()}
+    return {tuple(map(sub, e, m)): v / c for e, v in total.items() if v}
 
 
 class TestInverseProperty:
     @settings(derandomize=True, database=None)
-    @given(_units())
+    @given(_units)
     def test_product_with_inverse_is_one(self, s):
         assert s * s.invert() == 1
+
+
+class TestExactInDomain:
+    """Each operation on in-domain truncated series equals the exact
+    operation on the untruncated term maps, restricted to its claimed box."""
+
+    @settings(derandomize=True, database=None, max_examples=25)
+    @given(_in_domain(), _in_domain())
+    def test_product(self, a, b):
+        (a_full, a), (b_full, b) = a, b
+        prod = a * b
+        assert prod.terms == _exact_product_in_box(a_full, b_full, prod.cutoff)
+
+    @settings(derandomize=True, database=None, max_examples=25)
+    @given(_in_domain(), st.integers(2, 4))
+    def test_power(self, a, k):
+        a_full, a = a
+        full = a_full
+        for _ in range(k - 2):
+            full = _exact_product_in_box(full, a_full, _UNBOUNDED)
+        power = a ** k
+        assert power.terms == _exact_product_in_box(full, a_full, power.cutoff)
+
+    @settings(derandomize=True, database=None, max_examples=25)
+    @given(_in_domain())
+    def test_inverse(self, u):
+        u_full, u = u
+        inv = u.invert()
+        assert inv.terms == _exact_inverse_in_box(u_full, inv.cutoff)
 
 
 class TestTrustedOutputs:
@@ -495,18 +553,24 @@ def _reciprocal(a, order):
 
 
 def _pow_from_one(s, n):
-    """The multiply-from-one square-and-multiply loop `__pow__` replaced."""
-    result = PuiseuxSeries.constant(1, s.variables, den=s.den,
-                                    order=max(s.cutoff, default=21 * s.den) // s.den + 1)
-    result = PuiseuxSeries(result.variables, result.den, result.terms, s.cutoff)
-    base = s
+    """The multiply-from-one square-and-multiply loop `__pow__` replaced,
+    with the 1 multiplied last.
+
+    The 1 carries the cutoff of s and stays stored even where that cutoff is
+    at or below 0.  Multiplied first, it emptied the product there, and the
+    next `*` lost the valuation it needs for a sound cutoff.
+    """
+    one = {(0,) * len(s.variables): ExactComplex(1)}
+    if n == 0:
+        return PuiseuxSeries(s.variables, s.den, one, s.cutoff)
+    result, base = None, s
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return PuiseuxSeries._from_terms(s.variables, s.den, one, s.cutoff) * result
 
 
 POW_CASES = {
@@ -519,7 +583,7 @@ POW_CASES = {
     "laurent_short_box": PuiseuxSeries(("q",), 1, {(-5,): 1, (-1,): 2, (1,): -1}, (2,)),
     "zero": PuiseuxSeries(("t",), 2, {}, (10,)),
     "zero_negative_cutoff": PuiseuxSeries(("t", "x"), 2, {}, (-4, 6)),
-    # cutoffs at or below 0 drop the constant 1 the old loop started from
+    # cutoffs at or below 0 leave the 1 of 1 + O(cutoff) unstored
     "cutoff_at_zero": PuiseuxSeries(("q",), 24, {(-72,): 1, (-48,): 2}, (0,)),
     "cutoff_below_zero": PuiseuxSeries(("q",), 24, {(-72,): 1, (-48,): 2}, (-24,)),
     "bivariate_cutoff_at_zero": PuiseuxSeries(("t", "x"), 2, {(-3, 2): 1, (-1, 0): 4}, (0, 8)),
@@ -543,6 +607,12 @@ class TestPowFromFirstFactor:
         s = PuiseuxSeries(("q",), 1, {(-2,): 1, (4,): 7}, (5,))
         assert (s ** 1).cutoff == (3,)
         assert (s ** 1).terms == {(-2,): ExactComplex(1)}
+
+    def test_cutoff_at_or_below_zero_stays_sound(self):
+        # (q^-3 + 2 q^-2 + O(q^0)) ** 1 is known mod O(q^-3) under the
+        # cutoff of 1 + O(q^0) times it; 0 + O(q^0) would deny the q^-3
+        s = POW_CASES["cutoff_at_zero"]
+        assert (s ** 1).cutoff == (-72,) and not (s ** 1).terms
 
 
 class TestDenseReciprocal:
