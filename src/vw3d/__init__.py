@@ -4,7 +4,7 @@ q-series, reference Floer-type series, and Grassmann-exact BRST closure
 checks."""
 
 from .series import ExactComplex, PuiseuxSeries
-from .ratexpr import RationalExpr, rational_eval, T, X, Y, Z
+from .ratexpr import RationalExpr, rational_eval, T, X, Y
 from .roots import ComplexPolynomial, poly_roots
 from .bethe import (
     build_bethe,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactComplex", "PuiseuxSeries",
-    "RationalExpr", "rational_eval", "T", "X", "Y", "Z",
+    "RationalExpr", "rational_eval", "T", "X", "Y",
     "ComplexPolynomial", "poly_roots",
     "build_bethe", "admissible_roots", "s_squared", "verlinde_sum",
     "grdim_closed_form", "limit_specialize", "asymptotics_check",

@@ -39,7 +39,7 @@ from functools import cache
 
 from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, common_quotients, rational_eval
 from .roots import ComplexPolynomial, poly_roots, root_key
-from .series import PuiseuxSeries, SeriesError, _as_fraction, default_denominator, poly_mul
+from .series import SeriesError, _as_fraction, default_denominator, poly_mul
 
 __all__ = [
     "BetheSystem",
@@ -288,8 +288,6 @@ def _genus_sum(g, multiplicities, forms, variables, order):
     bracket of S00 and S02 goes); `common_quotients` has the rule.  Each group
     is then expanded once as a quotient of untruncated polynomials.
     """
-    if g == 1:
-        return PuiseuxSeries.constant(sum(multiplicities), variables, order=order)
     terms = [e ** (1 - g) * m for m, e in zip(multiplicities, _factored(forms, variables))]
     return sum(_expand_to(q, variables, order) for q in common_quotients(terms))
 
@@ -393,6 +391,8 @@ def asymptotics_check(g, a, b):
     1e-3 and 1e-4.  Targets:
     g > 1: 4 * (8 (1-t)/(1-x))^{3g-3};  g = 1: 10;  g = 0: 1/((1-t)(1-t x^2)).
     """
+    if g < 0:
+        raise ValueError("genus must be a nonnegative integer")
     if a >= 0 or b >= 0:
         raise ValueError("path slopes a, b must be negative")
     entries = []

@@ -192,22 +192,26 @@ def _cmd_brst(args, order):
             lines.append("failing rules: " + ", ".join(cal["failing_rules"]))
     else:
         conv = brst.default_convention(table)
+    q2 = ("Q", "phi") in table.rules and table.fields["phi"].indices == 0
+    twistor = "Qbar" in table.families
+    if args.check == "Q2" and not q2 or args.check == "twistor" and not twistor:
+        raise ValueError(f"table {args.table} has no {args.check} check")
+    run_q2 = q2 and args.check in ("Q2", "all")
     for state_index in range(args.states):
         state = brst.random_state(table, seed=args.seed + state_index)
-        if args.check in ("Q2", "all"):
+        if run_q2:
             param = None if table.algebra == "u1" else "phi"
-            if ("Q", "phi") in table.rules and table.fields["phi"].indices == 0:
-                rep = brst.q_squared_residual(state, "Q", conv, param_field=param)
-                report["checks"].append(
-                    {"kind": "Q2", "state": state_index, **brst.residual_report(rep)})
+            rep = brst.q_squared_residual(state, "Q", conv, param_field=param)
+            report["checks"].append(
+                {"kind": "Q2", "state": state_index, **brst.residual_report(rep)})
         if args.check in ("closure", "all"):
             for pair in brst.closure_pairs(table):
-                if isinstance(pair[0], str) and pair == ("Q", "Q"):
-                    continue  # covered by Q2
+                if pair == ("Q", "Q") and run_q2:
+                    continue  # the Q2 check of this run covers it
                 rep = brst.check_closure(state, pair, conv)
                 rep["state"] = state_index
                 report["checks"].append(rep)
-        if args.check in ("twistor", "all") and "Qbar" in table.families:
+        if args.check in ("twistor", "all") and twistor:
             rep = brst.check_twistor(state, (1, 2), (3, 1), conv)
             rep["state"] = state_index
             report["checks"].append(rep)
@@ -256,11 +260,12 @@ def build_parser():
     pv.add_argument("--x", type=_finite_float)
     pv.add_argument("--y", type=_finite_float)
     pv.add_argument("--t", type=_finite_float)
-    pv.add_argument("--series", action="store_true")
-    pv.add_argument("--sweep", type=int, metavar="N",
-                    help="stability sweep over N seeded parameter points")
-    pv.add_argument("--limit", choices=("R2", "R0"))
-    pv.add_argument("--asymptotics", action="store_true")
+    mode = pv.add_mutually_exclusive_group()
+    mode.add_argument("--series", action="store_true")
+    mode.add_argument("--sweep", type=int, metavar="N",
+                      help="stability sweep over N seeded parameter points")
+    mode.add_argument("--limit", choices=("R2", "R0"))
+    mode.add_argument("--asymptotics", action="store_true")
     pv.add_argument("--a", type=_finite_float, default=-2.0)
     pv.add_argument("--b", type=_finite_float, default=-1.0)
 
@@ -269,10 +274,11 @@ def build_parser():
     pe.add_argument("--gluing", action="store_true")
 
     pf = sub.add_parser("floer", parents=[common], help="graded series catalog")
-    pf.add_argument("--hf")
-    pf.add_argument("--molien", action="store_true")
-    pf.add_argument("--hn", type=int)
-    pf.add_argument("--brieskorn", choices=("P", "Sigma237"))
+    manifold = pf.add_mutually_exclusive_group()
+    manifold.add_argument("--hf")
+    manifold.add_argument("--molien", action="store_true")
+    manifold.add_argument("--hn", type=int)
+    manifold.add_argument("--brieskorn", choices=("P", "Sigma237"))
     pf.add_argument("--conjecture", action="store_true")
 
     pb = sub.add_parser("brst", parents=[common], help="closure residual reports")

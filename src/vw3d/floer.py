@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb
 from operator import add
 
-from .series import (PuiseuxSeries, SeriesError, _unlift, default_denominator, poly_divmod,
-                     poly_mul, poly_pow)
+from .series import (VARIABLE_ORDER, PuiseuxSeries, SeriesError, _unlift, default_denominator,
+                     poly_divmod, poly_mul, poly_pow)
 
 __all__ = [
     "tower_series",
@@ -245,7 +245,7 @@ def superspace_character(g, factors, order=12):
     if dims["even"] != dims["odd"]:
         raise UnbalancedConfigurationError(
             f"even dimension {dims['even']} != odd dimension {dims['odd']}")
-    variables = tuple(sorted({v for _, w, _ in lines for v in w}, key="txyqzs".index))
+    variables = tuple(sorted({v for _, w, _ in lines for v in w}, key=VARIABLE_ORDER.index))
     den = default_denominator(variables)
     cut = order * den
     polys = {}

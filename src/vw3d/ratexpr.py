@@ -1,8 +1,8 @@
 """Symbolic rational expressions over the equivariant parameters.
 
-A small expression tree (constants, variables t/x/y/z, +, -, *, /, integer
-powers, half-integer powers of z-free subexpressions) is enough to hold every
-closed form used by the Verlinde-type engine.  Two consumers:
+A small expression tree (constants, the variables t, x and y, +, -, *, /,
+integer and half-integer powers) is enough to hold every closed form used by
+the Verlinde-type engine.  Two consumers:
 
 * :func:`rational_eval` -- IEEE-double evaluation at a parameter point, with
   pole and branch guards;
@@ -29,7 +29,7 @@ __all__ = [
     "Const",
     "Factored",
     "common_quotients",
-    "T", "X", "Y", "Z",
+    "T", "X", "Y",
     "rational_eval",
     "PoleError",
     "BranchError",
@@ -82,15 +82,10 @@ class RationalExpr:
         if exponent.denominator == 1:
             return Pow(self, int(exponent))
         if exponent.denominator == 2:
-            if self.contains("z"):
-                raise BranchError("half-integer power of a z-dependent expression")
             return HalfPow(self, exponent)
         raise ValueError("only integer and half-integer powers are supported")
 
     # -- interface -----------------------------------------------------
-
-    def contains(self, name):
-        raise NotImplementedError
 
     def eval(self, point):
         raise NotImplementedError
@@ -128,9 +123,6 @@ class Const(RationalExpr):
     def __init__(self, value):
         self.value = ExactComplex.coerce(value)
 
-    def contains(self, name):
-        return False
-
     def eval(self, point):
         return complex(self.value)
 
@@ -143,12 +135,9 @@ class Const(RationalExpr):
 
 class Var(RationalExpr):
     def __init__(self, name):
-        if name not in ("t", "x", "y", "z"):
+        if name not in ("t", "x", "y"):
             raise ValueError(f"unsupported variable {name!r}")
         self.name = name
-
-    def contains(self, name):
-        return self.name == name
 
     def eval(self, point):
         return complex(point[self.name])
@@ -175,9 +164,6 @@ class _Binary(RationalExpr):
     def __init__(self, left, right):
         self.left = left
         self.right = right
-
-    def contains(self, name):
-        return self.left.contains(name) or self.right.contains(name)
 
     def __repr__(self):
         return f"({self.left!r} {self.op} {self.right!r})"
@@ -254,9 +240,6 @@ class Pow(RationalExpr):
         self.base = base
         self.exponent = int(exponent)
 
-    def contains(self, name):
-        return self.base.contains(name)
-
     def eval(self, point):
         if self.exponent < 0:  # a denominator: tested factor by factor, as in Div
             return _factor_eval(self.base, point) ** self.exponent
@@ -283,14 +266,11 @@ class Pow(RationalExpr):
 
 
 class HalfPow(RationalExpr):
-    """base^(k/2) with base z-free and positive real at evaluation points."""
+    """base^(k/2) with base positive real at evaluation points."""
 
     def __init__(self, base, exponent):
         self.base = base
         self.exponent = Fraction(exponent)
-
-    def contains(self, name):
-        return self.base.contains(name)
 
     def eval(self, point):
         value = self.base.eval(point)
@@ -448,7 +428,7 @@ def _exact_quotient(n, f):
     return q if q * f == n else None
 
 
-T, X, Y, Z = Var("t"), Var("x"), Var("y"), Var("z")
+T, X, Y = Var("t"), Var("x"), Var("y")
 
 
 def rational_eval(expr, point):

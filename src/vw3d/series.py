@@ -7,10 +7,16 @@ q-series coexist in one type.  Truncation is a per-variable exclusive upper
 bound (a "box"); Laurent tails (negative exponents) are allowed.  An
 untruncated variable has the cutoff `INF_CUTOFF`, which JSON writes as null.
 
+A series keeps one variable tuple for life, a subsequence of `VARIABLE_ORDER`:
+each computation builds all its series on one tuple.  `+`, `*` and `==` raise
+`SeriesError` on two different tuples; they merge only lattices, moving both
+operands to the lcm of their denominators.
+
 A series stands for its stored terms plus terms it does not store, all at or
 beyond its cutoff.  `*` is sound only when every such unstored term also lies
 at or above the stored valuation in each variable, as for a monomial times a
-power series; the product's cutoff min(ca + vb, cb + va) assumes it.
+power series, and, for a series that stores nothing, at or above its cutoff;
+the product's cutoff min(ca + vb, cb + va) assumes it.
 
 All values are immutable after construction; operations are pure functions.
 
@@ -19,10 +25,10 @@ exponent tuples of the series' arity, each exponent below its cutoff.  The
 public constructor enforces this by coercing and filtering its input.  Kernel
 outputs that hold it by construction skip that pass through the trusted
 `PuiseuxSeries._from_terms`: `+`, `scale`, `*`, `**`, `invert`, unary `-`,
-`truncate`, `substitute_power`, `rescale`, `extend_variables`, the integer
-q-series of `elliptic` and the superspace character of `floer`.  `+` and
-`truncate` drop the terms beyond the new cutoff and `scale` by an exact 0
-keeps none; the rest need no filter.
+`truncate`, `substitute_power`, `rescale`, the integer q-series of `elliptic`
+and the superspace character of `floer`.  `+` and `truncate` drop the terms
+beyond the new cutoff and `scale` by an exact 0 keeps none; the rest need no
+filter.
 
 Products and inversion run one path for every coefficient, on integer
 numerators over one denominator as in FLINT's `fmpq_poly`.  The functions
@@ -35,7 +41,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import gcd, inf, isqrt, lcm, prod
+from math import inf, isqrt, lcm, prod
 from operator import add, ge, mul, sub
 
 __all__ = [
@@ -50,19 +56,16 @@ __all__ = [
 ]
 
 # Canonical variable order; every series uses a subsequence of this.
-VARIABLE_ORDER = ("t", "x", "y", "q", "z", "s")
+VARIABLE_ORDER = ("t", "x", "y", "q", "s")
 
 # Lattice denominators matching the printed exponent conventions:
 # half-integer powers for the grading variables, 1/24 for q-series.
-_DEFAULT_DEN = {"t": 2, "x": 2, "y": 2, "q": 24, "z": 1, "s": 1}
+_DEFAULT_DEN = {"t": 2, "x": 2, "y": 2, "q": 24, "s": 1}
 
 
 def default_denominator(variables):
     """Least common lattice denominator for a set of variables."""
-    d = 1
-    for v in variables:
-        d = d * _DEFAULT_DEN[v] // gcd(d, _DEFAULT_DEN[v])
-    return d
+    return lcm(*(_DEFAULT_DEN[v] for v in variables))
 
 
 class SeriesError(ValueError):
@@ -310,26 +313,6 @@ class PuiseuxSeries:
         cutoff = tuple(c * f for c in self.cutoff)
         return PuiseuxSeries._from_terms(self.variables, new_den, terms, cutoff)
 
-    def extend_variables(self, variables):
-        variables = tuple(variables)
-        if variables == self.variables:
-            return self
-        if not set(self.variables) <= set(variables):
-            raise SeriesError("can only extend the variable set")
-        pos = {v: i for i, v in enumerate(variables)}
-        # Variables absent from self carry no truncation, and the partner's
-        # cutoff takes over in binary operations.
-        cutoff = [INF_CUTOFF] * len(variables)
-        for v, c in zip(self.variables, self.cutoff):
-            cutoff[pos[v]] = c
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(variables)
-            for v, e in zip(self.variables, exps):
-                new[pos[v]] = e
-            terms[tuple(new)] = coeff
-        return PuiseuxSeries._from_terms(variables, self.den, terms, tuple(cutoff))
-
     def _valuations(self):
         """Componentwise minimum exponent over stored terms (None if zero)."""
         if not self.terms:
@@ -338,10 +321,10 @@ class PuiseuxSeries:
 
     @staticmethod
     def _align(a, b):
-        variables = tuple(v for v in VARIABLE_ORDER if v in set(a.variables) | set(b.variables))
-        a = a.extend_variables(variables)
-        b = b.extend_variables(variables)
-        den = a.den * b.den // gcd(a.den, b.den)
+        """Both operands on their lcm lattice; their variables must agree."""
+        if a.variables != b.variables:
+            raise SeriesError(f"series in {a.variables} and {b.variables} do not combine")
+        den = lcm(a.den, b.den)
         return a.rescale(den), b.rescale(den)
 
     # ------------------------------------------------------------------
@@ -389,19 +372,17 @@ class PuiseuxSeries:
 
         Precondition, not checked: every term an operand does not store lies
         at or above its stored valuation in each variable, as for a monomial
-        times a power series.  Otherwise the product can miss terms inside
-        its claimed cutoff.
+        times a power series, and an operand that stores nothing stands for
+        terms at or above its cutoff in each variable, which serves as its
+        valuation.  Otherwise the product can miss terms inside its claimed
+        cutoff.
         """
         if isinstance(other, _SCALARS):
             return self.scale(other)
         a, b = PuiseuxSeries._align(self, other)
-        va, vb = a._valuations(), b._valuations()
-        if va is None or vb is None:
-            # Product with (truncated) zero: keep the sound cutoff.
-            cutoff = tuple(min(ca, cb) for ca, cb in zip(a.cutoff, b.cutoff))
-            return PuiseuxSeries._from_terms(a.variables, a.den, {}, cutoff)
-        # Sound truncation: a is known mod O(cutoff_a), so a*b is known mod
-        # O(min(cutoff_a + val_b, cutoff_b + val_a)) componentwise.
+        va, vb = a._valuations() or a.cutoff, b._valuations() or b.cutoff
+        # a is known mod O(ca), so a*b is known mod O(ca + vb), and likewise
+        # mod O(cb + va), componentwise
         cutoff = tuple(min(ca + eb, cb + ea)
                        for ca, cb, ea, eb in zip(a.cutoff, b.cutoff, va, vb))
         terms = _product(a.terms, b.terms, cutoff)
@@ -412,8 +393,9 @@ class PuiseuxSeries:
     def __pow__(self, n):
         """Square-and-multiply, then the product with 1 + O(self.cutoff).
 
-        The 1 goes last: first, it can empty a product whose valuation the
-        next `*` needs for a sound cutoff.
+        That product is a cut at self.cutoff + v, v the result's valuation
+        (its cutoff if it stores nothing, as in `*`).  The 1 goes last:
+        first, it can empty a product whose valuation the next `*` reads.
         """
         if not isinstance(n, int):
             raise SeriesError("series powers must be integers")
@@ -429,9 +411,8 @@ class PuiseuxSeries:
             n >>= 1
             if n:
                 base = base * base
-        val = result._valuations()
-        shifted = self.cutoff if val is None else map(add, self.cutoff, val)
-        return result._cut(tuple(map(min, shifted, result.cutoff)))
+        val = result._valuations() or result.cutoff
+        return result._cut(tuple(map(min, map(add, self.cutoff, val), result.cutoff)))
 
     def _cut(self, cutoff):
         """The trusted restriction to `cutoff`, componentwise <= self.cutoff."""

@@ -131,6 +131,32 @@ class TestBrst:
                                "--check", "closure", "--states", "1", "--strict")
         assert code == EXIT_OK
 
+    # (table, --check) pairs with no applicable check: refused, never vacuous
+    REFUSED = {("abelian", "twistor"), ("nonabelian", "twistor"), ("covariant", "Q2"),
+               ("covariant", "twistor"), ("threed", "Q2")}
+
+    @pytest.mark.parametrize("table", ["abelian", "nonabelian", "covariant", "threed"])
+    @pytest.mark.parametrize("check", ["Q2", "closure", "twistor", "all"])
+    def test_strict_run_checks_every_state_or_exits_2(self, capsys, table, check):
+        code, out, err = run_cli(capsys, "brst", "--table", table, "--check", check,
+                                 "--strict", "--states", "2", "--json")
+        if (table, check) in self.REFUSED:
+            assert code == EXIT_PRECONDITION and out == ""
+            assert f"table {table} has no {check} check" in err
+        else:
+            assert code == EXIT_OK
+            assert {c["state"] for c in json.loads(out)["checks"]} == {0, 1}
+
+    @pytest.mark.parametrize("table", ["abelian", "nonabelian"])
+    def test_closure_runs_the_one_column_pair(self, capsys, table):
+        # under `all` the Q2 check stands in for it; alone, the pair runs
+        code, out, _ = run_cli(capsys, "brst", "--table", table, "--check", "closure",
+                               "--strict", "--json")
+        checks = json.loads(out)["checks"]
+        assert code == EXIT_OK
+        assert [(c["pair"], c["state"], c["exact_zero"]) for c in checks] == [
+            (["Q", "Q"], state, True) for state in range(3)]
+
     def test_strict_mode_fails_on_broken_table(self, capsys, monkeypatch):
         # Q eta = phi leaves Q^2 phibar = phi, an exact nonzero residual
         monkeypatch.setitem(brst.TABLE_TEXTS, "abelian", brst.TABLE_TEXTS["abelian"].replace(
@@ -238,6 +264,7 @@ class TestInputContract:
         (("brst", "--table", "abelian", "--states", "0", "--strict"), "--states"),
         (("floer", "--hf", "sigma:x"), "sigma:g,h"),
         (("floer", "--hf", "lens:x"), "lens:p"),
+        (("verlinde", "--g", "-1", "--asymptotics"), "genus"),
     ])
     def test_rejected_with_message(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -260,6 +287,21 @@ class TestInputContract:
         captured = capsys.readouterr()
         assert exc.value.code == EXIT_PRECONDITION
         assert f"argument {flag}: expected a finite number" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv,flags", [
+        (("verlinde", "--sweep", "5", "--limit", "R2"), ("--limit", "--sweep")),
+        (("verlinde", "--g", "1", "--series", "--asymptotics"), ("--asymptotics", "--series")),
+        (("verlinde", "--limit", "R0", "--sweep", "5"), ("--sweep", "--limit")),
+        (("floer", "--hf", "lens:3", "--molien"), ("--molien", "--hf")),
+        (("floer", "--hn", "3", "--brieskorn", "P"), ("--brieskorn", "--hn")),
+    ])
+    def test_one_mode_per_command(self, capsys, argv, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_PRECONDITION
+        assert "argument {}: not allowed with argument {}".format(*flags) in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("value,message", [("abc", "VW3D_ORDER"),

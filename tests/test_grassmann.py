@@ -3,7 +3,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from test_brst import _assert_same_element, _assert_well_formed, fold_combination
 
@@ -378,7 +378,6 @@ def _elements(draw, values):
 
 
 class TestCanonicalForm:
-    @settings(derandomize=True, database=None)
     @given(st.one_of(_elements(_REAL), _elements(st.one_of(_REAL, _GAUSS))),
            st.one_of(_REAL.filter(bool), _GAUSS), st.integers(2, 30))
     def test_equal_rationals_have_equal_form(self, a, q, k):

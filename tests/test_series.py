@@ -1,5 +1,6 @@
 import heapq
 import json
+import operator
 import random
 from fractions import Fraction
 from math import inf, lcm
@@ -79,7 +80,6 @@ def _pair(z):
 
 
 class TestExactComplexShortcuts:
-    @settings(derandomize=True, database=None)
     @given(_EXACT, _EXACT, st.integers(-50, 50))
     def test_ops_match_gaussian_rational_formula(self, x, y, k):
         a, b = x.re, x.im
@@ -196,9 +196,7 @@ class TestRingAxioms:
 def schoolbook_product(a, b):
     """Reference product: the ExactComplex double loop under the sound cutoff."""
     a, b = PuiseuxSeries._align(a, b)
-    va, vb = a._valuations(), b._valuations()
-    if va is None or vb is None:
-        return {}, tuple(map(min, a.cutoff, b.cutoff))
+    va, vb = a._valuations() or a.cutoff, b._valuations() or b.cutoff
     cutoff = tuple(min(ca + eb, cb + ea)
                    for ca, cb, ea, eb in zip(a.cutoff, b.cutoff, va, vb))
     terms = {}
@@ -320,9 +318,20 @@ class TestRealFastPath:
         assert (q * r).coefficient({"q": 0}) == 0
 
     def test_truncated_zero_operand(self):
+        # an empty operand's cutoff serves as its valuation: O(q^2) times
+        # q^-1 + 24 + O(q^5) is O(q^1)
         zero = PuiseuxSeries(("q",), 24, {}, (48,))
         prod = zero * q_poly({-1: 1, 0: 24}, order=5)
-        assert prod.is_zero() and prod.cutoff == (48,)
+        assert prod.is_zero() and prod.cutoff == (24,)
+        # 1 cut at q^0 stores nothing, and q^-2 lies inside the box of its
+        # product with q^-2 + O(q^5): the product is 0 + O(q^-2), not O(q^0)
+        one = PuiseuxSeries(("q",), 1, {(0,): 1}, (0,))
+        laurent = PuiseuxSeries(("q",), 1, {(-2,): 1}, (5,))
+        for prod in (one * laurent, laurent * one):
+            assert prod.is_zero() and prod.cutoff == (-2,)
+        # an exact zero times anything is an exact zero
+        exact = PuiseuxSeries(("q",), 1, {}, (inf,))
+        assert (exact * laurent).cutoff == (inf,)
 
 
 def heap_walk_invert(s):
@@ -433,13 +442,16 @@ class TestInvertAgainstHeapWalk:
 
 
 @st.composite
-def _in_domain(draw, variables=("t", "x")):
+def _in_domain(draw, variables=("t", "x"), empty=False):
     """An in-domain series and the untruncated term map it stands for.
 
     The map is a stored monomial times a polynomial with a constant term, so
     its corner (least exponent in every variable) is stored and every term
     cut off lies above it, as `*` requires.  The box is random; the series
-    is a unit, since its corner is stored and nonzero.
+    is a unit, since its corner is stored and nonzero.  With `empty`, the
+    box ends at or below the corner in every variable: nothing is stored,
+    and every term lies at or above the cutoff, as `*` requires of an
+    operand that stores nothing.
     """
     den = 24 if variables == ("q",) else 2
     coeffs = draw(st.sampled_from([st.builds(ExactComplex, _PARTS), _EXACT]))
@@ -450,7 +462,8 @@ def _in_domain(draw, variables=("t", "x")):
         if any(offset):
             full[tuple(map(add, corner, offset))] = draw(coeffs)
     full[corner] = draw(coeffs.filter(bool))
-    cutoff = tuple(m + draw(st.integers(1, 14)) for m in corner)
+    cutoff = tuple(m + draw(st.integers(-4, 0) if empty else st.integers(1, 14))
+                   for m in corner)
     return full, PuiseuxSeries(variables, den, full, cutoff)
 
 
@@ -478,7 +491,6 @@ def _exact_inverse_in_box(full, cutoff):
 
 
 class TestInverseProperty:
-    @settings(derandomize=True, database=None)
     @given(_units)
     def test_product_with_inverse_is_one(self, s):
         assert s * s.invert() == 1
@@ -488,14 +500,14 @@ class TestExactInDomain:
     """Each operation on in-domain truncated series equals the exact
     operation on the untruncated term maps, restricted to its claimed box."""
 
-    @settings(derandomize=True, database=None, max_examples=25)
-    @given(_in_domain(), _in_domain())
+    @settings(max_examples=30)
+    @given(st.one_of(_in_domain(), _in_domain(empty=True)), _in_domain())
     def test_product(self, a, b):
         (a_full, a), (b_full, b) = a, b
-        prod = a * b
-        assert prod.terms == _exact_product_in_box(a_full, b_full, prod.cutoff)
+        for prod in (a * b, b * a):
+            assert prod.terms == _exact_product_in_box(a_full, b_full, prod.cutoff)
 
-    @settings(derandomize=True, database=None, max_examples=25)
+    @settings(max_examples=25)
     @given(_in_domain(), st.integers(2, 4))
     def test_power(self, a, k):
         a_full, a = a
@@ -505,19 +517,76 @@ class TestExactInDomain:
         power = a ** k
         assert power.terms == _exact_product_in_box(full, a_full, power.cutoff)
 
-    @settings(derandomize=True, database=None, max_examples=25)
+    @settings(max_examples=25)
     @given(_in_domain())
     def test_inverse(self, u):
         u_full, u = u
         inv = u.invert()
         assert inv.terms == _exact_inverse_in_box(u_full, inv.cutoff)
 
+    @settings(max_examples=15)
+    @given(_in_domain(), _in_domain(), st.sampled_from((1, 3)))
+    def test_sum(self, a, b, f):
+        # b moves to the lattice 1/6 for f = 3, so the sum merges lattices
+        (a_full, a), (b_full, b) = a, b
+        b = b.rescale(b.den * f)
+        total = a + b
+        assert _box(total) == tuple(map(min, _box(a), _box(b)))
+        exact = _unscaled(a_full, a.den)
+        for e, c in _unscaled(b_full, b.den // f).items():
+            exact[e] = exact.get(e, 0) + c
+        assert _unscaled(total.terms, total.den) == _in_box(exact, total)
+
+    @settings(max_examples=10)
+    @given(_in_domain(), st.integers(1, 4))
+    def test_rescale(self, a, f):
+        a_full, a = a
+        fine = a.rescale(a.den * f)
+        assert fine.den == a.den * f
+        assert _box(fine) == _box(a)
+        assert _unscaled(fine.terms, fine.den) == _in_box(_unscaled(a_full, a.den), fine)
+
+    @settings(max_examples=20)
+    @given(_in_domain(), st.sampled_from(("t", "x")),
+           st.sampled_from((Fraction(1, 2), Fraction(1, 3), 1, Fraction(3, 2), 2, 3)),
+           st.sampled_from((1, -1)))
+    def test_substitute_power(self, a, variable, num, sign):
+        a_full, a = a
+        if sign == -1:  # v -> -v^num needs integral exponents: read them on lattice 1
+            a = PuiseuxSeries(a.variables, 1, a_full, a.cutoff)
+        image = a.substitute_power(variable, num, sign)
+        k = a.variables.index(variable)
+        box = list(_box(a))
+        box[k] *= num
+        assert _box(image) == tuple(box)
+        exact = {}
+        for e, c in _unscaled(a_full, a.den).items():
+            moved = list(e)
+            moved[k] *= num
+            exact[tuple(moved)] = c if sign == 1 else c * (-1) ** int(e[k])
+        assert _unscaled(image.terms, image.den) == _in_box(exact, image)
+
+
+def _unscaled(terms, den):
+    """A term map with its scaled exponents read as Fractions on lattice 1/den."""
+    return {tuple(Fraction(e, den) for e in exps): c for exps, c in terms.items()}
+
+
+def _box(series):
+    """The cutoff of `series` in unscaled units."""
+    return tuple(Fraction(c, series.den) for c in series.cutoff)
+
+
+def _in_box(terms, series):
+    """The nonzero terms of an unscaled map below the unscaled box of `series`."""
+    box = _box(series)
+    return {e: ExactComplex.coerce(c) for e, c in terms.items() if c and all(map(lt, e, box))}
+
 
 class TestTrustedOutputs:
     """Outputs built by `_from_terms` hold the invariant the constructor enforces."""
 
-    METHODS = ("__mul__", "invert", "__neg__", "rescale", "extend_variables",
-               "__add__", "truncate", "scale", "substitute_power", "__pow__")
+    METHODS = ("__mul__", "invert", "__neg__", "rescale", "__add__", "truncate", "scale", "substitute_power", "__pow__")
 
     def test_kernel_outputs_hold_the_invariant(self, monkeypatch):
         outputs = {name: [] for name in self.METHODS}
@@ -704,11 +773,14 @@ class TestPolyPow:
 
 class TestVariableMerging:
     def test_union_of_variables(self):
+        # a series keeps its variables for life: mixed sets do not combine
         a = PuiseuxSeries.monomial(("t",), {"t": 1}, order=6)
         b = PuiseuxSeries.monomial(("x",), {"x": 1}, order=6)
-        s = a * b
-        assert s.variables == ("t", "x")
-        assert s.coefficient({"t": 1, "x": 1}) == 1
+        c = PuiseuxSeries.monomial(("t", "x"), {"t": 1}, order=6)
+        for x, y in ((a, b), (a, c), (c, b)):
+            for combine in (operator.add, operator.mul, operator.eq):
+                with pytest.raises(SeriesError, match="do not combine"):
+                    combine(x, y)
 
     def test_coefficient_of_a_foreign_variable(self):
         s = PuiseuxSeries.constant(3, ("t",))
@@ -717,9 +789,11 @@ class TestVariableMerging:
         assert s.coefficient({"t": 0, "x": Fraction(1, 2)}) == 0
 
     def test_lattice_lcm(self):
-        a = PuiseuxSeries.monomial(("t",), {"t": Fraction(1, 2)}, 1, den=2)
-        b = PuiseuxSeries.monomial(("q",), {"q": 1}, 1, den=24)
-        assert (a * b).den == 24
+        a = PuiseuxSeries.monomial(("q",), {"q": Fraction(1, 2)}, 1, den=2)
+        b = PuiseuxSeries.monomial(("q",), {"q": Fraction(1, 3)}, 1, den=3)
+        assert (a * b).den == (a + b).den == 6
+        assert (a * b).coefficient({"q": Fraction(5, 6)}) == 1
+        assert a + b == b + a and a * b == b * a
 
 
 class TestScalarOperands:
