@@ -40,10 +40,19 @@ def _order(args):
     return order
 
 
+def _given(args, names):
+    """The flags among `names` given on the command line (not None, not False), as "--name"."""
+    return [f"--{n}" for n in names if (v := getattr(args, n)) is not None and v is not False]
+
+
 # ----------------------------------------------------------------------
 # verlinde
 
 def _cmd_verlinde(args, order):
+    mode = _given(args, ("sweep", "limit", "series", "asymptotics"))
+    stray = _given(args, ("x", "y", "t"))
+    if mode and stray and (args.sweep is None or args.sweep > 0):  # sweep_report rejects < 1 point
+        raise ValueError(f"{' '.join(stray)} not allowed with {mode[0]} (point mode only)")
     if args.sweep is not None:
         start = time.monotonic()
         rep = bethe.sweep_report(args.sweep, seed=args.seed)
@@ -129,6 +138,8 @@ def _parse_hf(text):
 
 
 def _cmd_floer(args, order):
+    if args.conjecture and (mode := _given(args, ("hf", "molien", "hn"))):
+        raise ValueError(f"--conjecture not allowed with {mode[0]} (--brieskorn only)")
     if args.molien:
         series = floer.molien_su2_adjoint(order=order)
         report = {"manifold": "S3 local observables", "series": series.to_json_dict()}

@@ -237,6 +237,8 @@ def superspace_character(g, factors, order=12):
     for f in factors:
         if f.kind not in ("torus", "even", "odd"):
             raise ValueError(f"unknown factor kind {f.kind!r}")
+        if unknown := [v for v in f.weight if v not in VARIABLE_ORDER]:
+            raise SeriesError(f"{f.kind} factor of weight {f.weight}: unknown variable {unknown[0]!r}")
         if any(e < 0 for e in f.weight.values()):
             raise UnbalancedConfigurationError(f"weight {f.weight} has a negative exponent")
         dims["odd" if f.kind == "odd" else "even"] += f.multiplicity

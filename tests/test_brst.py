@@ -25,7 +25,6 @@ from vw3d.brst import (
     _resolve_which,
     _rule_image,
     _solve_exact,
-    _toggled,
     calibrate_signs,
     check_closure,
     check_twistor,
@@ -249,8 +248,8 @@ class TestGaugeVariation:
         assert out.values[("phi", (), 0)].is_zero()
 
     def test_convention_fields(self):
-        # delta X = i[X, Lambda] is fixed; only the rule signs and da_coef vary
-        assert [f.name for f in dataclasses.fields(SignConvention)] == ["rule_signs", "da_coef"]
+        # delta X = i[X, Lambda] and the printed rule signs are fixed; only da_coef varies
+        assert [f.name for f in dataclasses.fields(SignConvention)] == ["da_coef"]
 
 
 class TestNilpotency:
@@ -349,17 +348,19 @@ class TestCalibration:
             assert report["failing_rules"] == []
 
     def test_broken_rule_is_reported(self):
-        # flip one sign in a copy of the covariant table: the calibrator must
-        # either repair it by toggles or name the failing rules
+        # flip one sign in a copy of the covariant table: no covariant-derivative
+        # coefficient closes it, and the calibrator names the flipped rule
+        # among the failing ones instead of patching it
         broken = brstmod.TABLE_TEXTS["covariant"].replace(
             "Q{a} eta{b} = - eps{c,d} [phi{a,c}, phi{b,d}]",
             "Q{a} eta{b} = eps{c,d} [phi{a,c}, phi{b,d}]")
         brstmod.TABLE_TEXTS["broken"] = broken
         try:
             conv, report = calibrate_signs("broken")
-            assert report["calibrated"]  # repaired by a rule toggle
-            signs = dict(((f, n), s) for f, n, s in conv.rule_signs)
-            assert signs.get(("Q", "eta"), 1) == -1
+            assert not report["calibrated"]
+            assert report["stage"] == "report"
+            assert "Q eta" in report["failing_rules"]
+            assert conv == default_convention(get_table("broken"))
         finally:
             brstmod.TABLE_TEXTS.pop("broken")
             brstmod._TABLE_CACHE.pop("broken", None)
@@ -378,6 +379,29 @@ class TestCalibration:
         finally:
             brstmod.TABLE_TEXTS.pop("typo")
             brstmod._TABLE_CACHE.pop("typo", None)
+
+    def test_shipped_tables_close_at_their_default(self):
+        # the fact the two-stage calibration rests on: every shipped table
+        # closes under its default coefficient, with every rule as printed
+        for name in SHIPPED_TABLES:
+            conv, report = calibrate_signs(name)
+            assert conv == default_convention(get_table(name))
+            assert report["stage"] == "identity-toggles"
+
+    @pytest.mark.parametrize("name,text", [
+        ("abelian", None), ("typo", ("Q eta = 0", "Q eta = phi"))])
+    def test_no_seeds_is_rejected(self, name, text):
+        # zero seeds would run zero checks and report a vacuous calibration,
+        # also for the typo table that does not close
+        if text:
+            brstmod.TABLE_TEXTS[name] = brstmod.TABLE_TEXTS["abelian"].replace(*text)
+        try:
+            with pytest.raises(ValueError, match="seeds"):
+                calibrate_signs(name, seeds=())
+        finally:
+            if text:
+                brstmod.TABLE_TEXTS.pop(name)
+                brstmod._TABLE_CACHE.pop(name, None)
 
 
 def _assert_well_formed(element, ncomp):
@@ -516,11 +540,10 @@ def _term_value(term, binding, state, comp, target_form, conv):
 
 def _reference_rule_image(state, rule, op_index, slot, comp, conv):
     """A rule image from the parsed terms, interpreted term by term and summed
-    with `GrassmannElement.__add__`, one signed term at a time."""
+    with `GrassmannElement.__add__`, one term at a time."""
     binding = {} if rule.op_letter is None else {rule.op_letter: op_index}
     binding.update(zip(rule.field_letters, slot))
     form = state.table.fields[rule.field_name].form
-    sign = conv.sign_of(rule.family, rule.field_name)
     out = GrassmannElement.zero(state.table.ncomp)
     for term in rule.terms:
         letters = [l for pair in term.eps for l in pair] + [l for ref in term.refs for l in ref[1]]
@@ -529,7 +552,7 @@ def _reference_rule_image(state, rule, op_index, slot, comp, conv):
             local = {**binding, **dict(zip(dummies, assignment))}
             value = _term_value(term, local, state, comp, form, conv)
             if value is not None and not value.is_zero():
-                out = out + value.scale(sign)
+                out = out + value
     return out
 
 
@@ -567,9 +590,9 @@ class TestInternalResults:
             brstmod._TABLE_CACHE.pop("cancel", None)
 
     def test_rule_image_matches_termwise_sum(self):
-        # every rule of every shipped table, under the default signs, with the
-        # rule's own sign toggled and with a covariant-derivative coefficient
-        # no table defaults to: same terms, same order, same parity
+        # every rule of every shipped table, under the default convention and
+        # with a covariant-derivative coefficient no table defaults to: same
+        # terms, same order, same parity
         for name in SHIPPED_TABLES:
             table = get_table(name)
             state = random_state(table, seed=0)
@@ -577,7 +600,7 @@ class TestInternalResults:
             for key, rule in table.rules.items():
                 spec = table.fields[rule.field_name]
                 ops = (None,) if rule.op_letter is None else (1, 2)
-                for conv in (base, _toggled(base, key), replace(base, da_coef=-I_UNIT)):
+                for conv in (base, replace(base, da_coef=-I_UNIT)):
                     for op_index, slot, comp in itertools.product(
                             ops, spec.slots(), range(table.components(spec.form))):
                         got = _rule_image(state, rule, op_index, slot, comp, conv)

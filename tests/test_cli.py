@@ -304,6 +304,25 @@ class TestInputContract:
         assert "argument {}: not allowed with argument {}".format(*flags) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv,message", [
+        (("verlinde", "--g", "2", "--series", "--x", "0.3", "--order", "1"),
+         "--x not allowed with --series"),
+        (("verlinde", "--sweep", "2", "--y", ".7", "--t", ".11"),
+         "--y --t not allowed with --sweep"),
+        (("verlinde", "--limit", "R0", "--x", ".3", "--order", "2"), "--x not allowed with --limit"),
+        (("verlinde", "--g", "0", "--asymptotics", "--t", ".11"),
+         "--t not allowed with --asymptotics"),
+        (("floer", "--hf", "lens:2", "--conjecture"), "--conjecture not allowed with --hf"),
+        (("floer", "--molien", "--conjecture"), "--conjecture not allowed with --molien"),
+        (("floer", "--hn", "0", "--conjecture"), "--conjecture not allowed with --hn"),
+    ])
+    def test_flag_outside_its_mode(self, capsys, argv, message):
+        # a flag its mode does not read is rejected, not silently ignored
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PRECONDITION
+        assert message in err
+        assert out == ""
+
     @pytest.mark.parametrize("value,message", [("abc", "VW3D_ORDER"),
                                                ("0", "order must be at least 1")])
     def test_bad_order_variable(self, capsys, monkeypatch, value, message):

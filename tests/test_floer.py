@@ -22,7 +22,7 @@ from vw3d.floer import (
     tower_series,
     trivial_isotypic_dims,
 )
-from vw3d.series import ExactComplex, PuiseuxSeries
+from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError
 
 
 class TestTowers:
@@ -213,6 +213,11 @@ class TestSuperspace:
                    SuperspaceFactor(other, {"t": 1}, 1))
         with pytest.raises(UnbalancedConfigurationError):
             superspace_character(0, factors, order=3)
+
+    def test_unknown_variable_named(self):
+        factors = standard_superspace_factors(1, {"w": 1})
+        with pytest.raises(SeriesError, match=r"odd factor of weight \{'w': 1\}.*'w'"):
+            superspace_character(1, factors, order=3)
 
     def test_genus_zero_product(self):
         factors = standard_superspace_factors(0, {"t": 1})

@@ -1,9 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_brst import _assert_same_element, _assert_well_formed, fold_combination
 
@@ -375,6 +376,28 @@ def _elements(draw, values):
     terms = {m: tuple(draw(values) for _ in range(ncomp))
              for m in draw(st.lists(st.sampled_from(masks), max_size=4, unique=True))}
     return GrassmannElement(ncomp, parity, terms)
+
+
+@st.composite
+def _su2_elements(draw, parity):
+    """An su(2)-valued element of one parity, of Grassmann degree <= 2 on six
+    generators, so that nested brackets of three seldom vanish."""
+    masks = [m for m in range(64) if m.bit_count() in ((0, 2) if parity == 0 else (1,))]
+    terms = {m: tuple(draw(_REAL) for _ in range(3))
+             for m in draw(st.lists(st.sampled_from(masks), min_size=1, max_size=3, unique=True))}
+    return GrassmannElement(3, parity, terms)
+
+
+class TestGradedJacobi:
+    @pytest.mark.parametrize("parities", list(itertools.product((0, 1), repeat=3)))
+    @settings(max_examples=8)
+    @given(data=st.data())
+    def test_graded_jacobi_identity(self, parities, data):
+        # [a, [b, c]] = [[a, b], c] + (-1)^{|a||b|} [b, [a, c]]
+        a, b, c = (data.draw(_su2_elements(p)) for p in parities)
+        sign = -1 if a.parity and b.parity else 1
+        assert lie_bracket(a, lie_bracket(b, c)) == (
+            lie_bracket(lie_bracket(a, b), c) + lie_bracket(b, lie_bracket(a, c)).scale(sign))
 
 
 class TestCanonicalForm:

@@ -3,10 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_series import _exact_product_in_box, _in_domain
 
 from vw3d.bethe import s_elements_xy
-from vw3d.ratexpr import (BranchError, Const, Factored, PoleError, T, Var, X, _exact_quotient,
-                          common_quotients, rational_eval)
+from vw3d.ratexpr import (BranchError, Const, Div, Factored, HalfPow, PoleError, Poly, Pow, T, Var,
+                          X, _exact_quotient, common_quotients, rational_eval)
 from vw3d.series import INF_CUTOFF, PuiseuxSeries, SeriesError, default_denominator
 
 
@@ -222,3 +225,35 @@ class TestCommonQuotients:
         total = sum(q.expand(variables, 9) for q in groups).truncate(9)
         want = sum(e.expand(variables, 9) for e in exprs).truncate(9)
         assert total.to_json() == want.to_json()
+
+
+class TestExactExpansions:
+    """Quotients and half powers of exact inputs against exact oracles."""
+
+    @settings(max_examples=20)
+    @given(_in_domain(), _in_domain(), st.integers(1, 4))
+    def test_quotient_times_denominator(self, n, d, order):
+        # N and D untruncated, D's corner stored.  The stored terms of Q = N/D
+        # miss only terms at or above Q's cutoff in some variable, so Q times
+        # D equals N below that cutoff moved by D's valuation
+        (n_full, n), (d_full, d) = n, d
+        untruncated = [PuiseuxSeries(s.variables, s.den, full, (INF_CUTOFF,) * len(s.variables))
+                       for s, full in ((n, n_full), (d, d_full))]
+        quotient = Div(*map(Poly, untruncated)).expand(n.variables, order)
+        assert all(c >= order * d.den for c in quotient.cutoff)
+        box = tuple(c + min(e[k] for e, v in d_full.items() if v)
+                    for k, c in enumerate(quotient.cutoff))
+        assert _exact_product_in_box(quotient.terms, d_full, box) == {
+            e: c for e, c in n_full.items() if c and all(x < b for x, b in zip(e, box))}
+
+    @settings(max_examples=25)
+    @given(st.fractions(-9, 9, max_denominator=9).filter(bool), st.integers(-3, 3),
+           st.integers(-3, 3), st.sampled_from((-3, -1, 1, 3, 5)), st.integers(1, 4))
+    def test_half_power_squares_to_the_power(self, c, a, b, k, order):
+        # the exact monomial c^2 t^a x^b; a negative k expands the power as a Div
+        base = Poly(PuiseuxSeries(("t", "x"), 2, {(2 * a, 2 * b): c * c}, (INF_CUTOFF,) * 2))
+        half = HalfPow(base, Fraction(k, 2)).expand(("t", "x"), order)
+        assert half.cutoff == (INF_CUTOFF,) * 2
+        want = Pow(base, k).expand(("t", "x"), order)
+        assert half * half == want
+        assert want.terms == {(2 * k * a, 2 * k * b): (c * c) ** k}
