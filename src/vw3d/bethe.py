@@ -39,7 +39,7 @@ from functools import cache
 
 from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, common_quotients, rational_eval
 from .roots import ComplexPolynomial, poly_roots, root_key
-from .series import SeriesError, _as_fraction, default_denominator, poly_mul
+from .series import SeriesError, _as_fraction, poly_mul
 
 __all__ = [
     "BetheSystem",
@@ -255,17 +255,16 @@ def s2xs1_closed_expr():
         (1 - T ** 2) * (1 - T ** 2 * X ** 4))
 
 
-def _expand_to(expr, variables, order):
-    """Expand at `order`, and once more by the shortfall if a Laurent product
-    or `**` of a truncated Laurent base leaves the box short (see `expand`)."""
-    den = default_denominator(variables)
-    series = expr.expand(variables, order)
-    short = max(order * den - c for c in series.cutoff)
-    if short > 0:
-        series = expr.expand(variables, order - (-short // den))
-        if any(c < order * den for c in series.cutoff):
-            raise SeriesError(f"could not certify expansion to order {order}")
-    return series.truncate(order)
+@cache
+def s3_elements():
+    """1/(1 - t^2), the S^3 graded dimension, as a one-form sum.  Shared."""
+    return (Const(1) / (1 - T ** 2),)
+
+
+@cache
+def s2xs1_elements():
+    """`s2xs1_closed_expr` as a one-form sum.  Shared: do not mutate."""
+    return (s2xs1_closed_expr(),)
 
 
 @cache
@@ -286,22 +285,27 @@ def _genus_sum(g, multiplicities, forms, variables, order):
     factor are added over one lcm, and each such shared factor is cancelled
     from the exact numerator as often as it divides it (at g = 0 the Hessian
     bracket of S00 and S02 goes); `common_quotients` has the rule.  Each group
-    is then expanded once as a quotient of untruncated polynomials.
+    is then expanded once as a quotient of untruncated polynomials, which
+    certifies the box of `order`; a short box raises `SeriesError`.
     """
     terms = [e ** (1 - g) * m for m, e in zip(multiplicities, _factored(forms, variables))]
-    return sum(_expand_to(q, variables, order) for q in common_quotients(terms))
+    groups = [q.expand(variables, order) for q in common_quotients(terms)]
+    if any(c < order * s.den for s in groups for c in s.cutoff):
+        raise SeriesError(f"could not certify expansion to order {order}")
+    return sum(s.truncate(order) for s in groups)
 
 
 def grdim_closed_form(manifold, order=20, g=None):
     """Closed-form graded dimension series for the reference 3-manifolds.
 
     manifold: "S3", "S2xS1", or "SigmaGxS1" (with genus g); the surface case
-    uses the x = y weights and the ten-vacua sum.
+    uses the x = y weights and the ten-vacua sum.  S3 and S2xS1 are one-form
+    sums, expanded like the genus sums.
     """
     if manifold == "S3":
-        return _expand_to(Const(1) / (1 - T ** 2), ("t",), order)
+        return _genus_sum(0, (1,), s3_elements, ("t",), order)
     if manifold == "S2xS1":
-        return _expand_to(s2xs1_closed_expr(), ("t", "x"), order)
+        return _genus_sum(0, (1,), s2xs1_elements, ("t", "x"), order)
     if manifold == "SigmaGxS1":
         if g is None or g < 0:
             raise ValueError("SigmaGxS1 requires a genus g >= 0")

@@ -6,14 +6,12 @@ the Verlinde-type engine.  Two consumers:
 
 * :func:`rational_eval` -- IEEE-double evaluation at a parameter point, with
   pole and branch guards;
-* :meth:`RationalExpr.expand` -- exact expansion into a PuiseuxSeries, used
-  for graded-dimension series; each quotient certifies its own box.
-
-:meth:`RationalExpr.factored` compiles a closed form into a `Factored`, a
-coefficient times a lattice monomial times signed powers of polynomial
-factors, so that a sum of such forms can be put over one denominator and
-shared factors cancelled exactly (:func:`common_quotients`) before anything
-is truncated.
+* :meth:`RationalExpr.factored` -- compilation into a `Factored`, a
+  coefficient times a lattice monomial times signed powers of polynomial
+  factors.  A sum of such forms is put over common denominators and shared
+  factors are cancelled exactly (:func:`common_quotients`); each group then
+  expands once as the quotient `Div(Poly N, Poly D)` of two untruncated
+  polynomials, which certifies its own box.  Every closed form expands so.
 """
 
 from __future__ import annotations
@@ -95,11 +93,11 @@ class RationalExpr:
         `default_denominator(variables)`.
 
         Constants and variables are untruncated (cutoff `INF_CUTOFF`, which
-        is infinite), and so is every sum, product and power of them.  Each
-        inversion is a `Div`, cut to certify the box of `order`.  The box
-        falls short only where a truncated factor meets one of negative
-        valuation, as in a Laurent product or `**` of a truncated Laurent
-        base; `bethe._expand_to` then expands once more.
+        is infinite), and so is every sum, product, power and monomial half
+        power of them.  A `Div` of two such polynomials is the one truncating
+        expansion: it certifies the box of `order`.  A `Div` or half power of
+        a truncated series raises `SeriesError`; a negative power is the
+        `Div` 1 / base^k.
         """
         raise NotImplementedError
 
@@ -209,15 +207,17 @@ class Div(_Binary):
         return self.left.eval(point) / _factor_eval(self.right, point)
 
     def expand(self, variables, order):
-        # n d^-1 holds on the box B if d^-1 holds on B - vn and n on B + vd; invert
-        # loses 2 vd, so d is cut at B - vn + 2 vd (at least vd + 1: its corner).
+        # n / d for untruncated polynomials n and d.  n d^-1 holds on the box B
+        # if d^-1 holds on B - vn; invert loses 2 vd, so d is cut at
+        # B - vn + 2 vd (at least vd + 1: its corner).
         numerator = self.left.expand(variables, order)
         denominator = self.right.expand(variables, order)
+        if min(numerator.cutoff + denominator.cutoff) < INF_CUTOFF:
+            raise SeriesError("a quotient expands only from untruncated polynomials")
         box = order * denominator.den
         zero = (0,) * len(denominator.cutoff)
         vn, vd = numerator._valuations() or zero, denominator._valuations() or zero
-        cut = tuple(min(max(box - n + 2 * d, d + 1), c)
-                    for n, d, c in zip(vn, vd, denominator.cutoff))
+        cut = tuple(max(box - n + 2 * d, d + 1) for n, d in zip(vn, vd))
         return numerator * denominator._cut(cut).invert()
 
     def factored(self, variables):
@@ -245,17 +245,9 @@ class Pow(RationalExpr):
             return _factor_eval(self.base, point) ** self.exponent
         return self.base.eval(point) ** self.exponent
 
-    def _quotient(self):
-        """A negative power as the `Div` that inverts it: (L/R)^{-k} as R^k / L^k,
-        so that a sparse polynomial power is inverted, never a dense series."""
-        k = -self.exponent
-        if isinstance(self.base, Div):
-            return Div(Pow(self.base.right, k), Pow(self.base.left, k))
-        return Div(Const(1), Pow(self.base, k))
-
     def expand(self, variables, order):
         if self.exponent < 0:
-            return self._quotient().expand(variables, order)
+            return Div(Const(1), Pow(self.base, -self.exponent)).expand(variables, order)
         return self.base.expand(variables, order) ** self.exponent
 
     def factored(self, variables):
@@ -279,11 +271,11 @@ class HalfPow(RationalExpr):
         return complex(value.real ** float(self.exponent))
 
     def expand(self, variables, order):
+        # Supported exactly when the base is an untruncated monomial (covers
+        # every closed form in use: t^{3/2}, x^{3/2}, y^{3/2}).
         series = self.base.expand(variables, order)
-        # Supported exactly when the base is a single monomial (covers every
-        # closed form in use: t^{3/2}, y^{3/2}/x^{3/2}, (x/(y t))^{3/2}, ...).
-        if len(series.terms) != 1:
-            raise SeriesError("half-integer power of a non-monomial series")
+        if len(series.terms) != 1 or min(series.cutoff) < INF_CUTOFF:
+            raise SeriesError("half-integer power of a series not an untruncated monomial")
         (exps, coeff), = series.terms.items()
         if coeff.im != 0:
             raise BranchError("half power of a non-real monomial coefficient")
@@ -291,12 +283,9 @@ class HalfPow(RationalExpr):
         scaled = [e * self.exponent for e in exps]
         if any(v.denominator != 1 for v in scaled):
             raise SeriesError("half power leaves the exponent lattice")
-        scaled = tuple(map(int, scaled))
-        # a base m (1 + O(C - v)) of valuation v gives m^k (1 + O(C - v)),
-        # whose box moves by (k - 1) v; an untruncated base stays untruncated
-        cutoff = [c + s - e for c, s, e in zip(series.cutoff, scaled, exps)]
         return PuiseuxSeries(series.variables, series.den,
-                             {scaled: root ** self.exponent.numerator}, cutoff)
+                             {tuple(map(int, scaled)): root ** self.exponent.numerator},
+                             series.cutoff)
 
     def __repr__(self):
         return f"{self.base!r}^({self.exponent})"
@@ -335,7 +324,7 @@ class Factored:
     @staticmethod
     def of(series):
         """The untruncated polynomial `series` as coeff * m * f (no f if one term)."""
-        if any(c != INF_CUTOFF for c in series.cutoff):
+        if min(series.cutoff) < INF_CUTOFF:
             raise SeriesError("only an untruncated polynomial compiles to a factor")
         mono = series._valuations() or (0,) * len(series.variables)
         if len(series.terms) < 2:

@@ -396,6 +396,10 @@ class PuiseuxSeries:
         That product is a cut at self.cutoff + v, v the result's valuation
         (its cutoff if it stores nothing, as in `*`).  The 1 goes last:
         first, it can empty a product whose valuation the next `*` reads.
+
+        Out of domain: a power of a truncated Laurent monomial in several
+        variables; (t^-1 x^-1 + O(t^0, x^0))^3 is cut below its only term, at
+        (t^-3, x^-3).  Closed forms take powers of `ratexpr.Factored` forms.
         """
         if not isinstance(n, int):
             raise SeriesError("series powers must be integers")

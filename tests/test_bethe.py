@@ -1,19 +1,22 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import lt, mul
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_series import _exact_product_in_box
 
 from vw3d.bethe import (
     CLASS_LABELS,
     CLASS_MULTIPLICITIES,
     DegenerateParameterError,
-    _expand_to,
     _factored,
     admissible_roots,
     asymptotics_check,
@@ -27,16 +30,18 @@ from vw3d.bethe import (
     r2_series_elements,
     s2s1_generic_expr,
     s2xs1_closed_expr,
+    s2xs1_elements,
+    s3_elements,
     s_elements_generic,
     s_elements_xy,
     s_squared,
     s_squared_values,
     verlinde_sum,
 )
-from vw3d.ratexpr import (Const, Factored, PoleError, T, X, _exact_quotient, common_quotients,
+from vw3d.ratexpr import (Factored, PoleError, T, X, _exact_quotient, common_quotients,
                           rational_eval)
 from vw3d.roots import poly_roots
-from vw3d.series import INF_CUTOFF, default_denominator, poly_mul
+from vw3d.series import INF_CUTOFF, ExactComplex, default_denominator, poly_mul
 
 GENERIC = {"x": 0.3, "y": 0.7, "t": 0.11}
 
@@ -338,89 +343,25 @@ class TestClosedFormSeries:
         direct = closed_form_value(2, 0.15, 0.1)
         assert abs(series.evaluate(point) - direct) < 1e-6 * abs(direct)
 
-
-def _expand_by_doubling(expr, variables, order):
-    """Reference `_expand_to`: retry at pads 4, 8, 16, ... until the box certifies."""
-    for pad in (4, 8, 16, 32, 64):
-        series = expr.expand(variables, order + pad)
-        if all(c >= order * series.den for c in series.cutoff):
-            return series.truncate(order)
-    raise AssertionError("reference expansion never certified")
+    def test_grid_digest(self):
+        # byte identity of every expansion on the grid, pinned before the
+        # genus sums' expansion is next rewritten
+        text = json.dumps([_closed_form(*case).to_json() for case in DIGEST_GRID])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "156f63dea9515a3fbeb3ad74e2aaae738dc2167edbe76d85389f0af30e2eb9c9"
 
 
-def _shipped_forms():
-    """Every closed form the genus sums and limits expand (65 in all)."""
-    forms = [("S3", Const(1) / (1 - T ** 2), ("t",)),
-             ("S2xS1", s2xs1_closed_expr(), ("t", "x"))]
-    for g in (0, 2, 3, 4, 5, 6, 7):
-        for label, elements, variables in (("xy", s_elements_xy(), ("t", "x")),
-                                           ("R2", r2_series_elements(), ("x",)),
-                                           ("R0", r0_limit_elements(), ("t",))):
-            forms += [(f"{label}{i}-g{g}", e ** (1 - g), variables)
-                      for i, e in enumerate(elements)]
-    return forms
+# (manifold, g, order): S3 and S2xS1 at orders 0-40, and the genus sums and
+# limits at nine orders for g below 5 (SigmaGxS1), 6 (R2) and 8 (R0)
+DIGEST_GRID = ([(m, None, o) for m in ("S3", "S2xS1") for o in range(41)]
+               + [(m, g, o) for m, genera in (("SigmaGxS1", 5), ("R2", 6), ("R0", 8))
+                  for g in range(genera) for o in (0, 1, 2, 3, 5, 6, 10, 13, 20)])
 
 
-SHIPPED = _shipped_forms()
-
-
-def _top_sizes(monkeypatch, expr, run):
-    """The orders at which `run()` expands the top node of `expr`."""
-    sizes = []
-    expand = type(expr).expand
-    monkeypatch.setattr(type(expr), "expand", lambda self, v, o:
-                        (self is expr and sizes.append(o)) or expand(self, v, o))
-    run()
-    monkeypatch.undo()
-    return sizes
-
-
-class TestDerivedPad:
-    @pytest.mark.parametrize("name, expr, variables", SHIPPED, ids=[f[0] for f in SHIPPED])
-    def test_matches_pad_doubling(self, name, expr, variables):
-        for order in (1, 2, 3, 13):
-            assert _expand_to(expr, variables, order).to_json() == \
-                _expand_by_doubling(expr, variables, order).to_json()
-
-    @pytest.mark.parametrize("name, expr, variables", SHIPPED, ids=[f[0] for f in SHIPPED])
-    def test_predicted_loss_is_observed(self, monkeypatch, name, expr, variables):
-        # each Div cuts its denominator to keep the requested box, so the
-        # predicted loss is none: one expansion at the order certifies it
-        den = default_denominator(variables)
-        for order in (3, 6, 20):
-            assert all(c >= order * den for c in expr.expand(variables, order).cutoff)
-        sizes = _top_sizes(monkeypatch, expr, lambda: [
-            _expand_to(expr, variables, order) for order in (3, 6, 20)])
-        assert sizes == [3, 6, 20]
-
-    def test_cancelling_denominator_expands_once_more(self, monkeypatch):
-        # the constants in t + t^2 + (1 - 1) cancel exactly, so the
-        # quotient sees valuation 1 and needs no second expansion
-        expr = Const(1) / ((1 + T) - 1 + T ** 2)
-        assert _top_sizes(monkeypatch, expr, lambda: _expand_to(expr, ("t",), 6)) == [6]
-        assert _expand_to(expr, ("t",), 6).to_json() == \
-            _expand_by_doubling(expr, ("t",), 6).to_json()
-
-    def test_laurent_product_expands_once_more(self, monkeypatch):
-        # 1/(1 - t) is certified to t^6 and 1/t^2 has valuation -2: their
-        # product is short by t^2, which the second expansion adds
-        expr = (Const(1) / (1 - T)) * T ** -2
-        assert _top_sizes(monkeypatch, expr, lambda: _expand_to(expr, ("t",), 6)) == [6, 8]
-        assert _expand_to(expr, ("t",), 6).to_json() == \
-            _expand_by_doubling(expr, ("t",), 6).to_json()
-
-    def test_half_power_base_stays_in_the_box(self):
-        # t expands untruncated, so t^{3/2} is a monomial at every order;
-        # the box of order 1 ends below it
-        series = grdim_closed_form("S2xS1", order=2)
-        assert series.coefficient({"t": Fraction(3, 2)}) == 2
-        assert grdim_closed_form("S2xS1", order=1).is_zero()
-
-
-def _per_class_sum(g, multiplicities, elements, variables, order):
-    """Reference genus sum: each class term expanded on its own, then added."""
-    return sum(_expand_to(e ** (1 - g), variables, order) * m
-               for m, e in zip(multiplicities, elements))
+def _closed_form(manifold, g, order):
+    if manifold in ("R2", "R0"):
+        return limit_specialize(manifold, g, order=order)
+    return grdim_closed_form(manifold, order=order, g=g)
 
 
 # (label, shipped genus sum, class elements, multiplicities, variables)
@@ -439,9 +380,112 @@ def _group_quotients(forms, multiplicities, variables, g):
     return common_quotients(terms)
 
 
+def _expand_by_doubling(q, variables, order):
+    """Reference expansion of a quotient: pads 4, 8, 16, ... until the box certifies."""
+    for pad in (4, 8, 16, 32, 64):
+        series = q.expand(variables, order + pad)
+        if all(c >= order * series.den for c in series.cutoff):
+            return series.truncate(order)
+    raise AssertionError("reference expansion never certified")
+
+
+def _shipped_forms():
+    """Every closed form the genus sums and limits expand (65 in all), as
+    (id, elements function, index, genus, variables)."""
+    forms = [("S3", s3_elements, 0, 0, ("t",)), ("S2xS1", s2xs1_elements, 0, 0, ("t", "x"))]
+    for g in (0, 2, 3, 4, 5, 6, 7):
+        for label, elements, variables in (("xy", s_elements_xy, ("t", "x")),
+                                           ("R2", r2_series_elements, ("x",)),
+                                           ("R0", r0_limit_elements, ("t",))):
+            forms += [(f"{label}{i}-g{g}", elements, i, g, variables) for i in range(3)]
+    return forms
+
+
+SHIPPED = _shipped_forms()
+
+
+def _own_quotient(elements, i, g, variables):
+    """Element i to the power 1 - g over its own denominator, as the
+    `Div(Poly N, Poly D)` a one-form sum expands (S3 and S2xS1 are such sums)."""
+    (q,) = common_quotients([_factored(elements, variables)[i] ** (1 - g)])
+    return q
+
+
+class TestDerivedPad:
+    @pytest.mark.parametrize("name, elements, i, g, variables", SHIPPED,
+                             ids=[f[0] for f in SHIPPED])
+    def test_matches_pad_doubling(self, name, elements, i, g, variables):
+        q = _own_quotient(elements, i, g, variables)
+        for order in (1, 2, 3, 13):
+            assert q.expand(variables, order).truncate(order).to_json() == \
+                _expand_by_doubling(q, variables, order).to_json()
+
+    @pytest.mark.parametrize("name, elements, i, g, variables", SHIPPED,
+                             ids=[f[0] for f in SHIPPED])
+    def test_predicted_loss_is_observed(self, name, elements, i, g, variables):
+        # the quotient cuts its denominator to keep the requested box, so the
+        # predicted loss is none: one expansion at the order certifies it
+        q = _own_quotient(elements, i, g, variables)
+        den = default_denominator(variables)
+        for order in (3, 6, 20):
+            assert all(c >= order * den for c in q.expand(variables, order).cutoff)
+
+    @pytest.mark.parametrize("label, shipped, forms, mults, variables", GENUS_SUMS,
+                             ids=[s[0] for s in GENUS_SUMS])
+    def test_genus_sum_groups_match_pad_doubling(self, label, shipped, forms, mults, variables):
+        for g in (0, 2, 5):
+            for q in _group_quotients(forms, mults, variables, g):
+                for order in (1, 3, 13):
+                    assert q.expand(variables, order).truncate(order).to_json() == \
+                        _expand_by_doubling(q, variables, order).to_json()
+
+    def test_half_power_base_stays_in_the_box(self):
+        # t expands untruncated, so t^{3/2} is a monomial at every order;
+        # the box of order 1 ends below it
+        series = grdim_closed_form("S2xS1", order=2)
+        assert series.coefficient({"t": Fraction(3, 2)}) == 2
+        assert grdim_closed_form("S2xS1", order=1).is_zero()
+
+
+def _cleared_sides(g, multiplicities, forms, variables):
+    """prod D_i and sum_i m_i N_i prod_{j != i} D_j, untruncated, for the class
+    terms m_i e_i^(1-g) = m_i N_i / D_i of a genus sum S, so that
+    S prod D_i = sum_i m_i N_i prod_{j != i} D_j.  The terms are the compiled
+    forms (`test_compiled_forms_match_their_trees` checks them against their
+    trees) multiplied out; neither `common_quotients` nor `Div.expand` runs."""
+    unit = (variables, ExactComplex(1), (0,) * len(variables))
+    nums, dens = [], []
+    for m, e in zip(multiplicities, _factored(forms, variables)):
+        term = e ** (1 - g) * m
+        positive = {f: k for f, k in term.powers.items() if k > 0}
+        nums.append(Factored(variables, term.coeff, term.mono, positive).expanded({}))
+        dens.append(Factored(*unit, term.denominator()).expanded({}))
+    rest = [reduce(mul, dens[:i] + dens[i + 1:]) for i in range(len(dens))]
+    return reduce(mul, dens), sum(n * r for n, r in zip(nums, rest))
+
+
 def _same_up_to_unit(a, b):
     fa, fb = Factored.of(a), Factored.of(b)
     return fa.mono == fb.mono and fa.powers == fb.powers
+
+
+def _in_box(terms, box):
+    return {e: c for e, c in terms.items() if all(map(lt, e, box))}
+
+
+def _factored_value(form, point):
+    den = default_denominator(form.variables)
+    value = complex(form.coeff)
+    for v, e in zip(form.variables, form.mono):
+        value *= point[v] ** (e / den)
+    for f, k in form.powers.items():
+        value *= f.series.evaluate(point) ** k
+    return value
+
+
+# (elements function, variables) for every form set the closed forms compile
+COMPILED = [(s3_elements, ("t",)), (s2xs1_elements, ("t", "x")), (s_elements_xy, ("t", "x")),
+            (r2_series_elements, ("x",)), (r0_limit_elements, ("t",))]
 
 
 class TestGenusSumQuotients:
@@ -449,9 +493,31 @@ class TestGenusSumQuotients:
     @pytest.mark.parametrize("label, shipped, forms, mults, variables", GENUS_SUMS,
                              ids=[s[0] for s in GENUS_SUMS])
     def test_matches_the_per_class_sum(self, label, shipped, forms, mults, variables, g):
+        # S prod D_i = sum_i m_i N_i prod_{j != i} D_j inside S's box.  Each
+        # D_i has valuation 0 and constant term 1, so S's stored terms below
+        # its cutoff, and only they, meet the identity there
+        dens, cleared = _cleared_sides(g, mults, forms, variables)
+        origin = (0,) * len(variables)
+        assert dens.terms[origin] == 1 and dens._valuations() == origin
         for order in (1, 2, 3, 6, 13, 20, 35):
-            assert shipped(g, order).to_json() == \
-                _per_class_sum(g, mults, forms(), variables, order).to_json()
+            series = shipped(g, order)
+            box = (order * series.den,) * len(variables)
+            assert series.cutoff == box
+            low = [min(e[k] for e in series.terms) if series.terms else 0
+                   for k in range(len(box))]
+            reach = _in_box(dens.terms, tuple(b - v for b, v in zip(box, low)))
+            assert _exact_product_in_box(series.terms, reach, box) == \
+                _in_box(cleared.terms, box)
+
+    @pytest.mark.parametrize("forms, variables", COMPILED, ids=[f[0].__name__ for f in COMPILED])
+    def test_compiled_forms_match_their_trees(self, forms, variables):
+        rng = random.Random(forms.__name__)
+        for _ in range(5):
+            point = {v: rng.uniform(0.05, 0.9) for v in variables}
+            for e, form in zip(forms(), _factored(forms, variables)):
+                for g in (0, 3):
+                    want = rational_eval(e, point) ** (1 - g)
+                    assert abs(_factored_value(form ** (1 - g), point) - want) <= 1e-9 * abs(want)
 
     def test_hessian_bracket_cancels_at_genus_zero(self):
         # the g = 0 classes form one group, and the dense bracket

@@ -169,7 +169,7 @@ def test_brst_demo_runs():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-        "d548a59810be70b3baf0697611feb93d28b02d5b598f83b5f53116d8b5ea3a0b"
+        "50ea6e02ff9ceba37d93aba6bffbb94b647a1c15526b5bdf9d50246c83153411"
 
 
 class TestApply:

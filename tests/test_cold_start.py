@@ -28,7 +28,8 @@ cli.build_parser()
 check("cli.build_parser")
 for cached in (bethe.s_elements_xy, bethe.s_elements_generic, bethe.s2s1_generic_expr,
                bethe.s2xs1_closed_expr, bethe.r2_limit_elements, bethe.r2_series_elements,
-               bethe.r0_limit_elements, bethe._factored):
+               bethe.r0_limit_elements, bethe.s3_elements, bethe.s2xs1_elements,
+               bethe._factored):
     assert cached.cache_info().currsize == 0, f"{cached.__name__} built at import"
 for argv in (["verlinde", "--g", "1", "--x", "0.3", "--y", "0.7", "--t", "0.11", "--json"],
              ["floer", "--hf", "S2xS1", "--json"],

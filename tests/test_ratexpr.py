@@ -113,15 +113,30 @@ class TestExpansion:
             ((Const(root * root + 1) * T) ** Fraction(3, 2)).expand(("t",), 4)
 
     def test_half_power_of_truncated_base(self):
-        # (t^-2 (1 + t^8 + ...))^{3/2} = t^-3 (1 + (3/2) t^8 + ...): the base,
-        # certified to t^6, gives its power to t^{6 + (1/2)(-2)} = t^5
+        # a half power is taken only of an untruncated monomial: the base
+        # 1/(t^2 (1 - t^8)) is a truncated series at every order
         expr = (Const(1) / (T ** 2 * (1 - T ** 8))) ** Fraction(3, 2)
-        series = expr.expand(("t",), 6)
-        assert series.terms == {(-6,): 1} and series.cutoff == (10,)
-        for order in (8, 9):  # the base holds t^-2 + t^6: no monomial half power
-            with pytest.raises(SeriesError):
+        for order in (6, 8, 9):
+            with pytest.raises(SeriesError, match="untruncated"):
                 expr.expand(("t",), order)
 
+    def test_quotient_of_a_truncated_series_raises(self):
+        with pytest.raises(SeriesError, match="untruncated"):
+            (Const(1) / (Const(1) / (1 - T))).expand(("t",), 4)
+        with pytest.raises(SeriesError, match="untruncated"):
+            (Const(1) / (1 - T) ** -1).expand(("t",), 4)
+
+    def test_power_of_a_laurent_monomial_expands_as_its_compiled_form(self):
+        # (t^-1 x^-1)^-3 = t^3 x^3.  The tree's t^-1 and x^-1 are truncated
+        # quotients, and a power of a truncated Laurent monomial is out of the
+        # kernel's domain, so the raw expansion raises; the compiled form is
+        # the exact monomial
+        expr = (T ** -1 * X ** -1) ** -3
+        with pytest.raises(SeriesError, match="untruncated"):
+            expr.expand(("t", "x"), 4)
+        (q,) = common_quotients([expr.factored(("t", "x"))])
+        series = q.expand(("t", "x"), 4)
+        assert series.terms == {(6, 6): 1} and series.cutoff == (8, 8)
 
 class TestUntruncatedCutoff:
     def test_leaves_expand_untruncated(self):
