@@ -487,11 +487,13 @@ class SignConvention:
 
 
 def default_convention(table):
-    # The one-column 4d tables write commutators with explicit i, so their
-    # covariant derivative reduces to i[A, .]; the doublet tables carry no
-    # explicit i anywhere and reduce plainly.
-    da = I_UNIT if table.name in ("abelian", "nonabelian") else ExactComplex(1)
-    return SignConvention(da_coef=da)
+    """dA(X) -> i[A, X] when a compiled rule term has an imaginary coefficient,
+    else dA(X) -> [A, X]: a table that writes its commutators with explicit i
+    reduces its covariant derivative the same way.  The rule reads the table's
+    content only, never its name.
+    """
+    imaginary = any(coeff.im for terms in table.images.values() for coeff, _, _ in terms)
+    return SignConvention(da_coef=I_UNIT if imaginary else ExactComplex(1))
 
 
 def _random_fraction(rng):

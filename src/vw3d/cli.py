@@ -3,7 +3,8 @@
 Subcommands expose the four engines: `verlinde` (Bethe pipeline, closed-form
 series, equivariant limits, asymptotics), `elliptic` (E(n) q-series and the
 gluing comparison), `floer` (graded-series catalog), and `brst` (closure
-residuals and sign calibration).  JSON is the stable contract; text output is
+residuals and sign calibration).  Each handler imports its own engine, so a
+command loads no other.  JSON is the stable contract; text output is
 cosmetic.  Exit codes: 0 success, 2 precondition violation, 3 numerical
 failure, 4 nonzero closure residual under --strict.
 """
@@ -17,8 +18,6 @@ import os
 import sys
 import time
 from functools import cache
-
-from . import bethe, brst, elliptic, floer
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 2
@@ -42,17 +41,45 @@ def _order(args):
 
 def _given(args, names):
     """The flags among `names` given on the command line (not None, not False), as "--name"."""
-    return [f"--{n}" for n in names if (v := getattr(args, n)) is not None and v is not False]
+    return [f"--{n}" for n in names if (v := getattr(args, n, None)) is not None and v is not False]
+
+
+# The mode flags of each command; a command without one runs in the mode named
+# after the command ("point mode" for verlinde).
+_MODES = {"verlinde": ("sweep", "limit", "series", "asymptotics"),
+          "floer": ("hf", "molien", "hn", "brieskorn")}
+# Flags that only some modes read: (flags, the modes that read them).
+_MODE_FLAGS = (
+    (("x", "y", "t"), ("point mode",)),
+    (("a", "b"), ("--asymptotics",)),
+    (("g",), ("point mode", "--series", "--limit", "--asymptotics")),
+    (("seed",), ("--sweep", "brst")),
+    (("conjecture",), ("--brieskorn",)),
+)
+# The values of omitted flags, filled in after the check so `config` shows them.
+_OMITTED = {"a": -2.0, "b": -1.0, "g": 0, "seed": 0}
+
+
+def _check_mode_flags(args):
+    """Reject a flag given outside the modes that read it, then fill in the omitted ones."""
+    mode = _given(args, _MODES.get(args.command, ()))
+    mode = mode[0] if mode else "point mode" if args.command == "verlinde" else args.command
+    if mode != "--sweep" or args.sweep > 0:  # sweep_report rejects < 1 point
+        for flags, modes in _MODE_FLAGS:
+            stray = _given(args, flags)
+            if stray and mode not in modes:
+                raise ValueError(f"{' '.join(stray)} not allowed with {mode} "
+                                 f"({' or '.join(modes)} only)")
+    for name, value in _OMITTED.items():
+        if getattr(args, name, value) is None:
+            setattr(args, name, value)
 
 
 # ----------------------------------------------------------------------
 # verlinde
 
 def _cmd_verlinde(args, order):
-    mode = _given(args, ("sweep", "limit", "series", "asymptotics"))
-    stray = _given(args, ("x", "y", "t"))
-    if mode and stray and (args.sweep is None or args.sweep > 0):  # sweep_report rejects < 1 point
-        raise ValueError(f"{' '.join(stray)} not allowed with {mode[0]} (point mode only)")
+    from . import bethe
     if args.sweep is not None:
         start = time.monotonic()
         rep = bethe.sweep_report(args.sweep, seed=args.seed)
@@ -102,6 +129,7 @@ def _cmd_verlinde(args, order):
 # elliptic
 
 def _cmd_elliptic(args, order):
+    from . import elliptic
     if args.n < 2 or args.n % 2:
         raise ValueError("surface index n must be even and >= 2")
     series = elliptic.z_vw_kahler(elliptic.sw_data_en(args.n), order=order)
@@ -138,8 +166,7 @@ def _parse_hf(text):
 
 
 def _cmd_floer(args, order):
-    if args.conjecture and (mode := _given(args, ("hf", "molien", "hn"))):
-        raise ValueError(f"--conjecture not allowed with {mode[0]} (--brieskorn only)")
+    from . import floer
     if args.molien:
         series = floer.molien_su2_adjoint(order=order)
         report = {"manifold": "S3 local observables", "series": series.to_json_dict()}
@@ -190,6 +217,7 @@ def _cmd_floer(args, order):
 # brst
 
 def _cmd_brst(args, order):
+    from . import brst
     if args.states < 1:
         raise ValueError("--states must be at least 1")
     table = brst.get_table(args.table)
@@ -258,7 +286,7 @@ def build_parser():
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--order", type=int, default=None,
                         help="series truncation order (default 20 or $VW3D_ORDER)")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=int)
     parser = argparse.ArgumentParser(
         prog="vw3d",
         description="graded dimensions of three-manifold gauge-theory state "
@@ -267,7 +295,7 @@ def build_parser():
 
     pv = sub.add_parser("verlinde", parents=[common],
                         help="Bethe pipeline and closed forms")
-    pv.add_argument("--g", type=int, default=0)
+    pv.add_argument("--g", type=int)
     pv.add_argument("--x", type=_finite_float)
     pv.add_argument("--y", type=_finite_float)
     pv.add_argument("--t", type=_finite_float)
@@ -277,8 +305,8 @@ def build_parser():
                       help="stability sweep over N seeded parameter points")
     mode.add_argument("--limit", choices=("R2", "R0"))
     mode.add_argument("--asymptotics", action="store_true")
-    pv.add_argument("--a", type=_finite_float, default=-2.0)
-    pv.add_argument("--b", type=_finite_float, default=-1.0)
+    pv.add_argument("--a", type=_finite_float)
+    pv.add_argument("--b", type=_finite_float)
 
     pe = sub.add_parser("elliptic", parents=[common], help="E(n) partition q-series")
     pe.add_argument("--n", type=int, required=True)
@@ -317,6 +345,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         order = _order(args)
+        _check_mode_flags(args)
         report, lines, code = _HANDLERS[args.command](args, order)
     except (ValueError, KeyError) as exc:
         # str() of a KeyError (RuleMissingError too) is the repr of its

@@ -16,7 +16,7 @@ from math import comb
 from operator import add
 
 from .series import (VARIABLE_ORDER, PuiseuxSeries, SeriesError, _unlift, default_denominator,
-                     poly_divmod, poly_mul, poly_pow)
+                     poly_mul, poly_pow)
 
 __all__ = [
     "tower_series",
@@ -126,11 +126,12 @@ def hn_poincare(g):
     """
     if g < 2:
         raise ValueError("formula applies for g >= 2")
-    num = [Fraction(c) for c in poly_pow([1, 0, 0, 1], 2 * g)]  # degree 6g
+    num = poly_pow([1, 0, 0, 1], 2 * g)  # degree 6g
     for i, c in enumerate(poly_pow([1, 1], 2 * g)):
         num[2 * g + i] -= c
-    q, rem = poly_divmod(num, poly_mul([1, 0, -1], [1, 0, 0, 0, -1]))
-    if any(rem):
+    den = poly_mul([1, 0, -1], [1, 0, 0, 0, -1])
+    q = poly_mul(num, poly_pow(den, -1, 6 * g - 6), 6 * g - 6)
+    if poly_mul(q, den) != num:
         raise ArithmeticError("moduli Poincare division left a remainder")
     assert len(q) - 1 == 6 * g - 6
     return q

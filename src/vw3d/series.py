@@ -52,7 +52,6 @@ __all__ = [
     "default_denominator",
     "poly_mul",
     "poly_pow",
-    "poly_divmod",
 ]
 
 # Canonical variable order; every series uses a subsequence of this.
@@ -728,15 +727,3 @@ def poly_pow(base, k, order=None):
         out.append(acc // (n * a0) if exact else Fraction(acc) / (n * a0))
     return [0] * lead + out
 
-
-def poly_divmod(num, den):
-    """Quotient and remainder of exact (Fraction) coefficient lists."""
-    num = list(num)
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        q[k] = c
-        if c:
-            for j, d in enumerate(den):
-                num[k + j] -= c * d
-    return q, num

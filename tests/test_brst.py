@@ -388,6 +388,15 @@ class TestCalibration:
             assert conv == default_convention(get_table(name))
             assert report["stage"] == "identity-toggles"
 
+    @pytest.mark.parametrize("name", SHIPPED_TABLES)
+    def test_default_follows_content_not_name(self, name):
+        # a shipped table loaded under another name gets the same coefficient
+        # and closes as the shipped one does
+        copy = load_table(f"{name}-copy", TABLE_TEXTS[name])
+        assert default_convention(copy) == default_convention(get_table(name))
+        for pair in closure_pairs(copy):
+            assert check_closure(random_state(copy, 0), pair)["exact_zero"], (name, pair)
+
     @pytest.mark.parametrize("name,text", [
         ("abelian", None), ("typo", ("Q eta = 0", "Q eta = phi"))])
     def test_no_seeds_is_rejected(self, name, text):

@@ -193,7 +193,7 @@ class TestBrst:
 class TestReproducibility:
     def test_byte_identical_json(self, capsys):
         args = ("verlinde", "--g", "1", "--x", "0.3", "--y", "0.7",
-                "--t", "0.11", "--json", "--seed", "0")
+                "--t", "0.11", "--json")
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
@@ -315,6 +315,15 @@ class TestInputContract:
         (("floer", "--hf", "lens:2", "--conjecture"), "--conjecture not allowed with --hf"),
         (("floer", "--molien", "--conjecture"), "--conjecture not allowed with --molien"),
         (("floer", "--hn", "0", "--conjecture"), "--conjecture not allowed with --hn"),
+        (("verlinde", "--limit", "R0", "--a", "-5", "--g", "1"),
+         "--a not allowed with --limit (--asymptotics only)"),
+        (("verlinde", "--g", "1", "--series", "--b", "1"),
+         "--b not allowed with --series (--asymptotics only)"),
+        (("verlinde", "--sweep", "3", "--g", "7"), "--g not allowed with --sweep"),
+        (("elliptic", "--n", "2", "--seed", "9"),
+         "--seed not allowed with elliptic (--sweep or brst only)"),
+        (("verlinde", "--g", "1", "--x", ".3", "--y", ".7", "--t", ".11", "--seed", "0"),
+         "--seed not allowed with point mode"),
     ])
     def test_flag_outside_its_mode(self, capsys, argv, message):
         # a flag its mode does not read is rejected, not silently ignored
