@@ -46,7 +46,7 @@ print("\ntwistor family d = s_a Q^a + r_b Qbar^b, d^2 up to gauge:")
 report = check_twistor(state, (1, 2), (3, 1))
 print("  exact_zero:", report["exact_zero"])
 
-print("\nsign calibration (covariant-derivative coefficient: default, 1, -1, i, -i):")
+print("\nsign calibration (the derived covariant-derivative coefficient):")
 for name in ("abelian", "nonabelian", "covariant", "threed"):
     conv, rep = calibrate_signs(name)
     print(f"  {name}: calibrated={rep['calibrated']} stage={rep['stage']}")

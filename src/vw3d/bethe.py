@@ -105,7 +105,9 @@ def build_bethe(params):
     """
     x, y, t = (_as_fraction(params[k]) for k in ("x", "y", "t"))
     for name, p in (("x", x), ("y", y), ("t", t)):
-        if p <= 0 or p == 1:
+        if p <= 0:
+            raise ValueError(f"parameter {name}={p} must be positive")
+        if p == 1:
             raise DegenerateParameterError(f"parameter {name}={p} on a singular locus")
     txy = t * x * y
     if txy == 1:

@@ -352,6 +352,10 @@ def _choice(word, choices, what):
     return choices[word]
 
 
+# The word counts of the declaration lines; every other line is a rule.
+_LINE_WORDS = {"dim": (2,), "algebra": (2,), "field": (4, 5)}
+
+
 def load_table(name, text):
     dim = 4
     algebra = "su2"
@@ -362,18 +366,23 @@ def load_table(name, text):
         if not line or line.startswith("#"):
             continue
         parts = line.split()
+        lhs, _, rhs = line.partition("=")
+        if parts[0] in _LINE_WORDS:
+            if len(parts) not in _LINE_WORDS[parts[0]]:
+                raise TableFormatError(f"malformed {parts[0]} line {line!r}")
+        elif not rhs.strip():
+            raise TableFormatError(f"rule line {line!r} has no right-hand side")
         if parts[0] == "dim":
             dim = _choice(parts[1], {"3": 3, "4": 4}, "dim")
         elif parts[0] == "algebra":
             algebra = _choice(parts[1], {"su2": "su2", "u1": "u1"}, "algebra")
         elif parts[0] == "field":
-            _, fname, form, parity = parts[:4]
-            extra = parts[4] if len(parts) > 4 else ""
-            indices = _choice(extra, {"": 0, "doublet": 1, "sym2": 2}, "index word")
+            _, fname, form, parity, *extra = parts
+            indices = _choice(extra[0] if extra else "", {"": 0, "doublet": 1, "sym2": 2},
+                              "index word")
             parity = _choice(parity, {"even": 0, "odd": 1}, "parity")
             fields[fname] = FieldSpec(fname, form, parity, indices)
         else:
-            lhs, rhs = line.split("=", 1)
             m = _LHS_RE.match(lhs.strip())
             if not m:
                 raise TableFormatError(f"bad rule head {lhs!r}")
@@ -842,33 +851,24 @@ def closure_pairs(table):
     return [("Q", "Q")]
 
 
-def _failing_fields(table, conv, pairs, seeds):
-    """Failing field labels of every closure check over seeds x pairs, lazily."""
-    for seed in seeds:
-        state = random_state(table, seed=seed)
-        for pair in pairs:
-            yield from check_closure(state, pair, conv)["failing_fields"]
-
-
 def calibrate_signs(table_name, seeds=(0, 1, 2)):
-    """The covariant-derivative coefficient under which a table closes exactly.
+    """Check that a table closes under its derived covariant-derivative coefficient.
 
-    Stage `identity-toggles` (named for the rules it leaves as printed) tries
-    the table's default coefficient, then 1, -1, i and -i, each checked on
-    every seed and closure pair.  If none closes, stage `report` returns the
-    default convention with the rules of the failing fields listed (candidate
-    typos): calibration never patches a printed rule.
+    One pass checks every seed and closure pair under `default_convention`,
+    with every rule as printed, one state per seed.  If all close, the
+    stage is `identity-toggles` (named for the rules it leaves as printed);
+    otherwise it is `report`, with the rules of the failing fields listed as
+    candidate typos: calibration never patches a printed rule.
     """
     if not seeds:
         raise ValueError("calibrate_signs needs at least one seed in `seeds`")
     table = get_table(table_name)
-    pairs = closure_pairs(table)
-    base = default_convention(table)
-    for da in dict.fromkeys((base.da_coef, ExactComplex(1), ExactComplex(-1), I_UNIT, -I_UNIT)):
-        conv = SignConvention(da_coef=da)
-        if next(_failing_fields(table, conv, pairs, seeds), None) is None:
-            return conv, {"calibrated": True, "stage": "identity-toggles", "failing_rules": []}
-    names = {label.split("[")[0] for label in _failing_fields(table, base, pairs, seeds)}
+    conv = default_convention(table)
+    names = {label.split("[")[0]
+             for state in (random_state(table, seed=seed) for seed in seeds)
+             for pair in closure_pairs(table)
+             for label in check_closure(state, pair, conv)["failing_fields"]}
     failing = sorted(f"{fam} {name}" for name in names
                      for fam in table.families if (fam, name) in table.rules)
-    return base, {"calibrated": False, "stage": "report", "failing_rules": failing}
+    return conv, {"calibrated": not names, "stage": "report" if names else "identity-toggles",
+                  "failing_rules": failing}

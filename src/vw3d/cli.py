@@ -115,13 +115,13 @@ def _cmd_verlinde(args, order):
     params = {"x": args.x, "y": args.y, "t": args.t}
     rep = bethe.point_report(params, genera=(0, 1, args.g))
     report = {"mode": "point", **rep}
-    value = rep["verlinde"][str(args.g)]
+    value = complex(bethe._real_if_close(complex(*rep["verlinde"][str(args.g)])))
     lines = ["# Bethe pipeline at x={x} y={y} t={t}".format(**params),
              "roots: " + " ".join(f"{z[0]:+.6f}{z[1]:+.6f}i" for z in rep["roots"]),
              f"admissible: {len(rep['admissible'])}",
              "S^2 values: " + " ".join(f"{v[0]:+.8f}" for v in rep["s_squared"]),
-             f"verlinde(g={args.g}) = {value[0]:.12g}" +
-             (f" + {value[1]:.3g}i" if abs(value[1]) > 1e-9 else "")]
+             f"verlinde(g={args.g}) = {value.real:.12g}" +
+             (f" {'+' if value.imag > 0 else '-'} {abs(value.imag):.3g}i" if value.imag else "")]
     return report, lines, EXIT_OK
 
 

@@ -77,11 +77,14 @@ def _as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
-        # floats are user-facing parameter values; snap to the shortest
-        # rational within 1e-15 so 0.3 means 3/10, not its binary expansion
-        if value == int(value):
-            return Fraction(int(value))
-        return Fraction(value).limit_denominator(10**15)
+        # floats are user-facing parameter values; snap to the best rational
+        # with denominator <= 1e15 if it lies within 1e-15 relative, so 0.3
+        # means 3/10, not its binary expansion, and 1e-20 does not snap to 0
+        exact = Fraction(value)
+        snapped = exact.limit_denominator(10**15)
+        # |snapped - exact| <= 1e-15 |exact|, cross-multiplied in integers
+        (p, q), (n, d) = snapped.as_integer_ratio(), exact.as_integer_ratio()
+        return snapped if abs(p * d - n * q) * 10**15 <= abs(n) * q else exact
     raise TypeError(f"cannot coerce {type(value).__name__} to Fraction")
 
 
@@ -390,16 +393,7 @@ class PuiseuxSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        """Square-and-multiply, then the product with 1 + O(self.cutoff).
-
-        That product is a cut at self.cutoff + v, v the result's valuation
-        (its cutoff if it stores nothing, as in `*`).  The 1 goes last:
-        first, it can empty a product whose valuation the next `*` reads.
-
-        Out of domain: a power of a truncated Laurent monomial in several
-        variables; (t^-1 x^-1 + O(t^0, x^0))^3 is cut below its only term, at
-        (t^-3, x^-3).  Closed forms take powers of `ratexpr.Factored` forms.
-        """
+        """Square-and-multiply: each step is a `*` with its cutoff rule, so `s ** 1` is `s`."""
         if not isinstance(n, int):
             raise SeriesError("series powers must be integers")
         if n < 0:
@@ -414,8 +408,7 @@ class PuiseuxSeries:
             n >>= 1
             if n:
                 base = base * base
-        val = result._valuations() or result.cutoff
-        return result._cut(tuple(map(min, map(add, self.cutoff, val), result.cutoff)))
+        return result
 
     def _cut(self, cutoff):
         """The trusted restriction to `cutoff`, componentwise <= self.cutoff."""

@@ -1,13 +1,9 @@
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from functools import reduce
 from operator import lt, mul
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -646,15 +642,8 @@ class TestReport:
         assert rep["max_multiset_rel_error"] < 1e-6
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_bethe_demo_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "01_bethe_vacua_pipeline.py")],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "cleared saddle polynomial: degree 12" in proc.stdout
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+def test_bethe_demo_runs(run_demo):
+    out = run_demo("01_bethe_vacua_pipeline.py")
+    assert "cleared saddle polynomial: degree 12" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
         "8c8d7ba61e06f6d5762a3f4645205465fbd02d46239e02c30bdb34704466f426"

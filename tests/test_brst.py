@@ -2,13 +2,9 @@ import dataclasses
 import hashlib
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -121,6 +117,21 @@ MALFORMED = {
     "unknown index word": (
         _edited("covariant", "field phi scalar even sym2", "field phi scalar even sym3"),
         "unknown index word 'sym3'"),
+    # lines with the wrong shape name themselves, rather than escaping as
+    # IndexError or an unpacking ValueError, or loading as a vacuous rule
+    "dim without a value": (_edited("threed", "dim 3", "dim"), "malformed dim line 'dim'"),
+    "algebra without a value": (
+        _edited("nonabelian", "algebra su2", "algebra"), "malformed algebra line 'algebra'"),
+    "field with three words": (
+        _edited("abelian", "field eta scalar odd", "field eta scalar"),
+        "malformed field line 'field eta scalar'"),
+    "field with six words": (
+        _edited("covariant", "field phi scalar even sym2", "field phi scalar even sym2 twice"),
+        "malformed field line 'field phi scalar even sym2 twice'"),
+    "rule without =": (
+        _edited("abelian", "Q eta = 0", "Q eta 0"), "rule line 'Q eta 0' has no right-hand side"),
+    "rule with nothing after =": (
+        _edited("abelian", "Q eta = 0", "Q eta ="), "rule line 'Q eta =' has no right-hand side"),
 }
 
 
@@ -159,17 +170,10 @@ class TestLoadValidation:
         assert calls == []
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_brst_demo_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "04_brst_closure.py")],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
-        "50ea6e02ff9ceba37d93aba6bffbb94b647a1c15526b5bdf9d50246c83153411"
+def test_brst_demo_runs(run_demo):
+    out = run_demo("04_brst_closure.py")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "f70881f3e903bd183e28407ad05294a070a7272369dd9ef78093f7a806c4f450"
 
 
 class TestApply:
@@ -365,6 +369,25 @@ class TestCalibration:
             brstmod.TABLE_TEXTS.pop("broken")
             brstmod._TABLE_CACHE.pop("broken", None)
 
+    def test_flipped_derivative_signs_are_reported(self):
+        # with both dA signs flipped the table closes at coefficient -1, but
+        # calibration checks only the coefficient its rules derive (1), and reports
+        text = _edited("covariant", "Q{a} psi1{b} = dA(", "Q{a} psi1{b} = - dA(")
+        brstmod.TABLE_TEXTS["flipped"] = text.replace(
+            "Q{a} H1 = - 1/2 dA(", "Q{a} H1 = 1/2 dA(")
+        try:
+            conv, report = calibrate_signs("flipped")
+            assert conv == default_convention(get_table("flipped"))
+            assert report == {"calibrated": False, "stage": "report", "failing_rules": [
+                "Q B2", "Q G2", "Q H1", "Q chi2", "Q eta", "Q phi", "Q psi1"]}
+            flipped = replace(conv, da_coef=-conv.da_coef)
+            state = random_state(get_table("flipped"), 0)
+            assert all(check_closure(state, pair, flipped)["exact_zero"]
+                       for pair in closure_pairs(get_table("flipped")))
+        finally:
+            brstmod.TABLE_TEXTS.pop("flipped")
+            brstmod._TABLE_CACHE.pop("flipped", None)
+
     def test_irreparable_rule_is_reported(self):
         # with Q eta = phi, Q^2 phibar = phi in a u(1) theory: no gauge term
         # absorbs it and no sign toggle removes it, so the calibrator must
@@ -381,12 +404,14 @@ class TestCalibration:
             brstmod._TABLE_CACHE.pop("typo", None)
 
     def test_shipped_tables_close_at_their_default(self):
-        # the fact the two-stage calibration rests on: every shipped table
-        # closes under its default coefficient, with every rule as printed
+        # the fact calibration rests on: every shipped table closes under its
+        # derived coefficient, with every rule as printed, on fresh seeds too
         for name in SHIPPED_TABLES:
-            conv, report = calibrate_signs(name)
-            assert conv == default_convention(get_table(name))
-            assert report["stage"] == "identity-toggles"
+            for seeds in ((0, 1, 2), (7, 11)):
+                conv, report = calibrate_signs(name, seeds)
+                assert conv == default_convention(get_table(name))
+                assert report == {"calibrated": True, "stage": "identity-toggles",
+                                  "failing_rules": []}
 
     @pytest.mark.parametrize("name", SHIPPED_TABLES)
     def test_default_follows_content_not_name(self, name):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from vw3d import brst
+from vw3d import bethe, brst
 from vw3d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_RESIDUAL, main
 
 
@@ -65,6 +65,37 @@ class TestVerlinde:
         code, _, err = run_cli(capsys, "verlinde", "--g", "1",
                                "--x", "1.0", "--y", "0.5", "--t", "0.2")
         assert code == EXIT_NUMERICAL
+
+    @pytest.mark.parametrize("flag,value", [("--x", "-0.5"), ("--x", "0"), ("--t", "-2")])
+    def test_non_positive_parameter_is_precondition(self, capsys, flag, value):
+        params = {"--x": "0.3", "--y": "0.7", "--t": "0.2", flag: value}
+        code, _, err = run_cli(capsys, "verlinde", *(w for kv in params.items() for w in kv))
+        assert code == EXIT_PRECONDITION
+        assert f"{flag[2:]}=" in err and "must be positive" in err
+
+    def test_tiny_positive_parameter_stays_positive(self, capsys):
+        # 1e-20 is read as itself, not snapped to the singular value 0
+        code, out, _ = run_cli(capsys, "verlinde", "--g", "2",
+                               "--x", "0.3", "--y", "0.7", "--t", "1e-20", "--json")
+        assert code == EXIT_OK
+        assert json.loads(out)["verlinde"]["1"] == [10.0, 0.0]
+
+    @pytest.mark.parametrize("value,line", [
+        ((356579397.748, -4.08e-07), "verlinde(g=4) = 356579397.748"),
+        ((7.99e12, -0.00987), "verlinde(g=4) = 7.99e+12"),
+        ((2.5, -0.125), "verlinde(g=4) = 2.5 - 0.125i"),
+        ((2.5, 0.125), "verlinde(g=4) = 2.5 + 0.125i"),
+    ])
+    def test_point_text_prints_imaginary_part_relative(self, capsys, monkeypatch, value, line):
+        # an imaginary part within 1e-10 * max(1, |re|) is float noise and is
+        # not printed; a printed one carries one sign
+        report = bethe.point_report
+        monkeypatch.setattr(bethe, "point_report", lambda *a, **k: {
+            **report(*a, **k), "verlinde": {"4": list(value)}})
+        code, out, _ = run_cli(capsys, "verlinde", "--g", "4",
+                               "--x", "0.1", "--y", "0.2", "--t", "0.05")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1] == line
 
 
 class TestElliptic:

@@ -1,10 +1,6 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -204,14 +200,9 @@ class TestSeriesDigests:
         assert _sha256(json.dumps(gluing_check(8, 13), sort_keys=True)) == GLUING_8_13_DIGEST
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_elliptic_demo_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "02_elliptic_surfaces.py")],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert "multiplicative gluing prediction vs the direct series for E(6):" in proc.stdout
-    assert "first differing q-power: -6" in proc.stdout
+def test_elliptic_demo_runs(run_demo):
+    out = run_demo("02_elliptic_surfaces.py")
+    assert "multiplicative gluing prediction vs the direct series for E(6):" in out
+    assert "first differing q-power: -6" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "b8de188286217607f96ad459b90a265eb4f4b36fc935be22d9a8c0910f8e3dc2"

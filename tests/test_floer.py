@@ -1,9 +1,5 @@
 import hashlib
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -22,7 +18,7 @@ from vw3d.floer import (
     tower_series,
     trivial_isotypic_dims,
 )
-from vw3d.series import ExactComplex, PuiseuxSeries, SeriesError
+from vw3d.series import VARIABLE_ORDER, ExactComplex, PuiseuxSeries, SeriesError
 
 
 class TestTowers:
@@ -240,7 +236,7 @@ def _character_from_inversions(factors, order):
     variables = set()
     for f in factors:
         variables |= {"s"} if f.kind == "torus" and f.multiplicity else set(f.weight)
-    variables = tuple(sorted(variables, key="txyqzs".index))
+    variables = tuple(sorted(variables, key=VARIABLE_ORDER.index))
     one = PuiseuxSeries.constant(1, variables, order=order)
     result = one
     for f in factors:
@@ -337,14 +333,7 @@ class TestNonnegativity:
                 assert c.re >= 0 and c.re.denominator == 1
 
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def test_catalog_demo_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "03_graded_series_catalog.py")],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == \
+def test_catalog_demo_runs(run_demo):
+    out = run_demo("03_graded_series_catalog.py")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
         "3dc142636dce51785e08ec0fc0c5c6336856fc2d7c244df630733e845a53f7c6"

@@ -62,6 +62,16 @@ class TestExactComplex:
         assert ExactComplex(Fraction(1, 3)) != 0.5
         assert PuiseuxSeries.constant(1, ("t",)).coefficient({"t": 0}) == 1.0
 
+    def test_a_float_snaps_only_within_1e_15_relative(self):
+        # a short rational within 1e-15 relative stands for the float; a tiny
+        # float that the 1e15 denominator cannot reach stays exact, not 0
+        assert ExactComplex(0.3).re == Fraction(3, 10)
+        assert ExactComplex(0.1 + 0.2).re == Fraction(3, 10)
+        assert ExactComplex(-2.0).re == -2
+        for tiny in (4e-16, 6e-16, 1e-20):
+            assert ExactComplex(tiny).re == Fraction(tiny)
+        assert ExactComplex(1e-20) != 0
+
     def test_integer_powers(self):
         a = ExactComplex(Fraction(-2, 3))
         assert a ** 3 == Fraction(-8, 27) and a ** -2 == Fraction(9, 4) and a ** 0 == 1
@@ -622,24 +632,24 @@ def _reciprocal(a, order):
 
 
 def _pow_from_one(s, n):
-    """The multiply-from-one square-and-multiply loop `__pow__` replaced,
-    with the 1 multiplied last.
+    """Square-and-multiply over `*`, multiplying from the exact 1.
 
-    The 1 carries the cutoff of s and stays stored even where that cutoff is
-    at or below 0.  Multiplied first, it emptied the product there, and the
-    next `*` lost the valuation it needs for a sound cutoff.
+    The exact 1 is untruncated, so `*` leaves each first factor as it is:
+    the loop is plain square-and-multiply, and `s ** 1` is `s`.  `s ** 0`
+    is 1 + O(s.cutoff).
     """
-    one = {(0,) * len(s.variables): ExactComplex(1)}
+    one = {(0,) * len(s.variables): 1}
     if n == 0:
         return PuiseuxSeries(s.variables, s.den, one, s.cutoff)
-    result, base = None, s
+    result = PuiseuxSeries(s.variables, s.den, one, (series.INF_CUTOFF,) * len(s.variables))
+    base = s
     while n:
         if n & 1:
-            result = base if result is None else result * base
+            result = result * base
         n >>= 1
         if n:
             base = base * base
-    return PuiseuxSeries._from_terms(s.variables, s.den, one, s.cutoff) * result
+    return result
 
 
 POW_CASES = {
@@ -652,7 +662,7 @@ POW_CASES = {
     "laurent_short_box": PuiseuxSeries(("q",), 1, {(-5,): 1, (-1,): 2, (1,): -1}, (2,)),
     "zero": PuiseuxSeries(("t",), 2, {}, (10,)),
     "zero_negative_cutoff": PuiseuxSeries(("t", "x"), 2, {}, (-4, 6)),
-    # cutoffs at or below 0 leave the 1 of 1 + O(cutoff) unstored
+    # cutoffs at or below 0: s ** 0 stores nothing, s ** 1 keeps every term
     "cutoff_at_zero": PuiseuxSeries(("q",), 24, {(-72,): 1, (-48,): 2}, (0,)),
     "cutoff_below_zero": PuiseuxSeries(("q",), 24, {(-72,): 1, (-48,): 2}, (-24,)),
     "bivariate_cutoff_at_zero": PuiseuxSeries(("t", "x"), 2, {(-3, 2): 1, (-1, 0): 4}, (0, 8)),
@@ -660,7 +670,7 @@ POW_CASES = {
 
 
 class TestPowFromFirstFactor:
-    """`__pow__` gives the terms and cutoff of the multiply-from-one loop."""
+    """`__pow__` is square-and-multiply from the first factor, over `*`."""
 
     @pytest.mark.parametrize("name", sorted(POW_CASES))
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
@@ -670,18 +680,29 @@ class TestPowFromFirstFactor:
         assert got.terms == want.terms
         assert got.cutoff == want.cutoff
         assert (got.variables, got.den) == (want.variables, want.den)
+        if n == 1:
+            assert (got.terms, got.cutoff) == (s.terms, s.cutoff)
 
     def test_cutoff_follows_the_valuation(self):
-        # q^-2 + O(q^5): the product with 1 + O(q^5) is known mod O(q^3)
+        # (q^-2 + 7 q^4 + O(q^5)) ** 1 is itself; its square q^-4 + 14 q^2
+        # is known mod O(q^(5 - 2)) by the cutoff rule of `*`
         s = PuiseuxSeries(("q",), 1, {(-2,): 1, (4,): 7}, (5,))
-        assert (s ** 1).cutoff == (3,)
-        assert (s ** 1).terms == {(-2,): ExactComplex(1)}
+        assert ((s ** 1).terms, (s ** 1).cutoff) == (s.terms, (5,))
+        assert ((s ** 2).terms, (s ** 2).cutoff) == ({(-4,): 1, (2,): 14}, (3,))
 
     def test_cutoff_at_or_below_zero_stays_sound(self):
-        # (q^-3 + 2 q^-2 + O(q^0)) ** 1 is known mod O(q^-3) under the
-        # cutoff of 1 + O(q^0) times it; 0 + O(q^0) would deny the q^-3
+        # (q^-3 + 2 q^-2 + O(q^0)) ** 1 keeps both terms, and its square
+        # q^-6 + 4 q^-5 + 4 q^-4 + O(q^-3) holds whatever the O(q^0) tail is
         s = POW_CASES["cutoff_at_zero"]
-        assert (s ** 1).cutoff == (-72,) and not (s ** 1).terms
+        assert ((s ** 1).terms, (s ** 1).cutoff) == (s.terms, (0,))
+        assert (s ** 2).cutoff == (-72,)
+        assert (s ** 2).terms == {(-144,): 1, (-120,): 4, (-96,): 4}
+
+    def test_power_of_a_truncated_laurent_monomial(self):
+        # (t^-1 x^-1 + O(t^0, x^0)) ** 3 = t^-3 x^-3 + O(t^-2, x^-2)
+        s = PuiseuxSeries(("t", "x"), 1, {(-1, -1): 1}, (0, 0))
+        cube = s ** 3
+        assert (cube.terms, cube.cutoff) == ({(-3, -3): 1}, (-2, -2))
 
 
 class TestDenseReciprocal:
