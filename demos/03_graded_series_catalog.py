@@ -33,7 +33,7 @@ print("relative-graded series", result.series.to_text().replace("\n", " + "))
 print("\nrank-2 moduli Poincare polynomial at genus 2:")
 print(" + ".join(f"{c} t^{k}" for k, c in enumerate(hn_poincare(2)) if c))
 print("all-bundles version (first terms):")
-print(gl_vs_sl_cohomology(2, 2, order=4).to_text())
+print(gl_vs_sl_cohomology(2, order=4).to_text())
 
 print("\ninvariant dimensions of Sym^n(adjoint su(2)) -> boson tower:")
 print(molien_su2_adjoint(order=8).to_text())

@@ -161,14 +161,16 @@ def admissible_roots(system):
             for i in order]
 
 
-def _dilaton_factor(p, w, r_charge):
+def _dilaton_factor(name, p, w, r_charge):
     # Each linear factor is tested on its own: near (1, 1) the product is
     # far below EPS_POLE while no factor is near a pole.
     factors = (p - 1.0, p - w, p * w - 1.0)
     nearest = min(abs(f) for f in factors)
     if nearest < EPS_POLE:
-        raise PoleError(f"dilaton factor {nearest} below {EPS_POLE}")
+        raise PoleError(f"dilaton factor of {name}: linear factor {nearest} below {EPS_POLE}")
     base = p ** 1.5 * w / (factors[0] * factors[1] * factors[2])
+    if base == 0 or not cmath.isfinite(base):
+        raise PoleError(f"dilaton factor of {name} = {p!r} left the float range (base {base})")
     return base ** (r_charge - 1)
 
 
@@ -185,7 +187,7 @@ def s_squared(root, system):
     hessian = 0.0 + 0.0j
     for name, r_charge in R_CHARGES.items():
         p = float(system.params[name])
-        dilaton *= _dilaton_factor(p, w, r_charge)
+        dilaton *= _dilaton_factor(name, p, w, r_charge)
         d1 = w / p - 1.0
         d2 = w * p - 1.0
         if min(abs(d1), abs(d2)) < EPS_POLE:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm, prod
 
-from .grassmann import GrassmannElement, grassmann_mul, koszul_sign, lie_bracket
+from .grassmann import GrassmannElement, grassmann_mul, lie_bracket
 from .series import ExactComplex
 
 __all__ = [
@@ -361,6 +361,7 @@ def load_table(name, text):
     algebra = "su2"
     fields = {}
     rules = {}
+    heads = {}          # (family, field_name) -> the line of its rule
     for raw in text.strip().splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -390,6 +391,9 @@ def load_table(name, text):
             fname = m.group("field")
             if fname not in fields:
                 raise TableFormatError(f"rule for undeclared field {fname!r}")
+            if earlier := heads.get((fam, fname)):
+                raise TableFormatError(f"second rule for {fam} {fname}: {line!r} after {earlier!r}")
+            heads[fam, fname] = line
             letters = tuple(s.strip() for s in m.group("fi").split(",")) if m.group("fi") else ()
             rules[(fam, fname)] = Rule(family=fam, field_name=fname, op_letter=m.group("oi"),
                                        field_letters=letters, terms=_parse_terms(rhs))
@@ -586,12 +590,12 @@ def _shifted_state(state, images, gen_index):
 
 
 def _extract_theta(element, gen_index):
+    """Y in element = theta * Y + (theta-free part).  theta is the highest
+    generator, so each term's sign is (-1)^(parity of the rest of the term),
+    and that parity is the element's flipped: one sign per element."""
     bit = 1 << gen_index
-    terms = {}
-    for mask, comps in element.terms.items():
-        if mask & bit:
-            rest = mask ^ bit
-            terms[rest] = comps if koszul_sign(bit, rest) > 0 else tuple(-c for c in comps)
+    terms = {mask ^ bit: comps if element.parity else tuple(-c for c in comps)
+             for mask, comps in element.terms.items() if mask & bit}
     return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms, element.den)
 
 
@@ -761,6 +765,13 @@ def _fit_gauge(state, images, basis):
     return solution, residuals
 
 
+def _closure_fit(state, weights, basis, conv):
+    """Fit sum w * Q_a(Q_b X) over weights {(a, b): w} to a gauge variation
+    over `basis`; returns the fitted parameter as text and the residuals."""
+    solution, residuals = _fit_gauge(state, _compose_sum(state, weights, conv), basis)
+    return {name: repr(c) for (name, _), c in zip(basis, solution)}, residuals
+
+
 def residual_report(residuals):
     """Per-field summary of a residual map {(field, slot, comp): element}.
 
@@ -794,19 +805,13 @@ def check_closure(state, pair, conv=None, fields=None):
         kind, weights = "square", {(which1, which2): 1}
     else:
         kind, weights = "anticommutator", {(which1, which2): 1, (which2, which1): 1}
-    images = _compose_sum(state, weights, conv)
     _, a = _resolve_which(which1)
     _, b = _resolve_which(which2)
-    basis = _gauge_basis(state, a or 1, b or 1)
-    solution, residuals = _fit_gauge(state, images, basis)
+    gauge, residuals = _closure_fit(state, weights, _gauge_basis(state, a or 1, b or 1), conv)
     if fields is not None:
         residuals = {k: v for k, v in residuals.items() if k[0] in fields}
-    return {
-        "pair": [str(which1), str(which2)],
-        "kind": kind,
-        "gauge_parameter": {name: repr(c) for (name, _), c in zip(basis, solution)},
-        **residual_report(residuals),
-    }
+    return {"pair": [str(which1), str(which2)], "kind": kind, "gauge_parameter": gauge,
+            **residual_report(residuals)}
 
 
 def check_twistor(state, s, r, conv=None):
@@ -821,18 +826,13 @@ def check_twistor(state, s, r, conv=None):
     coeffs = {("Q", 1): s[0], ("Q", 2): s[1], ("Qbar", 1): r[0], ("Qbar", 2): r[1]}
     weights = {(w1, w2): Fraction(c1) * Fraction(c2)
                for w1, c1 in coeffs.items() for w2, c2 in coeffs.items() if c1 and c2}
-    total = _compose_sum(state, weights, conv)
     basis = [(f"phi{{{a},{b}}}", state.values[("phi", (a, b), 0)])
              for a, b in ((1, 1), (1, 2), (2, 2))]
     basis += [(name, state.values[(name, (), 0)]) for name in ("rho", "Y") if name in table.fields]
-    solution, residuals = _fit_gauge(state, total, basis)
-    report = residual_report(residuals)
-    return {
-        "s": list(s), "r": list(r),
-        "gauge_parameter": {name: repr(c) for (name, _), c in zip(basis, solution)},
-        "exact_zero": report["exact_zero"],
-        "failing_fields": sorted({label.split("[")[0] for label in report["failing_fields"]}),
-    }
+    gauge, residuals = _closure_fit(state, weights, basis, conv)
+    failing = sorted({fname for (fname, _, _), res in residuals.items() if not res.is_zero()})
+    return {"s": list(s), "r": list(r), "gauge_parameter": gauge,
+            "exact_zero": not failing, "failing_fields": failing}
 
 
 # ----------------------------------------------------------------------

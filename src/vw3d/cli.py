@@ -130,8 +130,6 @@ def _cmd_verlinde(args, order):
 
 def _cmd_elliptic(args, order):
     from . import elliptic
-    if args.n < 2 or args.n % 2:
-        raise ValueError("surface index n must be even and >= 2")
     series = elliptic.z_vw_kahler(elliptic.sw_data_en(args.n), order=order)
     report = {"surface": f"E({args.n})", "n": args.n, "order": order,
               "series": series.to_json_dict()}

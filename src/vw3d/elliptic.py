@@ -1,12 +1,12 @@
 """Partition functions of elliptic surfaces E(n) as exact q-series.
 
 The Kahler-surface formula expresses the SU(2) partition function through
-Seiberg-Witten data and the series G(q) = 1/eta(q)^24; for E(n) (chi = 12n,
-sigma = -8n, basic classes (n-2j)F with F.F = 0) every theta-dependent factor
-has exponent zero, and the result collapses to combinations of G at the
-arguments q^2, q^{1/2}, -q^{1/2}.  The module also performs the fiber-sum
-gluing comparison: a naive multiplicative gluing rule fails, and the report
-pinpoints the first differing power of q.
+Seiberg-Witten data and G(q) = 1/eta(q)^24, at b1 = 0, zero 't Hooft flux
+and basic classes (n-2j)F that are multiples of the fibre F (F.F = 0).  For
+E(n) (chi = 12n, sigma = -8n) every theta-dependent factor has exponent zero,
+and the result is a combination of G at q^2, q^{1/2}, -q^{1/2}.  The
+fiber-sum gluing comparison shows that a naive multiplicative gluing rule
+fails, and its report pinpoints the first differing power of q.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .series import PuiseuxSeries, _real, poly_pow
+from .series import PuiseuxSeries, _real, default_denominator, poly_pow
 
 __all__ = [
     "BasicClass",
@@ -31,7 +31,7 @@ __all__ = [
     "UnsupportedTopologyError",
 ]
 
-Q_DEN = 24
+Q_DEN = default_denominator(("q",))
 
 
 class UnsupportedTopologyError(ValueError):
@@ -85,7 +85,6 @@ class BasicClass:
     """A basic class x' = multiple * F with its Seiberg-Witten invariant."""
 
     multiple: int
-    self_intersection: int
     sw: int
 
     @property
@@ -97,8 +96,6 @@ class BasicClass:
 class KahlerTopology:
     chi: int
     sigma: int
-    b1: int
-    flux: int               # 't Hooft flux; only 0 is in scope
     basic_classes: tuple
 
     @property
@@ -122,12 +119,10 @@ def sw_data_en(n):
     if n < 2 or n % 2:
         raise ValueError("E(n) data here requires even n >= 2")
     classes = tuple(
-        BasicClass(multiple=n - 2 * j, self_intersection=0,
-                   sw=(-1) ** (j + 1) * comb(n - 2, j - 1))
+        BasicClass(multiple=n - 2 * j, sw=(-1) ** (j + 1) * comb(n - 2, j - 1))
         for j in range(1, n)
     )
-    top = KahlerTopology(chi=12 * n, sigma=-8 * n, b1=0, flux=0,
-                         basic_classes=classes)
+    top = KahlerTopology(chi=12 * n, sigma=-8 * n, basic_classes=classes)
     assert (top.chi + top.sigma) // 4 == n and 2 * top.chi + 3 * top.sigma == 0
     return top
 
@@ -137,17 +132,11 @@ def z_vw_kahler(top, order=20):
 
     The half factor accounts for the center of SU(2).  The first term keeps
     only the zero class (the flux-matching delta with v = 0); the second and
-    third carry 2^{1-b1}.  Any nonzero theta exponent is out of scope.
+    third carry 2^{1-b1} = 2.  Any nonzero theta exponent is out of scope.
     """
-    if top.flux != 0:
-        raise UnsupportedTopologyError("only the zero 't Hooft flux is supported")
     if top.theta_eta_exponent != 0:
         raise UnsupportedTopologyError(
             f"theta/eta exponent {top.theta_eta_exponent} != 0 needs theta series")
-    for cls in top.basic_classes:
-        if cls.self_intersection != 0:
-            raise UnsupportedTopologyError(
-                "nonzero self-intersection needs theta series")
     exp1 = top.chi_plus_sigma_over_8
     # internal padding: the Laurent tails of G(q^2)^exp1 and G(q^{1/2})^exp1
     # eat into the certified box
@@ -162,10 +151,9 @@ def z_vw_kahler(top, order=20):
     term_mh = g_pow.substitute_power("q", Fraction(1, 2), sign=-1)
     sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
     sw_all = sum(c.sw for c in top.basic_classes)
-    pref = Fraction(2 ** (1 - top.b1))
     total = (term_q2 * (sign1 * sw_zero * weight)
-             + term_h * (pref * sw_all * weight)
-             + term_mh * (pref * sw_all * weight))
+             + term_h * (2 * sw_all * weight)
+             + term_mh * (2 * sw_all * weight))
     return total.truncate(order + 1)
 
 

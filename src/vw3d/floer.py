@@ -36,7 +36,7 @@ __all__ = [
     "UnbalancedConfigurationError",
 ]
 
-T_DEN = 2
+T_DEN = default_denominator(("t",))
 
 
 def _t_series(terms, order):
@@ -137,11 +137,9 @@ def hn_poincare(g):
     return q
 
 
-def gl_vs_sl_cohomology(N, g, order=20):
-    """All-bundles cohomology: H*(T^{2g}) tensor the fixed-determinant part,
-    i.e. (1+t)^{2g} times the moduli Poincare polynomial.  Only N = 2."""
-    if N != 2:
-        raise ValueError("only rank 2 is tabulated")
+def gl_vs_sl_cohomology(g, order=20):
+    """Rank-2 all-bundles cohomology: H*(T^{2g}) tensor the fixed-determinant
+    part, i.e. (1+t)^{2g} times the moduli Poincare polynomial."""
     torus = poly_pow([Fraction(1), Fraction(1)], 2 * g)
     total = poly_mul(torus, hn_poincare(g))
     return _t_series({k: c for k, c in enumerate(total) if c}, order)
@@ -322,6 +320,5 @@ def conjecture_series(name, order=20):
     datum = brieskorn(name)
     if datum.hp_rank is None:
         raise KeyError(f"sheaf-model rank for {datum.name} is not tabulated")
-    series = tower_series(0, None, order) + \
-        PuiseuxSeries.constant(datum.hp_rank, ("t",), order=order, den=T_DEN)
+    series = tower_series(0, order=order) + datum.hp_rank
     return {"manifold": datum.name, "series": series, "conjectural": True}

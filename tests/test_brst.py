@@ -34,7 +34,7 @@ from vw3d.brst import (
     random_state,
     residual_report,
 )
-from vw3d.grassmann import GrassmannElement, lie_bracket
+from vw3d.grassmann import GrassmannElement, koszul_sign, lie_bracket
 from vw3d.series import ExactComplex, _numerator
 
 ZERO_FORM_SECTOR = {"phi", "phibar", "C", "eta", "zeta"}
@@ -132,6 +132,10 @@ MALFORMED = {
         _edited("abelian", "Q eta = 0", "Q eta 0"), "rule line 'Q eta 0' has no right-hand side"),
     "rule with nothing after =": (
         _edited("abelian", "Q eta = 0", "Q eta ="), "rule line 'Q eta =' has no right-hand side"),
+    # a repeated head would silently replace the earlier rule
+    "second rule for one field": (
+        _edited("abelian", "Q eta = 0", "Q eta = 0\n Q eta = phi"),
+        "second rule for Q eta: 'Q eta = phi' after 'Q eta = 0'"),
 }
 
 
@@ -325,6 +329,20 @@ class TestDoubletClosure:
         for s, r in (((1, 0), (0, 1)), ((2, 3), (1, 5)), ((1, 1), (1, 1))):
             report = check_twistor(state, s, r)
             assert report["exact_zero"], report
+
+    def test_twistor_report_pinned(self):
+        # the whole report, on the shipped table and with one sign flipped
+        gauge = {"phi{1,1}": "-251833/4881", "phi{1,2}": "904822/43929",
+                 "phi{2,2}": "2676262/14643", "rho": "0", "Y": "0"}
+        shipped = random_state(get_table("threed"), seed=9)
+        assert check_twistor(shipped, (2, 3), (1, 5)) == {
+            "s": [2, 3], "r": [1, 5], "gauge_parameter": gauge,
+            "exact_zero": True, "failing_fields": []}
+        flipped = load_table("flipped", _edited("threed", "Qbar{a} V1 = - psi1{a}",
+                                                "Qbar{a} V1 = psi1{a}"))
+        assert check_twistor(random_state(flipped, seed=9), (2, 3), (1, 5)) == {
+            "s": [2, 3], "r": [1, 5], "gauge_parameter": gauge, "exact_zero": False,
+            "failing_fields": ["B1", "Bbar1", "V1", "psi1", "psibar1"]}
 
 
 class TestResidualReport:
@@ -764,6 +782,41 @@ class TestGroupedComposition:
                 weights = {(a, b): 1} if a == b else {(a, b): 1, (b, a): 1}
                 _assert_same_images(brstmod._compose_sum(state, weights, conv),
                                     _per_pair_sum(state, weights, conv))
+
+    def test_extract_theta_matches_koszul_reference(self, monkeypatch):
+        # theta is the highest generator, so one sign per element must equal
+        # the per-term Koszul sign of theta * rest
+        def reference(element, gen_index):
+            bit = 1 << gen_index
+            terms = {}
+            for mask, comps in element.terms.items():
+                if mask & bit:
+                    rest = mask ^ bit
+                    terms[rest] = comps if koszul_sign(bit, rest) > 0 else tuple(-c for c in comps)
+            return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms,
+                                                element.den)
+
+        extracted = []
+        original = brstmod._extract_theta
+
+        def checked(element, gen_index):
+            got = original(element, gen_index)
+            _assert_same_element(got, reference(element, gen_index))
+            extracted.append(got)
+            return got
+
+        monkeypatch.setattr(brstmod, "_extract_theta", checked)
+        for name in SHIPPED_TABLES:
+            table = get_table(name)
+            conv = default_convention(table)
+            state = random_state(table, seed=3)
+            for a, b in closure_pairs(table):
+                weights = {(a, b): 1} if a == b else {(a, b): 1, (b, a): 1}
+                brstmod._compose_sum(state, weights, conv)
+            if name == "threed":
+                for s, r in (((1, 2), (3, 1)), ((2, 3), (1, 5)), ((0, 0), (1, -1))):
+                    brstmod._compose_sum(state, _twistor_weights(s, r), conv)
+        assert sum(not e.is_zero() for e in extracted) > 900
 
     @pytest.mark.parametrize("s, r", [((1, 2), (3, 1)), ((0, -1), (2, 0)),
                                       ((-3, 1), (-1, -2)), ((0, 0), (1, -1))])

@@ -66,6 +66,19 @@ class TestVerlinde:
                                "--x", "1.0", "--y", "0.5", "--t", "0.2")
         assert code == EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("g,x,t,name", [("2", "0.3", "1e-300", "t"),
+                                            ("0", "5e-324", "0.5", "x")])
+    def test_dilaton_underflow_names_parameter(self, capsys, g, x, t, name):
+        # p^{3/2} underflows to 0.0: the failure names the factor and the parameter
+        code, _, err = run_cli(capsys, "verlinde", "--g", g, "--x", x, "--y", "0.7", "--t", t)
+        assert code == EXIT_NUMERICAL
+        assert f"dilaton factor of {name} = " in err
+
+    def test_small_t_within_float_range_runs(self, capsys):
+        code, _, _ = run_cli(capsys, "verlinde", "--g", "2", "--x", "0.3", "--y", "0.7",
+                             "--t", "1e-20")
+        assert code == EXIT_OK
+
     @pytest.mark.parametrize("flag,value", [("--x", "-0.5"), ("--x", "0"), ("--t", "-2")])
     def test_non_positive_parameter_is_precondition(self, capsys, flag, value):
         params = {"--x": "0.3", "--y": "0.7", "--t": "0.2", flag: value}

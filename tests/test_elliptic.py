@@ -152,7 +152,7 @@ class TestPartitionFunction:
             assert den & (den - 1) == 0  # power of two
 
     def test_unsupported_theta_exponent(self):
-        top = KahlerTopology(chi=11, sigma=-7, b1=0, flux=0, basic_classes=())
+        top = KahlerTopology(chi=11, sigma=-7, basic_classes=())
         with pytest.raises(UnsupportedTopologyError):
             z_vw_kahler(top)
 

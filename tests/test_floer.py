@@ -87,7 +87,7 @@ class TestModuliPoincare:
             assert all(c >= 0 and c.denominator == 1 for c in coeffs)
 
     def test_all_bundles_factor(self):
-        series = gl_vs_sl_cohomology(2, 2, order=12)
+        series = gl_vs_sl_cohomology(2, order=12)
         assert series.coefficient({"t": 0}) == 1
         # top degree 6g-6+2g = 10
         assert series.coefficient({"t": 10}) == 1
@@ -96,10 +96,6 @@ class TestModuliPoincare:
         t = 0.21
         hn_val = sum(float(c) * t ** k for k, c in enumerate(hn_poincare(2)))
         assert abs(series.evaluate({"t": t}) - (1 + t) ** 4 * hn_val) < 1e-10
-
-    def test_unsupported_rank(self):
-        with pytest.raises(ValueError):
-            gl_vs_sl_cohomology(3, 2)
 
 
 def _invariant_count_by_highest_weight(n):
@@ -324,7 +320,7 @@ class TestNonnegativity:
             hf_plus("lens", p=3, order=12).series,
             hf_plus("SigmaGxS1", g=4, h=2).series,
             molien_su2_adjoint(order=15),
-            gl_vs_sl_cohomology(2, 3),
+            gl_vs_sl_cohomology(3),
             conjecture_series("Sigma237", order=10)["series"],
         ]
         for series in emitted:
