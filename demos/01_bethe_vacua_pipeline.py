@@ -14,16 +14,26 @@ from vw3d.bethe import (
     grdim_closed_form,
     s2xs1_closed_expr,
     s_squared,
+    saddle_coefficients,
     verlinde_sum,
 )
 from vw3d.ratexpr import rational_eval
 
+
+def evaluate(coeffs, z):
+    value = 0j
+    for c in reversed(coeffs):
+        value = value * z + c
+    return value
+
+
 params = {"x": 0.25, "y": 0.25, "t": 1 / 9}
 system = build_bethe(params)
+coeffs = saddle_coefficients(system)
 
-print("cleared saddle polynomial: degree", system.polynomial.degree)
-print("value at z=1:", abs(system.polynomial(1.0)))
-print("value at z=i:", abs(system.polynomial(1j)))
+print("cleared saddle polynomial: degree", len(coeffs) - 1)
+print("value at z=1:", abs(evaluate(coeffs, 1.0)))
+print("value at z=i:", abs(evaluate(coeffs, 1j)))
 
 roots = admissible_roots(system)
 print("\nadmissible vacua (z, Weyl partner):")

@@ -38,13 +38,14 @@ from fractions import Fraction
 from functools import cache
 
 from .ratexpr import EPS_POLE, T, X, Y, Const, PoleError, common_quotients, rational_eval
-from .roots import ComplexPolynomial, poly_roots, root_key
+from .roots import poly_roots, root_key
 from .series import SeriesError, _as_fraction, poly_mul
 
 __all__ = [
     "BetheSystem",
     "BetheRoot",
     "build_bethe",
+    "saddle_coefficients",
     "admissible_roots",
     "s_squared",
     "s_squared_values",
@@ -85,19 +86,17 @@ class BetheRoot:
 
 @dataclass(frozen=True)
 class BetheSystem:
-    """The exact parameters {x, y, t}, the saddle polynomial in z and the
-    exact (u_-, u_+) of its quadratic factors w^2 - u w + 1 in w = z^2."""
+    """The exact parameters {x, y, t} and the exact (u_-, u_+) of the saddle
+    polynomial's quadratic factors w^2 - u w + 1 in w = z^2."""
 
     params: dict
-    polynomial: ComplexPolynomial
     traces: tuple
 
 
 def build_bethe(params):
-    """Assemble the cleared degree-12 saddle polynomial at (x, y, t).
+    """The exact Bethe data at (x, y, t): the parameters and the traces u+-.
 
-    Parameters are positive reals away from {0, 1}; the expansion is done in
-    exact rationals and only cast to floats inside the polynomial container.
+    Parameters are positive reals away from {0, 1}, taken as exact rationals.
     The ten vacua are distinct exactly when txy != 1, u_- != 2 (merging with
     z = +-1), u_+ != -2 (merging with z = +-i) and u_- != u_+, i.e.
     (tx-1)(ty-1)(xy-1) != 0; each is decided in exact arithmetic.  (u_- = -2
@@ -120,10 +119,15 @@ def build_bethe(params):
         raise DegenerateParameterError("vacua merge with z = +-i (u_+ = -2)")
     if u_minus == u_plus:
         raise DegenerateParameterError("vacua merge pairwise ((tx-1)(ty-1)(xy-1) = 0)")
+    return BetheSystem(params={"x": x, "y": y, "t": t}, traces=(u_minus, u_plus))
+
+
+def saddle_coefficients(system):
+    """The cleared degree-12 saddle polynomial in z, as ascending complex coefficients."""
     # In w = z^2: A(w) = prod (p - w), B(w) = prod (p w - 1); P = A^2 - B^2.
     a_poly = [Fraction(1)]
     b_poly = [Fraction(1)]
-    for p in (t, x, y):
+    for p in (system.params[k] for k in ("t", "x", "y")):
         a_poly = poly_mul(a_poly, [p, Fraction(-1)])
         b_poly = poly_mul(b_poly, [Fraction(-1), p])
     a2 = poly_mul(a_poly, a_poly)
@@ -132,9 +136,7 @@ def build_bethe(params):
     for ca, cb in zip(a2, b2):
         z_coeffs += [ca - cb, Fraction(0)]
     z_coeffs.pop()  # no z^13 slot
-    poly = ComplexPolynomial(tuple(complex(c) for c in z_coeffs))
-    return BetheSystem(params={"x": x, "y": y, "t": t}, polynomial=poly,
-                       traces=(u_minus, u_plus))
+    return tuple(complex(c) for c in z_coeffs)
 
 
 def admissible_roots(system):
@@ -491,7 +493,7 @@ def sweep_report(n_points, seed=0):
     for _ in range(n_points):
         params = {k: rng.uniform(0.05, 0.95) for k in ("x", "y", "t")}
         system = build_bethe(params)
-        roots = poly_roots(system.polynomial)
+        roots = poly_roots(saddle_coefficients(system))
         counts_ok &= len(roots) == 12
         counts_ok &= any(abs(z - 1) < 1e-8 for z in roots)
         counts_ok &= any(abs(z + 1) < 1e-8 for z in roots)

@@ -12,6 +12,7 @@ failure, 4 nonzero closure residual under --strict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -340,6 +341,13 @@ _HANDLERS = {
 
 
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value like -1e-3 after a flag for an option: join it as --a=-1e-3
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--x", "--y", "--t", "--a", "--b"):
+            with contextlib.suppress(ValueError):
+                float(argv[i])
+                argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         order = _order(args)

@@ -1,19 +1,18 @@
-"""Complex polynomial container and deterministic root solving.
+"""Deterministic roots of a dense complex polynomial.
 
+A polynomial is its ascending coefficient sequence (c[k] multiplies z^k).
 Roots come from companion-matrix eigenvalues (numpy), tightened by a few
 guarded Newton steps, and are returned in a canonical order (real part, then
 imaginary part, rounded to 12 digits) so runs are reproducible.  The Bethe
 vacua themselves are closed forms (`vw3d.bethe`); this general solver is
-their independent numeric cross-check.  numpy is imported only when a
-polynomial is converted or solved (`as_complex_array`, `poly_roots`, hence
-`verlinde --sweep`), so `import vw3d` and the other commands never load it.
+their independent numeric cross-check.  numpy is imported only when
+`poly_roots` runs (hence `verlinde --sweep`), so `import vw3d` and the other
+commands never load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["ComplexPolynomial", "poly_roots", "root_key", "RootConvergenceError"]
+__all__ = ["poly_roots", "root_key", "RootConvergenceError"]
 
 
 class RootConvergenceError(ArithmeticError):
@@ -22,35 +21,6 @@ class RootConvergenceError(ArithmeticError):
     def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Dense polynomial; coefficients ascending (c[k] multiplies z^k)."""
-
-    coefficients: tuple
-
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs or (len(coeffs) == 1 and coeffs[0] == 0):
-            raise ValueError("zero polynomial")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def as_complex_array(self):
-        import numpy as np
-        return np.array([complex(c) for c in self.coefficients], dtype=np.complex128)
-
-    def __call__(self, z):
-        value = 0j
-        for c in reversed(self.as_complex_array()):
-            value = value * z + c
-        return value
 
 
 def _residual(coeffs, z):
@@ -72,22 +42,25 @@ def root_key(z):
     return (round(z.real, 12), round(z.imag, 12))
 
 
-def poly_roots(poly, tol=1e-9):
-    """All `degree` roots (with multiplicity), canonically ordered.
+def poly_roots(coefficients, tol=1e-9):
+    """All roots (with multiplicity) of sum_k c_k z^k, canonically ordered.
 
-    Each root satisfies |p(z)| / sum_k |c_k||z|^k <= tol; on failure a
+    `coefficients` is ascending, of anything `complex()` accepts; trailing
+    zeros are dropped, and the degree must then be at least 1.  Each root
+    satisfies |p(z)| / sum_k |c_k||z|^k <= tol; on failure a
     RootConvergenceError reports the worst residual.
     """
-    if not isinstance(poly, ComplexPolynomial):
-        poly = ComplexPolynomial(tuple(poly))
-    if poly.degree < 1:
+    coeffs = [complex(c) for c in coefficients]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
         raise ValueError("degree must be at least 1")
     import numpy as np
-    coeffs = poly.as_complex_array()
+    coeffs = np.array(coeffs, dtype=np.complex128)
     # numpy's convention is descending coefficients.
     raw = np.roots(coeffs[::-1])
-    # Horner over numpy scalars, as `__call__` does: the step p/p' must stay a
-    # numpy division for the roots to be reproducible bit for bit.
+    # Horner over numpy scalars: the step p/p' must stay a numpy division
+    # for the roots to be reproducible bit for bit.
     desc = list(coeffs[::-1])
     ddesc = [k * coeffs[k] for k in range(len(coeffs) - 1, 0, -1)]
     roots, residuals = [], []

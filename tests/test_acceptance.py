@@ -26,6 +26,7 @@ from vw3d.bethe import (
     s2xs1_closed_expr,
     s_elements_generic,
     s_squared_values,
+    saddle_coefficients,
     verlinde_sum,
 )
 from vw3d.brst import calibrate_signs, get_table, q_squared_residual, random_state
@@ -44,7 +45,7 @@ from vw3d.floer import (
     tower_series,
 )
 from vw3d.ratexpr import rational_eval
-from vw3d.roots import ComplexPolynomial, poly_roots
+from vw3d.roots import poly_roots
 from vw3d.series import PuiseuxSeries
 
 
@@ -66,7 +67,7 @@ def bethe_sweep():
     for _ in range(100):
         params = {k: rng.uniform(0.05, 0.95) for k in ("x", "y", "t")}
         system = build_bethe(params)
-        roots = poly_roots(system.polynomial)
+        roots = poly_roots(saddle_coefficients(system))
         admissible = admissible_roots(system)
         weights = s_squared_values(system)
         points.append({"params": params, "system": system, "roots": roots,
@@ -262,7 +263,7 @@ class TestCriterion9:
             coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                       for _ in range(7)]
             coeffs[-1] += 1.0
-            roots = poly_roots(ComplexPolynomial(tuple(coeffs)), tol=1e-8)
+            roots = poly_roots(coeffs, tol=1e-8)
             s = sum(roots)
             expect = -coeffs[-2] / coeffs[-1]
             ok &= abs(s - expect) < 1e-8 * max(1.0, abs(expect))

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import lt, mul
 
 import numpy as np
@@ -32,6 +33,7 @@ from vw3d.bethe import (
     s_elements_xy,
     s_squared,
     s_squared_values,
+    saddle_coefficients,
     verlinde_sum,
 )
 from vw3d.ratexpr import (Factored, PoleError, T, X, _exact_quotient, common_quotients,
@@ -54,15 +56,13 @@ def expansion_oracle(x, y, t):
 
 class TestBuild:
     def test_degree_and_forced_roots(self):
-        system = build_bethe(GENERIC)
-        poly = system.polynomial
-        assert poly.degree == 12
+        coeffs = saddle_coefficients(build_bethe(GENERIC))
+        assert len(coeffs) == 13 and coeffs[-1] != 0
         for z in (1.0, -1.0, 1j, -1j):
-            assert abs(poly(z)) < 1e-12
+            assert abs(np.polyval(coeffs[::-1], z)) < 1e-12
 
     def test_expansion_matches_oracle(self):
-        system = build_bethe(GENERIC)
-        mine = system.polynomial.as_complex_array()
+        mine = np.array(saddle_coefficients(build_bethe(GENERIC)))
         oracle = expansion_oracle(**GENERIC)[::-1]        # ascending
         assert len(mine) == len(oracle)
         assert np.allclose(mine, oracle, rtol=1e-12, atol=1e-12)
@@ -72,7 +72,7 @@ class TestBuild:
         system = build_bethe({"x": Fraction(3, 10), "y": Fraction(7, 10),
                               "t": Fraction(11, 100)})
         txy = Fraction(3, 10) * Fraction(7, 10) * Fraction(11, 100)
-        assert system.polynomial.coefficients[-1] == complex(1 - txy ** 2)
+        assert saddle_coefficients(system)[-1] == complex(1 - txy ** 2)
 
     def test_singular_parameters_rejected(self):
         with pytest.raises(DegenerateParameterError):
@@ -89,10 +89,19 @@ class TestBuild:
             verlinde_sum(1, {"x": x, "y": y, "t": t})
 
     def test_palindromic_factorisation_exact(self):
-        # A(w)^2 - B(w)^2 = (1 - (txy)^2)(w^2 - 1)(w^2 - u_- w + 1)(w^2 - u_+ w + 1)
+        # A(w)^2 - B(w)^2 = (1 - (txy)^2)(w^2 - 1)(w^2 - u_- w + 1)(w^2 - u_+ w + 1).
+        # 1 - (txy)^2 = (1 + txy)(1 - txy) clears the denominators of u_- and
+        # u_+, and then both sides are polynomials in w whose coefficients have
+        # degree <= 2 in each of t, x and y.  Such a polynomial that vanishes
+        # on a 3 x 3 x 3 grid vanishes identically, so the grid proves the
+        # identity at every point with txy != +-1; the 50 random points are
+        # spot checks on top.
         rng = random.Random(7)
-        for _ in range(50):
-            x, y, t = (Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(3))
+        points = [tuple(Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(3))
+                  for _ in range(50)]
+        grid = list(product((Fraction(1, 5), Fraction(1, 3), Fraction(3, 7)), repeat=3))
+        checked = []
+        for x, y, t in points + grid:
             if 1 in (x, y, t) or t * x * y == 1:
                 continue
             a = b = [Fraction(1)]
@@ -109,6 +118,11 @@ class TestBuild:
             assert lhs == rhs
             system = build_bethe({"x": x, "y": y, "t": t})
             assert system.traces == (u_minus, u_plus)
+            # the sweep solves exactly this polynomial, in z with w = z^2
+            coeffs = saddle_coefficients(system)
+            assert coeffs[::2] == tuple(map(complex, lhs)) and not any(coeffs[1::2])
+            checked.append((x, y, t))
+        assert set(grid) <= set(checked)
 
 
 class TestAdmissible:
@@ -136,7 +150,7 @@ class TestAdmissible:
             system = build_bethe(params)
             roots = admissible_roots(system)
             assert len(roots) == 10
-            numeric = poly_roots(system.polynomial)
+            numeric = poly_roots(saddle_coefficients(system))
             for r in roots:
                 assert min(abs(r.z - z) for z in numeric) < 1e-8
 

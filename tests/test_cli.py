@@ -1,9 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vw3d import bethe, brst
+from vw3d import bethe, brst, cli
 from vw3d.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PRECONDITION, EXIT_RESIDUAL, main
 
 
@@ -324,6 +329,7 @@ class TestInputContract:
         (("verlinde", "--x", "nan", "--y", ".7", "--t", ".11"), "--x"),
         (("verlinde", "--x", ".3", "--y", "1e999", "--t", ".11"), "--y"),
         (("verlinde", "--x", ".3", "--y", ".7", "--t", "abc"), "--t"),
+        (("verlinde", "--g", "0", "--asymptotics", "--a", "-inf"), "--a"),
     ])
     def test_non_finite_float_rejected(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -332,6 +338,29 @@ class TestInputContract:
         assert exc.value.code == EXIT_PRECONDITION
         assert f"argument {flag}: expected a finite number" in captured.err
         assert captured.out == ""
+
+    def test_negative_exponent_value_after_flag(self, capsys):
+        # argparse alone reads "-1e-3" here as an option and "--a" as missing its value
+        code, out, _ = run_cli(capsys, "verlinde", "--g", "0", "--asymptotics",
+                               "--a", "-1e-3", "--b", "-1", "--json")
+        assert code == EXIT_OK
+        assert (json.loads(out)["a"], json.loads(out)["b"]) == (-1e-3, -1.0)
+
+    @settings(max_examples=60)
+    @given(st.floats(max_value=-5e-324, allow_infinity=False),
+           st.sampled_from(("{!r}", "{:e}", "{:g}")))
+    def test_negative_value_spelled_either_way(self, value, form):
+        # the handler is stubbed: only the parsed flags reach `config`
+        text = form.format(value)
+        configs = []
+        for flag in (["--a", text], [f"--a={text}"]):
+            stub = {"verlinde": lambda args, order: ({}, [], EXIT_OK)}
+            with mock.patch.dict(cli._HANDLERS, stub), \
+                    contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["verlinde", "--g", "0", "--asymptotics", *flag, "--json"]) == EXIT_OK
+            configs.append(json.loads(out.getvalue())["config"])
+        assert configs[0] == configs[1]
+        assert configs[0]["parameters"]["a"] == float(text)
 
     @pytest.mark.parametrize("argv,flags", [
         (("verlinde", "--sweep", "5", "--limit", "R2"), ("--limit", "--sweep")),

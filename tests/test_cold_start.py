@@ -42,7 +42,7 @@ for argv in (["verlinde", "--g", "1", "--x", "0.3", "--y", "0.7", "--t", "0.11",
         code = cli.main(argv)
     assert code == cli.EXIT_OK, (argv, code)
     check(" ".join(argv))
-from vw3d import roots; roots.poly_roots(roots.ComplexPolynomial((1, 0, 1)))
+from vw3d import roots; roots.poly_roots((1, 0, 1))
 check("poly_roots", loaded=True)
 print("cold start ok")
 """
