@@ -409,22 +409,31 @@ def asymptotics_check(g, a, b):
     for eps in (1e-2, 1e-3, 1e-4):
         x = 1 + a * eps
         t = 1 + b * eps
-        value = closed_form_value(g, x, t)
-        if g == 1:
-            target = 10.0
-        elif g == 0:
-            target = 1.0 / ((1 - t) * (1 - t * x * x))
-        else:
-            target = 4.0 * (8.0 * (1 - t) / (1 - x)) ** (3 * g - 3)
+        value = _finite(f"genus-{g} closed form at eps={eps:g}", lambda: closed_form_value(g, x, t))
+        target = _finite(f"asymptotic target at eps={eps:g}", lambda: (
+            10.0 if g == 1 else 1.0 / ((1 - t) * (1 - t * x * x)) if g == 0
+            else 4.0 * (8.0 * (1 - t) / (1 - x)) ** (3 * g - 3)))
+        ratio = _finite(f"ratio at eps={eps:g}", lambda: value / target)
         entries.append({
             "eps": eps,
             "x": x,
             "t": t,
             "value": _real_if_close(value),
             "target": target,
-            "ratio": _real_if_close(value / target),
+            "ratio": _real_if_close(ratio),
         })
     return {"g": g, "a": a, "b": b, "entries": entries}
+
+
+def _finite(stage, compute):
+    """compute(); an overflow, a division by zero, inf or nan is an OverflowError naming `stage`."""
+    try:
+        value = compute()
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError) as exc:
+        value = exc
+    raise OverflowError(f"{stage} left the float range: {value}")
 
 
 def _real_if_close(z):
@@ -452,10 +461,11 @@ def point_report(params, genera=(0, 1, 2)):
     weights = [s_squared(r, system) for r in roots]
     all_roots = sorted([r.z for r in roots] + [1.0 + 0j, -1.0 + 0j], key=root_key)
     point = {k: float(v) for k, v in system.params.items()}
-    closed = {"genus0_generic": rational_eval(s2s1_generic_expr(), point).real}
+    closed = {"genus0_generic": _finite("closed form genus0_generic", lambda: rational_eval(
+        s2s1_generic_expr(), point)).real}
     if diagonal:
-        closed["genus0_xy"] = rational_eval(
-            s2xs1_closed_expr(), {"t": point["t"], "x": point["x"]}).real
+        closed["genus0_xy"] = _finite("closed form genus0_xy", lambda: rational_eval(
+            s2xs1_closed_expr(), {"t": point["t"], "x": point["x"]})).real
     report = {
         "params": point,
         "roots": [[z.real, z.imag] for z in all_roots],
@@ -467,7 +477,8 @@ def point_report(params, genera=(0, 1, 2)):
         "verlinde": {},
     }
     for g in genera:
-        total = sum(w ** (1 - g) for w in weights)
+        total = _finite(f"genus-{g} sum of S^2 ** {1 - g}",
+                        lambda: sum(w ** (1 - g) for w in weights))
         report["verlinde"][str(g)] = [total.real, total.imag]
     return report
 

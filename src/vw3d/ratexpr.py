@@ -231,7 +231,7 @@ def _factor_eval(expr, point):
         return _factor_eval(expr.left, point) * _factor_eval(expr.right, point)
     value = expr.eval(point)
     if abs(value) < EPS_POLE:
-        raise PoleError(f"denominator factor {value} below pole threshold {EPS_POLE}")
+        raise PoleError(f"denominator factor {expr!r} = {value} below pole threshold {EPS_POLE}")
     return value
 
 

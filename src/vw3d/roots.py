@@ -1,13 +1,12 @@
 """Deterministic roots of a dense complex polynomial.
 
 A polynomial is its ascending coefficient sequence (c[k] multiplies z^k).
-Roots come from companion-matrix eigenvalues (numpy), tightened by a few
-guarded Newton steps, and are returned in a canonical order (real part, then
-imaginary part, rounded to 12 digits) so runs are reproducible.  The Bethe
-vacua themselves are closed forms (`vw3d.bethe`); this general solver is
-their independent numeric cross-check.  numpy is imported only when
-`poly_roots` runs (hence `verlinde --sweep`), so `import vw3d` and the other
-commands never load it.
+The roots are numpy's companion-matrix eigenvalues, which are backward stable
+(Edelman & Murakami, Math. Comp. 64, 1995); each is held to a backward-error
+bound, and they come in a canonical order (real part, then imaginary part, to
+12 digits).  They cross-check the closed-form Bethe vacua of `vw3d.bethe`.
+numpy is imported only when `poly_roots` runs (hence `verlinde --sweep`), so
+`import vw3d` and the other commands never load it.
 """
 
 from __future__ import annotations
@@ -16,25 +15,11 @@ __all__ = ["poly_roots", "root_key", "RootConvergenceError"]
 
 
 class RootConvergenceError(ArithmeticError):
-    """Raised when a root fails its residual bound; carries the best residual."""
+    """Raised when a root fails its residual bound; carries the worst residual."""
 
     def __init__(self, message, residual):
         super().__init__(message)
         self.residual = residual
-
-
-def _residual(coeffs, z):
-    """|p(z)| scaled by the evaluation norm sum |c_k||z|^k (backward error)."""
-    value = 0j
-    scale = 0.0
-    az = abs(z)
-    for k in range(len(coeffs) - 1, -1, -1):
-        value = value * z + coeffs[k]
-    power = 1.0
-    for c in coeffs:
-        scale += abs(c) * power
-        power *= az
-    return abs(value) / scale if scale else abs(value)
 
 
 def root_key(z):
@@ -56,39 +41,13 @@ def poly_roots(coefficients, tol=1e-9):
     if len(coeffs) < 2:
         raise ValueError("degree must be at least 1")
     import numpy as np
-    coeffs = np.array(coeffs, dtype=np.complex128)
-    # numpy's convention is descending coefficients.
-    raw = np.roots(coeffs[::-1])
-    # Horner over numpy scalars: the step p/p' must stay a numpy division
-    # for the roots to be reproducible bit for bit.
-    desc = list(coeffs[::-1])
-    ddesc = [k * coeffs[k] for k in range(len(coeffs) - 1, 0, -1)]
-    roots, residuals = [], []
-    for z in raw:
-        z = complex(z)
-        res = _residual(coeffs, z)
-        for _ in range(3):
-            pv = dv = 0j
-            for c in desc:
-                pv = pv * z + c
-            for c in ddesc:
-                dv = dv * z + c
-            if dv == 0:
-                break
-            step = pv / dv
-            if abs(step) > 1e-2 * max(1.0, abs(z)):
-                break  # double-root plateau; Newton would wander
-            z2 = z - step
-            res2 = _residual(coeffs, z2)
-            if res2 <= res:
-                z, res = z2, res2
-            else:
-                break
-        roots.append(z)
-        residuals.append(res)
-    worst = max(residuals)
-    if worst > tol:
+    desc = np.array(coeffs[::-1], dtype=np.complex128)  # numpy's order is descending
+    roots = np.roots(desc)
+    value = np.abs(np.polyval(desc, roots))
+    scale = np.polyval(np.abs(desc), np.abs(roots))  # 0 only at z = 0 = c_0, where p(z) = 0
+    residuals = np.divide(value, scale, out=np.zeros_like(value), where=scale > 0)
+    worst = float(residuals.max())
+    if not worst <= tol:  # a NaN residual fails too
         raise RootConvergenceError(
             f"root residual {worst:.3e} exceeds tolerance {tol:.3e}", worst)
-    roots.sort(key=root_key)
-    return roots
+    return sorted(map(complex, roots), key=root_key)

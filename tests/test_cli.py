@@ -79,6 +79,40 @@ class TestVerlinde:
         assert code == EXIT_NUMERICAL
         assert f"dilaton factor of {name} = " in err
 
+    def test_pole_guard_names_its_factor(self, capsys):
+        # t = 1 - 1e-12 on the path: the factor (t - 1) of the closed form is the pole
+        code, out, err = run_cli(capsys, "verlinde", "--g", "3", "--asymptotics",
+                                 "--a", "-1", "--b", "-1e-8")
+        assert code == EXIT_NUMERICAL
+        assert "denominator factor (t - 1) = (-9.99" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv,stage", [
+        # the smallest S^2 here is about 0.0095: its -199th power is past 1e308
+        (("--g", "200", "--x", "0.3", "--y", "0.7", "--t", "0.11"),
+         "genus-200 sum of S^2 ** -199 left the float range: complex exponentiation"),
+        (("--g", "0", "--asymptotics", "--a", "-1e300", "--b", "-1"),
+         "genus-0 closed form at eps=0.01 left the float range"),
+        # 1 - x rounds to 0 on this path
+        (("--g", "2", "--asymptotics", "--a", "-1e-300", "--b", "-1"),
+         "genus-2 closed form at eps=0.01 left the float range"),
+        # each power is finite, their sum is not: --json wrote Infinity
+        (("--g", "154", "--x", "0.3", "--y", "0.7", "--t", "0.11106"),
+         "genus-154 sum of S^2 ** -153 left the float range: (inf"),
+        # the closed form is inf / inf: --json wrote NaN
+        (("--g", "0", "--x", "4.600522195827881e+25", "--y", "4.600522195827883e+25",
+          "--t", "4.600522195827883e+25"), "closed form genus0_generic left the float range"),
+        # a complex NaN value: json.dumps raised TypeError
+        (("--g", "34", "--asymptotics", "--a", "-1.3759124247064363",
+          "--b", "-0.0004096236933799057"),
+         "genus-34 closed form at eps=0.0001 left the float range: (nan+nanj)"),
+    ])
+    def test_float_range_failure_names_stage(self, capsys, argv, stage):
+        code, out, err = run_cli(capsys, "verlinde", *argv, "--json")
+        assert code == EXIT_NUMERICAL
+        assert stage in err
+        assert out == ""
+
     def test_small_t_within_float_range_runs(self, capsys):
         code, _, _ = run_cli(capsys, "verlinde", "--g", "2", "--x", "0.3", "--y", "0.7",
                              "--t", "1e-20")
@@ -361,6 +395,24 @@ class TestInputContract:
             configs.append(json.loads(out.getvalue())["config"])
         assert configs[0] == configs[1]
         assert configs[0]["parameters"]["a"] == float(text)
+
+    @settings(max_examples=100)
+    @given(st.sampled_from((["--x", "--y", "--t"], ["--a", "--b"])),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+           st.integers(0, 50))
+    def test_any_finite_float_exits_cleanly(self, flags, values, g):
+        # point mode and --asymptotics over the whole finite range (1e+-300,
+        # subnormals, +-0): a result, a precondition or a numerical failure,
+        # never a traceback, and the JSON of a result is finite
+        argv = ["verlinde", "--g", str(g), "--json"] + ["--asymptotics"] * (len(flags) == 2)
+        for flag, value in zip(flags, values):
+            argv += [flag, repr(value)]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_PRECONDITION, EXIT_NUMERICAL)
+        if code == EXIT_OK:
+            json.loads(out.getvalue(), parse_constant=lambda name: pytest.fail(name))
 
     @pytest.mark.parametrize("argv,flags", [
         (("verlinde", "--sweep", "5", "--limit", "R2"), ("--limit", "--sweep")),

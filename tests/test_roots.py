@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vw3d.bethe import build_bethe, saddle_coefficients
-from vw3d.roots import RootConvergenceError, _residual, poly_roots
+from vw3d.bethe import admissible_roots, build_bethe, saddle_coefficients
+from vw3d.roots import RootConvergenceError, poly_roots, root_key
 from vw3d.series import ExactComplex
 
 
@@ -71,48 +71,21 @@ class TestViete:
             assert abs(prod - expect_prod) < 1e-8 * max(1.0, abs(expect_prod))
 
 
-def _reference_value(coeffs, z):
-    value = 0j
-    for c in reversed(coeffs):
-        value = value * z + c
-    return value
+def _reference_residual(coeffs, z):
+    """|p(z)| / sum_k |c_k||z|^k for ascending `coeffs` at one root z.
+
+    At a root p(z) is rounding noise, and numpy's compiled complex loops
+    round differently from Python's `complex` (a pure-Python Horner read
+    up to 1% apart), so p(z) is numpy's Horner; the scale is summed here.
+    """
+    value = abs(complex(np.polyval(np.array(coeffs[::-1], dtype=np.complex128), z)))
+    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+    return value / scale if scale else value
 
 
-def _reference_derivative(coeffs, z):
-    value = 0j
-    for k in range(len(coeffs) - 1, 0, -1):
-        value = value * z + k * coeffs[k]
-    return value
-
-
-def _reference_roots(coefficients, tol=1e-9):
-    """The Newton polish as first written: p, p' and both residuals are
-    rebuilt from the coefficients at every step, the worst once more."""
-    coeffs = np.array([complex(c) for c in coefficients], dtype=np.complex128)
-    raw = np.roots(coeffs[::-1])
-    roots = []
-    for z in raw:
-        z = complex(z)
-        for _ in range(3):
-            pv = _reference_value(coeffs, z)
-            dv = _reference_derivative(coeffs, z)
-            if dv == 0:
-                break
-            step = pv / dv
-            if abs(step) > 1e-2 * max(1.0, abs(z)):
-                break
-            z2 = z - step
-            if _residual(coeffs, z2) <= _residual(coeffs, z):
-                z = z2
-            else:
-                break
-        roots.append(z)
-    worst = max(_residual(coeffs, z) for z in roots)
-    if worst > tol:
-        raise RootConvergenceError(
-            f"root residual {worst:.3e} exceeds tolerance {tol:.3e}", worst)
-    roots.sort(key=lambda z: (round(z.real, 12), round(z.imag, 12)))
-    return roots
+def _numpy_roots(coeffs):
+    desc = np.array([complex(c) for c in coeffs][::-1], dtype=np.complex128)
+    return sorted(map(complex, np.roots(desc)), key=root_key)
 
 
 def _same_bits(a, b):
@@ -120,18 +93,23 @@ def _same_bits(a, b):
         [(z.real.hex(), z.imag.hex()) for z in map(complex, b)]
 
 
-class TestMatchesReferenceLoop:
-    """`poly_roots` converts once per solve; every float operation of the
-    per-step loop is kept, so the roots are equal bit for bit."""
+def _seeded_bethe_systems():
+    rng = random.Random(11)
+    for k in range(150):
+        x, y, t = (rng.uniform(0.05, 0.95) for _ in range(3))
+        if k % 5 == 0:
+            y = x
+        yield build_bethe({"x": x, "y": y, "t": t})
+
+
+class TestCompanionMatrixSolve:
+    """`poly_roots` is one companion-matrix solve (`np.roots`), unpolished,
+    in the canonical order, checked by its backward error."""
 
     def test_seeded_bethe_systems(self):
-        rng = random.Random(11)
-        for k in range(150):
-            x, y, t = (rng.uniform(0.05, 0.95) for _ in range(3))
-            if k % 5 == 0:
-                y = x
-            poly = saddle_coefficients(build_bethe({"x": x, "y": y, "t": t}))
-            mine, ref = poly_roots(poly), _reference_roots(poly)
+        for system in _seeded_bethe_systems():
+            poly = saddle_coefficients(system)
+            mine, ref = poly_roots(poly), _numpy_roots(poly)
             assert mine == ref and _same_bits(mine, ref)
 
     def test_seeded_complex_polynomials(self):
@@ -141,20 +119,31 @@ class TestMatchesReferenceLoop:
             coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
                       for _ in range(degree + 1)]
             coeffs[-1] += 0.5
-            mine, ref = poly_roots(coeffs, tol=1e-6), _reference_roots(coeffs, tol=1e-6)
+            mine, ref = poly_roots(coeffs, tol=1e-6), _numpy_roots(coeffs)
             assert mine == ref and _same_bits(mine, ref)
 
-    def test_double_root_plateau(self):
-        # (z-1)^2 (z+2): Newton stops at the plateau near the double root.
+    def test_bethe_residuals_and_closed_form_vacua(self):
+        # the sweep asks 1e-9 of the residual and 1e-8 of the vacua
+        for system in _seeded_bethe_systems():
+            poly = saddle_coefficients(system)
+            roots = poly_roots(poly)
+            assert max(_reference_residual(poly, z) for z in roots) <= 1e-12
+            expected = [r.z for r in admissible_roots(system)] + [1, -1]
+            assert all(min(abs(z - w) for w in roots) < 1e-9 for z in expected)
+
+    def test_double_root(self):
+        # (z-1)^2 (z+2): the pair splits by ~1e-8, its backward error stays tiny
         poly = (2, -3, 0, 1)
-        mine, ref = poly_roots(poly), _reference_roots(poly)
+        mine, ref = poly_roots(poly), _numpy_roots(poly)
         assert mine == ref and _same_bits(mine, ref)
+        assert max(_reference_residual(poly, z) for z in mine) <= 1e-15
 
     def test_same_residual_on_too_tight_tol(self):
         for coeffs in ((2, -3, 0, 1), (1, 2, 3, 4, 5), (1j, 0.5, -2, 1)):
-            with pytest.raises(RootConvergenceError) as mine:
+            with pytest.raises(RootConvergenceError) as err:
                 poly_roots(coeffs, tol=1e-40)
-            with pytest.raises(RootConvergenceError) as ref:
-                _reference_roots(coeffs, tol=1e-40)
-            assert mine.value.residual == ref.value.residual > 0
-            assert str(mine.value) == str(ref.value)
+            expected = max(_reference_residual(coeffs, z) for z in _numpy_roots(coeffs))
+            assert err.value.residual == pytest.approx(expected, rel=1e-12, abs=0)
+            assert err.value.residual > 0
+            assert str(err.value) == (f"root residual {err.value.residual:.3e} "
+                                      f"exceeds tolerance {1e-40:.3e}")
