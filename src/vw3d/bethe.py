@@ -151,8 +151,9 @@ def admissible_roots(system):
     canonical (re, im) order.
     """
     vacua = []
-    for u in system.traces:
-        z = (cmath.sqrt(float(u + 2)) + cmath.sqrt(float(u - 2))) / 2
+    for name, u in zip(("u_-", "u_+"), system.traces):
+        z = _finite(f"vacua of the {name} factor",
+                    lambda: (cmath.sqrt(float(u + 2)) + cmath.sqrt(float(u - 2))) / 2)
         vacua += [z, 1 / z, -z, -1 / z]
     vacua += [1j, -1j]
     # vacua[i] and vacua[i ^ 1] are Weyl partners; vacua[i] solves factor i // 4
@@ -166,14 +167,17 @@ def admissible_roots(system):
 def _dilaton_factor(name, p, w, r_charge):
     # Each linear factor is tested on its own: near (1, 1) the product is
     # far below EPS_POLE while no factor is near a pole.
-    factors = (p - 1.0, p - w, p * w - 1.0)
-    nearest = min(abs(f) for f in factors)
-    if nearest < EPS_POLE:
-        raise PoleError(f"dilaton factor of {name}: linear factor {nearest} below {EPS_POLE}")
-    base = p ** 1.5 * w / (factors[0] * factors[1] * factors[2])
-    if base == 0 or not cmath.isfinite(base):
-        raise PoleError(f"dilaton factor of {name} = {p!r} left the float range (base {base})")
-    return base ** (r_charge - 1)
+    try:
+        factors = (p - 1.0, p - w, p * w - 1.0)
+        nearest = min(abs(f) for f in factors)
+        if nearest < EPS_POLE:
+            raise PoleError(f"dilaton factor of {name}: linear factor {nearest} below {EPS_POLE}")
+        base = p ** 1.5 * w / (factors[0] * factors[1] * factors[2])
+        if base != 0 and cmath.isfinite(base):
+            return base ** (r_charge - 1)
+    except OverflowError as exc:
+        base = exc
+    raise PoleError(f"dilaton factor of {name} = {p!r} left the float range (base {base})")
 
 
 def s_squared(root, system):
@@ -209,7 +213,12 @@ def verlinde_sum(g, params):
     """Sum of S^{2-2g} over the ten admissible vacua at the given point."""
     if g < 0:
         raise ValueError("genus must be a nonnegative integer")
-    return sum(w ** (1 - g) for w in s_squared_values(build_bethe(params)))
+    return _genus_total(g, s_squared_values(build_bethe(params)))
+
+
+def _genus_total(g, weights):
+    """Sum of w^(1-g) over the weights; a float overflow names the genus-g sum."""
+    return _finite(f"genus-{g} sum of S^2 ** {1 - g}", lambda: sum(w ** (1 - g) for w in weights))
 
 
 # ----------------------------------------------------------------------
@@ -412,7 +421,7 @@ def asymptotics_check(g, a, b):
         value = _finite(f"genus-{g} closed form at eps={eps:g}", lambda: closed_form_value(g, x, t))
         target = _finite(f"asymptotic target at eps={eps:g}", lambda: (
             10.0 if g == 1 else 1.0 / ((1 - t) * (1 - t * x * x)) if g == 0
-            else 4.0 * (8.0 * (1 - t) / (1 - x)) ** (3 * g - 3)))
+            else 4.0 * (8.0 * (1 - t) / (1 - x)) ** (3 * g - 3)), nonzero=True)
         ratio = _finite(f"ratio at eps={eps:g}", lambda: value / target)
         entries.append({
             "eps": eps,
@@ -425,11 +434,12 @@ def asymptotics_check(g, a, b):
     return {"g": g, "a": a, "b": b, "entries": entries}
 
 
-def _finite(stage, compute):
-    """compute(); an overflow, a division by zero, inf or nan is an OverflowError naming `stage`."""
+def _finite(stage, compute, nonzero=False):
+    """compute(); an overflow, a division by zero, inf or nan (or 0, if `nonzero`, as
+    for a target that underflowed) is an OverflowError naming `stage`."""
     try:
         value = compute()
-        if cmath.isfinite(value):
+        if cmath.isfinite(value) and (value or not nonzero):
             return value
     except (OverflowError, ZeroDivisionError) as exc:
         value = exc
@@ -477,8 +487,7 @@ def point_report(params, genera=(0, 1, 2)):
         "verlinde": {},
     }
     for g in genera:
-        total = _finite(f"genus-{g} sum of S^2 ** {1 - g}",
-                        lambda: sum(w ** (1 - g) for w in weights))
+        total = _genus_total(g, weights)
         report["verlinde"][str(g)] = [total.real, total.imag]
     return report
 

@@ -125,7 +125,7 @@ class Const(RationalExpr):
         return complex(self.value)
 
     def expand(self, variables, order):
-        return _exact(variables, self.value)
+        return PuiseuxSeries.constant(self.value, variables, order=INF_CUTOFF)
 
     def __repr__(self):
         return repr(self.value)
@@ -143,17 +143,10 @@ class Var(RationalExpr):
     def expand(self, variables, order):
         if self.name not in variables:
             raise SeriesError(f"variable {self.name} missing from expansion set")
-        return _exact(variables, 1, self.name)
+        return PuiseuxSeries.monomial(variables, {self.name: 1}, order=INF_CUTOFF)
 
     def __repr__(self):
         return self.name
-
-
-def _exact(variables, coeff, name=None):
-    """The untruncated monomial coeff * name (coeff alone if name is None)."""
-    den = default_denominator(variables)
-    exps = tuple(den * (v == name) for v in variables)
-    return PuiseuxSeries(variables, den, {exps: coeff}, (INF_CUTOFF,) * len(variables))
 
 
 class _Binary(RationalExpr):

@@ -309,6 +309,17 @@ class TestVerlindeSum:
                      for m, e in zip((2, 4, 4), s_elements_generic()))
         assert abs(direct - closed) <= 1e-7 * abs(closed)
 
+    @pytest.mark.parametrize("g,t,stage", [
+        # a power past 1e308 raised "complex exponentiation" bare
+        (200, 0.11, "genus-200 sum of S^2 ** -199 left the float range: complex exponentiation"),
+        # each power is finite, their sum is not: this returned inf-6.48e295j
+        (154, 0.11106, "genus-154 sum of S^2 ** -153 left the float range: (inf"),
+    ])
+    def test_float_range_failure_names_the_genus_sum(self, g, t, stage):
+        with pytest.raises(OverflowError) as exc:
+            verlinde_sum(g, {"x": 0.3, "y": 0.7, "t": t})
+        assert str(exc.value).startswith(stage)
+
 
 class TestClosedFormSeries:
     def test_three_sphere_tower(self):
