@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .series import PuiseuxSeries, _real, default_denominator, poly_pow
+from .series import PuiseuxSeries, SeriesError, _real, default_denominator, poly_pow
 
 __all__ = [
     "BasicClass",
@@ -127,6 +127,32 @@ def sw_data_en(n):
     return top
 
 
+def _g_order(k, order, half_weight):
+    """The `g_series` order whose G^k serves Z through q^order (order >= 0).
+
+    G through q^M gives G^k below q^{M+2-k} for k != 0 (each `*` cuts at ca + vb,
+    `invert` at c + 2) and below q^{M+1} for k = 0.  The q^2 term needs G^k below
+    q^{(order+2)//2}, the +-q^{1/2} terms below q^{2 order + 2} unless their weight
+    is an exact 0: 0 * (s + O(c)) is the exact zero, which caps no cutoff."""
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+    need = 2 * order + 2 if half_weight else (order + 2) // 2
+    return max(1, need + k - 2 if k else need - 1)
+
+
+def _half_argument(p, weight):
+    """weight * (p(q^{1/2}) + p(-q^{1/2})): the odd powers cancel before the weight."""
+    half = Fraction(1, 2)
+    return (p.substitute_power("q", half) + p.substitute_power("q", half, sign=-1)) * weight
+
+
+def _certified(series, order):
+    """`series` through q^order; a box short of q^{order+1} raises SeriesError."""
+    if series.cutoff[0] < (order + 1) * series.den:
+        raise SeriesError(f"could not certify the q-series to order {order}")
+    return series.truncate(order + 1)
+
+
 def z_vw_kahler(top, order=20):
     """SU(2) partition function via the Seiberg-Witten expansion, at flux 0.
 
@@ -138,40 +164,29 @@ def z_vw_kahler(top, order=20):
         raise UnsupportedTopologyError(
             f"theta/eta exponent {top.theta_eta_exponent} != 0 needs theta series")
     exp1 = top.chi_plus_sigma_over_8
-    # internal padding: the Laurent tails of G(q^2)^exp1 and G(q^{1/2})^exp1
-    # eat into the certified box
-    internal = 2 * order + 2 * exp1 + 4
-    g_pow = g_series(internal) ** exp1
     sign1 = (-1) ** ((top.chi + top.sigma) // 4)
-    # substitution is a ring map, so G(q^2)^exp1 = (G^exp1)(q^2) and likewise at
-    # +-q^{1/2}: one power of the integer series, then one weight per term
     weight = Fraction(1, 4) ** exp1 / 2
-    term_q2 = g_pow.substitute_power("q", 2)
-    term_h = g_pow.substitute_power("q", Fraction(1, 2))
-    term_mh = g_pow.substitute_power("q", Fraction(1, 2), sign=-1)
     sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
-    sw_all = sum(c.sw for c in top.basic_classes)
-    total = (term_q2 * (sign1 * sw_zero * weight)
-             + term_h * (2 * sw_all * weight)
-             + term_mh * (2 * sw_all * weight))
-    return total.truncate(order + 1)
+    half_weight = 2 * sum(c.sw for c in top.basic_classes) * weight
+    # substitution is a ring map, so G(q^2)^exp1 = (G^exp1)(q^2) and likewise at
+    # +-q^{1/2}: one power of the integer series, each term cut to its own box
+    g_pow = g_series(_g_order(exp1, order, half_weight)) ** exp1
+    term_q2 = g_pow.truncate((order + 2) // 2).substitute_power("q", 2)
+    return _certified(term_q2 * (sign1 * sw_zero * weight)
+                      + _half_argument(g_pow, half_weight), order)
 
 
 def en_closed_form(n, order=20):
     """The collapsed form of z_vw_kahler for E(n), n even."""
     if n < 2 or n % 2:
         raise ValueError("even n >= 2 required")
-    internal = 2 * order + 2 * n + 4
-    g = g_series(internal)
-    g2 = g.substitute_power("q", 2)
-    if n == 2:
-        # G(q^2)/8 + G(q^{1/2})/4 + G(-q^{1/2})/4
-        quarter = Fraction(1, 4)
-        gh = g.substitute_power("q", Fraction(1, 2)) * quarter
-        gmh = g.substitute_power("q", Fraction(1, 2), sign=-1) * quarter
-        return (g2 * Fraction(1, 8) + gh + gmh).truncate(order + 1)
+    if n == 2:  # G(q^2)/8 + (G(q^{1/2}) + G(-q^{1/2}))/4
+        g = g_series(_g_order(1, order, 1))
+        term_q2 = g.truncate((order + 2) // 2).substitute_power("q", 2) * Fraction(1, 8)
+        return _certified(term_q2 + _half_argument(g, Fraction(1, 4)), order)
     coeff = Fraction((-1) ** (n // 2 + 1) * comb(n - 2, n // 2 - 1), 2 * 4 ** (n // 2))
-    return (g2 ** (n // 2) * coeff).truncate(order + 1)
+    g2 = g_series(_g_order(n // 2, order, 0)).substitute_power("q", 2)
+    return _certified(g2 ** (n // 2) * coeff, order)
 
 
 def binomial_remainder(n):
@@ -181,12 +196,9 @@ def binomial_remainder(n):
 
 def second_line_series(n, order=20):
     """The half-argument part of the E(n) expansion; identically 0 for n > 2."""
-    internal = 2 * order + 2 * n + 4
-    g = g_series(internal)
-    gh = g.substitute_power("q", Fraction(1, 2)) ** (n // 2)
-    gmh = g.substitute_power("q", Fraction(1, 2), sign=-1) ** (n // 2)
     weight = binomial_remainder(n) * Fraction(1, 4) ** (n // 2)
-    return ((gh + gmh) * weight).truncate(order + 1)
+    g_pow = g_series(_g_order(n // 2, order, weight)) ** (n // 2)
+    return _certified(_half_argument(g_pow, weight), order)
 
 
 def gluing_check(n, order=20):
@@ -198,6 +210,8 @@ def gluing_check(n, order=20):
     """
     if n < 6 or n % 2:
         raise ValueError("gluing comparison needs even n >= 6")
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
     # padding for the division by Z(E(2)) (valuation -2) and the power
     internal = order + 3 * n + 8
     lhs = z_vw_kahler(sw_data_en(n), internal)

@@ -16,7 +16,8 @@ A series stands for its stored terms plus terms it does not store, all at or
 beyond its cutoff.  `*` is sound only when every such unstored term also lies
 at or above the stored valuation in each variable, as for a monomial times a
 power series, and, for a series that stores nothing, at or above its cutoff;
-the product's cutoff min(ca + vb, cb + va) assumes it.
+the product's cutoff min(ca + vb, cb + va) assumes it.  An untruncated series
+that stores nothing is the exact zero, and so is its product with any series.
 
 All values are immutable after construction; operations are pure functions.
 
@@ -27,8 +28,8 @@ outputs that hold it by construction skip that pass through the trusted
 `PuiseuxSeries._from_terms`: `+`, `scale`, `*`, `**`, `invert`, unary `-`,
 `truncate`, `substitute_power`, `rescale`, the integer q-series of `elliptic`
 and the superspace character of `floer`.  `+` and `truncate` drop the terms
-beyond the new cutoff and `scale` by an exact 0 keeps none; the rest need no
-filter.
+beyond the new cutoff and `scale` by an exact 0 keeps none and returns the
+exact zero, untruncated, since 0 * (s + O(c)) = 0; the rest need no filter.
 
 Products and inversion run one path for every coefficient, on integer
 numerators over one denominator as in FLINT's `fmpq_poly`.  The functions
@@ -367,7 +368,8 @@ class PuiseuxSeries:
         if type(value) is not int:  # ExactComplex * int has its own fast branch
             value = ExactComplex.coerce(value)
         terms = {e: c * value for e, c in self.terms.items()} if value else {}
-        return PuiseuxSeries._from_terms(self.variables, self.den, terms, self.cutoff)
+        cutoff = self.cutoff if value else (INF_CUTOFF,) * len(self.cutoff)  # 0 * (s + O(c)) = 0
+        return PuiseuxSeries._from_terms(self.variables, self.den, terms, cutoff)
 
     def __mul__(self, other):
         """The truncated product, cut at min(ca + vb, cb + va) per variable.
@@ -376,7 +378,8 @@ class PuiseuxSeries:
         at or above its stored valuation in each variable, as for a monomial
         times a power series, and an operand that stores nothing stands for
         terms at or above its cutoff in each variable, which serves as its
-        valuation.  Otherwise the product can miss terms inside its claimed
+        valuation; an untruncated one is the exact zero, and so is the
+        product.  Otherwise the product can miss terms inside its claimed
         cutoff.
         """
         if isinstance(other, _SCALARS):
@@ -417,8 +420,11 @@ class PuiseuxSeries:
         return PuiseuxSeries._from_terms(self.variables, self.den, terms, cutoff)
 
     def truncate(self, order):
-        """Restrict to the box with per-variable bound `order` (in 1/1 units)."""
-        return self._cut(tuple(min(c, order * self.den) for c in self.cutoff))
+        """Restrict to the box with per-variable bound `order` (in 1/1 units, on the lattice)."""
+        bound = _as_fraction(order) * self.den
+        if bound.denominator != 1:
+            raise SeriesError(f"truncation order {order} is not on the lattice 1/{self.den}")
+        return self._cut(tuple(min(c, int(bound)) for c in self.cutoff))
 
     def invert(self):
         """Multiplicative inverse up to the inherited truncation.

@@ -1,11 +1,14 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from vw3d import elliptic
 from vw3d.elliptic import (
     UnsupportedTopologyError,
+    BasicClass,
     KahlerTopology,
     binomial_remainder,
     en_closed_form,
@@ -16,7 +19,7 @@ from vw3d.elliptic import (
     sw_data_en,
     z_vw_kahler,
 )
-from vw3d.series import PuiseuxSeries
+from vw3d.series import PuiseuxSeries, SeriesError
 
 G_LEADING = {-1: 1, 0: 24, 1: 324, 2: 3200, 3: 25650, 4: 176256, 5: 1073720}
 
@@ -169,6 +172,100 @@ class TestGluing:
         assert report["equal"] is False
         assert report["first_differing_exponent"] is not None
         assert report["lhs_leading"]["coeff"] == "-5/128"
+
+
+def _reference_z(top, order):
+    """Z built on one long box: G on 2 order + 2k + 4, all three substitutions
+    at full length, one weight per term."""
+    k = top.chi_plus_sigma_over_8
+    g_pow = g_series(2 * order + 2 * k + 4) ** k
+    sign1 = (-1) ** ((top.chi + top.sigma) // 4)
+    weight = Fraction(1, 4) ** k / 2
+    sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
+    sw_all = sum(c.sw for c in top.basic_classes)
+    half = Fraction(1, 2)
+    total = (g_pow.substitute_power("q", 2) * (sign1 * sw_zero * weight)
+             + g_pow.substitute_power("q", half) * (2 * sw_all * weight)
+             + g_pow.substitute_power("q", half, sign=-1) * (2 * sw_all * weight))
+    return total.truncate(order + 1)
+
+
+def _reference_closed_form(n, order):
+    g = g_series(2 * order + 2 * n + 4)
+    g2 = g.substitute_power("q", 2)
+    if n == 2:
+        quarter, half = Fraction(1, 4), Fraction(1, 2)
+        return (g2 * Fraction(1, 8) + g.substitute_power("q", half) * quarter
+                + g.substitute_power("q", half, sign=-1) * quarter).truncate(order + 1)
+    coeff = Fraction((-1) ** (n // 2 + 1) * comb(n - 2, n // 2 - 1), 2 * 4 ** (n // 2))
+    return (g2 ** (n // 2) * coeff).truncate(order + 1)
+
+
+# k = (chi + sigma)/8 in {-1, 0, 1} with a zero theta exponent, and basic
+# classes that make the q^2 and the half-argument weights zero or not
+SYNTHETIC_CLASSES = [
+    (),
+    (BasicClass(0, 1),),
+    (BasicClass(2, 1), BasicClass(-2, -1)),
+    (BasicClass(2, 3), BasicClass(0, -1)),
+    (BasicClass(1, 2),),
+]
+
+
+class TestPerTermBoxes:
+    """Each term of Z is expanded only on the box it needs: the result is
+    byte-identical to the one-long-box reference."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+    def test_en_matches_reference(self, n):
+        for order in range(41):
+            assert z_vw_kahler(sw_data_en(n), order).to_json() == \
+                _reference_z(sw_data_en(n), order).to_json(), order
+            assert en_closed_form(n, order).to_json() == \
+                _reference_closed_form(n, order).to_json(), order
+
+    @pytest.mark.parametrize("k", [-1, 0, 1])
+    @pytest.mark.parametrize("classes", SYNTHETIC_CLASSES)
+    def test_synthetic_topology_matches_reference(self, k, classes):
+        top = KahlerTopology(chi=24 * k, sigma=-16 * k, basic_classes=classes)
+        assert top.chi_plus_sigma_over_8 == k and top.theta_eta_exponent == 0
+        for order in range(13):
+            z = z_vw_kahler(top, order)
+            assert z.to_json() == _reference_z(top, order).to_json(), order
+            assert z.cutoff == ((order + 1) * z.den,)
+
+    def test_zero_weighted_terms_do_not_cap_the_box(self, monkeypatch):
+        # for n > 2 the half-argument weight is an exact 0, so G is built for
+        # the q^2 term alone: about order/2, not about 2 order
+        orders, g = [], elliptic.g_series
+        monkeypatch.setattr(elliptic, "g_series", lambda o: orders.append(o) or g(o))
+        z_vw_kahler(sw_data_en(6), order=40)
+        en_closed_form(6, order=40)
+        second_line_series(6, order=40)
+        assert max(orders) <= 40 // 2 + 3
+
+    def test_short_box_raises(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_g_order", lambda k, order, weight: 1)
+        for call in (lambda: z_vw_kahler(sw_data_en(2), 10),
+                     lambda: en_closed_form(2, 10), lambda: en_closed_form(6, 10)):
+            with pytest.raises(SeriesError, match="order 10"):
+                call()
+
+
+class TestOrderDomain:
+    @pytest.mark.parametrize("call", [
+        lambda o: z_vw_kahler(sw_data_en(2), o),
+        lambda o: z_vw_kahler(sw_data_en(4), o),
+        lambda o: en_closed_form(2, o),
+        lambda o: en_closed_form(6, o),
+        lambda o: second_line_series(4, o),
+        lambda o: gluing_check(6, o),
+    ], ids=["z2", "z4", "closed2", "closed6", "second_line", "gluing"])
+    def test_negative_order_rejected(self, call):
+        for order in (-1, -3):
+            with pytest.raises(ValueError, match="order"):
+                call(order)
+        call(0)
 
 
 # SHA-256 of exact q-series results.  Any change to a coefficient, a

@@ -908,9 +908,59 @@ class TestIntegerScale:
         for k in (-3, 0, 1, 7):
             scaled = s.scale(k)
             assert scaled.terms == s.scale(ExactComplex(k)).terms
-            assert scaled.cutoff == s.cutoff
+            # 0 * (s + O(c)) is the exact zero; a nonzero k keeps s's cutoff
+            assert scaled.cutoff == (s.cutoff if k else (series.INF_CUTOFF,))
             assert all(type(c.re) is Fraction and type(c.im) is Fraction
                        for c in scaled.terms.values())
+
+
+class TestExactZero:
+    """`scale` by an exact 0 returns the exact zero: no terms, untruncated."""
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0), 0.0, 0j])
+    def test_scale_by_zero_stores_nothing_untruncated(self, zero):
+        s = _random_series(random.Random(3)) + t_poly({-1: 2})
+        for z in (s * zero, s.scale(zero)):
+            assert z.terms == {} and z.cutoff == (series.INF_CUTOFF,)
+            assert z.variables == s.variables and z.den == s.den
+
+    def test_zero_plus_series_is_the_series(self):
+        # t's box is wider than s's, so only an untruncated zero leaves it whole
+        s, t = _random_series(random.Random(4)), _random_series(random.Random(5), order=9)
+        for total in (s * 0 + t, t + s * 0):
+            assert total.terms == t.terms and total.cutoff == t.cutoff
+
+    def test_zero_times_series_is_the_exact_zero(self):
+        s = _random_series(random.Random(6))
+        for u in (t_poly({-3: 1, 1: 5}, order=4), PuiseuxSeries.constant(0, ("t",), order=2)):
+            for z in ((s * 0) * u, u * (s * 0)):
+                assert z.terms == {} and z.cutoff == (series.INF_CUTOFF,)
+
+    def test_bivariate_zero(self):
+        s = PuiseuxSeries(("t", "x"), 2, {(1, -2): 3}, (6, 4))
+        z = s * Fraction(0)
+        assert z.terms == {} and z.cutoff == (series.INF_CUTOFF,) * 2
+        assert (z + s) == s and (z + s).cutoff == s.cutoff
+
+
+class TestTruncateLattice:
+    """`truncate` stores an int cutoff on the lattice, or raises."""
+
+    def test_lattice_fraction_is_stored_as_int(self):
+        s = t_poly({0: 1, Fraction(7, 2): 2, 4: 3}, order=9)
+        cut = s.truncate(Fraction(7, 2))
+        assert cut.cutoff == (7,) and type(cut.cutoff[0]) is int
+        assert cut.coefficients_of("t") == {0: 1}
+        assert json.loads(cut.to_json())["truncation"] == [7]
+
+    def test_float_on_the_lattice_is_stored_as_int(self):
+        cut = t_poly({0: 1, 3: 2}, order=9).truncate(2.5)
+        assert cut.cutoff == (5,) and type(cut.cutoff[0]) is int
+
+    @pytest.mark.parametrize("order", [Fraction(7, 3), Fraction(1, 4), 0.3])
+    def test_off_the_lattice_raises(self, order):
+        with pytest.raises(SeriesError, match="not on the lattice"):
+            t_poly({0: 1}, order=9).truncate(order)
 
 
 def _fraction_sign_substitute(s, variable, num):
