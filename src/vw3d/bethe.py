@@ -436,13 +436,16 @@ def asymptotics_check(g, a, b):
 
 def _finite(stage, compute, nonzero=False):
     """compute(); an overflow, a division by zero, inf or nan (or 0, if `nonzero`, as
-    for a target that underflowed) is an OverflowError naming `stage`."""
+    for a target that underflowed) is an OverflowError naming `stage`, and a
+    PoleError is re-raised with `stage` in front."""
     try:
         value = compute()
         if cmath.isfinite(value) and (value or not nonzero):
             return value
     except (OverflowError, ZeroDivisionError) as exc:
         value = exc
+    except PoleError as exc:
+        raise PoleError(f"{stage}: {exc}") from exc
     raise OverflowError(f"{stage} left the float range: {value}")
 
 

@@ -141,9 +141,13 @@ def _g_order(k, order, half_weight):
 
 
 def _half_argument(p, weight):
-    """weight * (p(q^{1/2}) + p(-q^{1/2})): the odd powers cancel before the weight."""
-    half = Fraction(1, 2)
-    return (p.substitute_power("q", half) + p.substitute_power("q", half, sign=-1)) * weight
+    """weight * (p(q^{1/2}) + p(-q^{1/2})) = 2 weight E(q^{1/2}), where E keeps the
+    terms of p at even powers of q: the odd powers, which would cancel, are never built."""
+    if any(e % p.den for (e,) in p.terms):
+        raise SeriesError("sign substitution needs integral exponents")
+    even = {e: c for e, c in p.terms.items() if not e[0] % (2 * p.den)}
+    even = PuiseuxSeries._from_terms(p.variables, p.den, even, p.cutoff)
+    return even.substitute_power("q", Fraction(1, 2)) * (2 * weight)
 
 
 def _certified(series, order):
@@ -157,14 +161,14 @@ def z_vw_kahler(top, order=20):
     """SU(2) partition function via the Seiberg-Witten expansion, at flux 0.
 
     The half factor accounts for the center of SU(2).  The first term keeps
-    only the zero class (the flux-matching delta with v = 0); the second and
+    only the zero class (the flux-matching delta with v = 0), and its sign
+    (-1)^{(chi+sigma)/4} is +1 since (chi+sigma)/8 is an integer; the second and
     third carry 2^{1-b1} = 2.  Any nonzero theta exponent is out of scope.
     """
     if top.theta_eta_exponent != 0:
         raise UnsupportedTopologyError(
             f"theta/eta exponent {top.theta_eta_exponent} != 0 needs theta series")
     exp1 = top.chi_plus_sigma_over_8
-    sign1 = (-1) ** ((top.chi + top.sigma) // 4)
     weight = Fraction(1, 4) ** exp1 / 2
     sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
     half_weight = 2 * sum(c.sw for c in top.basic_classes) * weight
@@ -172,7 +176,7 @@ def z_vw_kahler(top, order=20):
     # +-q^{1/2}: one power of the integer series, each term cut to its own box
     g_pow = g_series(_g_order(exp1, order, half_weight)) ** exp1
     term_q2 = g_pow.truncate((order + 2) // 2).substitute_power("q", 2)
-    return _certified(term_q2 * (sign1 * sw_zero * weight)
+    return _certified(term_q2 * (sw_zero * weight)
                       + _half_argument(g_pow, half_weight), order)
 
 

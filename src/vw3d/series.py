@@ -112,7 +112,10 @@ class ExactComplex:
         return ExactComplex(value)
 
     def __add__(self, other):
-        other = ExactComplex.coerce(other)
+        try:
+            other = ExactComplex.coerce(other)
+        except TypeError:  # a series on the right adds itself (`__radd__`)
+            return NotImplemented
         if not (self.im or other.im):
             return _real(self.re + other.re)
         return ExactComplex(self.re + other.re, self.im + other.im)
@@ -125,7 +128,10 @@ class ExactComplex:
         return ExactComplex(-self.re, -self.im)
 
     def __sub__(self, other):
-        other = ExactComplex.coerce(other)
+        try:
+            other = ExactComplex.coerce(other)
+        except TypeError:
+            return NotImplemented
         if not (self.im or other.im):
             return _real(self.re - other.re)
         return ExactComplex(self.re - other.re, self.im - other.im)
@@ -136,7 +142,10 @@ class ExactComplex:
     def __mul__(self, other):
         if type(other) is int:
             return ExactComplex(self.re * other, self.im * other) if self.im else _real(self.re * other)
-        other = ExactComplex.coerce(other)
+        try:
+            other = ExactComplex.coerce(other)
+        except TypeError:
+            return NotImplemented
         if not (self.im or other.im):
             return _real(self.re * other.re)
         return ExactComplex(
@@ -147,7 +156,10 @@ class ExactComplex:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = ExactComplex.coerce(other)
+        try:
+            other = ExactComplex.coerce(other)
+        except TypeError:
+            return NotImplemented
         if not (self.im or other.im) and other.re:
             return _real(self.re / other.re)
         n = other.re * other.re + other.im * other.im

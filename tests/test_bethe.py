@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from test_series import _exact_product_in_box
 
+from vw3d import bethe
 from vw3d.bethe import (
     CLASS_LABELS,
     CLASS_MULTIPLICITIES,
@@ -319,6 +320,15 @@ class TestVerlindeSum:
         with pytest.raises(OverflowError) as exc:
             verlinde_sum(g, {"x": 0.3, "y": 0.7, "t": t})
         assert str(exc.value).startswith(stage)
+
+    def test_pole_failure_names_the_point_mode_stage(self, monkeypatch):
+        def pole(expr, point):
+            raise PoleError("denominator factor (t - 1) = 0 below pole threshold 1e-12")
+        monkeypatch.setattr(bethe, "rational_eval", pole)
+        with pytest.raises(PoleError) as exc:
+            point_report(GENERIC)
+        assert str(exc.value) == \
+            "closed form genus0_generic: denominator factor (t - 1) = 0 below pole threshold 1e-12"
 
 
 class TestClosedFormSeries:

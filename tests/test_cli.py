@@ -85,6 +85,7 @@ class TestVerlinde:
                                  "--a", "-1", "--b", "-1e-8")
         assert code == EXIT_NUMERICAL
         assert "denominator factor (t - 1) = (-9.99" in err
+        assert "genus-3 closed form at eps=0.0001: denominator factor (t - 1) = " in err
         assert out == ""
 
     @pytest.mark.parametrize("argv,stage", [

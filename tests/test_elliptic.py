@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vw3d import elliptic
 from vw3d.elliptic import (
@@ -250,6 +252,40 @@ class TestPerTermBoxes:
                      lambda: en_closed_form(2, 10), lambda: en_closed_form(6, 10)):
             with pytest.raises(SeriesError, match="order 10"):
                 call()
+
+
+def _two_substitutions(p, weight):
+    """The half-argument term as written: p(q^{1/2}) + p(-q^{1/2}), then the weight."""
+    half = Fraction(1, 2)
+    return (p.substitute_power("q", half) + p.substitute_power("q", half, sign=-1)) * weight
+
+
+# integer q-series on lattice 24 with powers -3..60 and a finite cutoff
+_Q_SERIES = st.builds(
+    lambda terms, cut: PuiseuxSeries(("q",), 24, {(24 * e,): c for e, c in terms.items()}, (cut,)),
+    st.dictionaries(st.integers(-3, 60), st.integers(-10**6, 10**6), max_size=20),
+    st.integers(-71, 24 * 61))
+
+
+class TestHalfArgument:
+    """`_half_argument` builds only the even part of p; it equals the sum of both
+    substitutions, weighted, in every byte."""
+
+    @settings(max_examples=25)
+    @given(_Q_SERIES, st.sampled_from([0, Fraction(1, 4), Fraction(-3, 8), 5]))
+    def test_matches_two_substitutions(self, p, weight):
+        assert elliptic._half_argument(p, weight).to_json() == \
+            _two_substitutions(p, weight).to_json()
+
+    def test_zero_weight_is_the_exact_zero(self):
+        z = elliptic._half_argument(g_series(8), Fraction(0))
+        assert z.terms == {} and z.cutoff == (float("inf"),)
+
+    def test_half_integral_power_raises(self):
+        p = PuiseuxSeries(("q",), 48, {(0,): 1, (24,): 3}, (480,))
+        for call in (elliptic._half_argument, _two_substitutions):
+            with pytest.raises(SeriesError, match="sign substitution needs integral exponents"):
+                call(p, Fraction(1, 4))
 
 
 class TestOrderDomain:

@@ -838,6 +838,17 @@ class TestScalarOperands:
                           (s - 0.5, s - half), (0.5 - s, half - s)):
             assert got.to_json() == want.to_json()
 
+    def test_exact_complex_on_the_left_of_a_series(self):
+        # ExactComplex defers to the series' reflected operators
+        s = PuiseuxSeries.monomial(("t",), {"t": 1}, 2, order=4) + ExactComplex(1, 3)
+        assert (ExactComplex(2) * s).to_json() == (s * 2).to_json()
+        assert (ExactComplex(1) + s).to_json() == (s + 1).to_json()
+        assert (ExactComplex(1) - s).to_json() == (-(s - 1)).to_json()
+        with pytest.raises(TypeError):
+            ExactComplex(1) / s
+        with pytest.raises(TypeError):
+            ExactComplex(2) * "x"
+
 
 class TestSerialization:
     def test_text_format_sorted(self):
@@ -920,7 +931,7 @@ class TestExactZero:
     @pytest.mark.parametrize("zero", [0, Fraction(0), ExactComplex(0), 0.0, 0j])
     def test_scale_by_zero_stores_nothing_untruncated(self, zero):
         s = _random_series(random.Random(3)) + t_poly({-1: 2})
-        for z in (s * zero, s.scale(zero)):
+        for z in (s * zero, zero * s, s.scale(zero)):
             assert z.terms == {} and z.cutoff == (series.INF_CUTOFF,)
             assert z.variables == s.variables and z.den == s.den
 
