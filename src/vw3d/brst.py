@@ -399,6 +399,11 @@ def load_table(name, text):
                                        field_letters=letters, terms=_parse_terms(rhs))
     table = TableSpec(name=name, dim=dim, algebra=algebra, fields=fields, rules=rules,
                       families=tuple(dict.fromkeys(fam for fam, _ in rules)), images={})
+    for fam in table.families:  # Q{a} A beside Q phi would fail only when evaluated
+        kinds = {r.op_letter is None: heads[key] for key, r in rules.items() if key[0] == fam}
+        if len(kinds) > 1:
+            raise TableFormatError(f"{fam} mixes indexed and unindexed heads: "
+                                   f"{kinds[False]!r} and {kinds[True]!r}")
     table.state_keys()  # an unknown form, or sd outside dim 4, raises here
     for rule in rules.values():
         table.images.update(_compile_rule(rule, fields))

@@ -157,6 +157,15 @@ def _certified(series, order):
     return series.truncate(order + 1)
 
 
+def _en_terms(k, q2_weight, half_weight, order):
+    """q2_weight G^k(q^2) + half_weight (G^k(q^{1/2}) + G^k(-q^{1/2})), certified
+    through q^order.  Substitution is a ring map, so G(q^2)^k = (G^k)(q^2) and
+    likewise at +-q^{1/2}: one power of the integer series, each term cut to its box."""
+    g_pow = g_series(_g_order(k, order, half_weight)) ** k
+    term_q2 = g_pow.truncate((order + 2) // 2).substitute_power("q", 2) * q2_weight
+    return _certified(term_q2 + _half_argument(g_pow, half_weight), order)
+
+
 def z_vw_kahler(top, order=20):
     """SU(2) partition function via the Seiberg-Witten expansion, at flux 0.
 
@@ -172,12 +181,7 @@ def z_vw_kahler(top, order=20):
     weight = Fraction(1, 4) ** exp1 / 2
     sw_zero = sum(c.sw for c in top.basic_classes if c.is_zero_class)
     half_weight = 2 * sum(c.sw for c in top.basic_classes) * weight
-    # substitution is a ring map, so G(q^2)^exp1 = (G^exp1)(q^2) and likewise at
-    # +-q^{1/2}: one power of the integer series, each term cut to its own box
-    g_pow = g_series(_g_order(exp1, order, half_weight)) ** exp1
-    term_q2 = g_pow.truncate((order + 2) // 2).substitute_power("q", 2)
-    return _certified(term_q2 * (sw_zero * weight)
-                      + _half_argument(g_pow, half_weight), order)
+    return _en_terms(exp1, sw_zero * weight, half_weight, order)
 
 
 def en_closed_form(n, order=20):
@@ -185,9 +189,7 @@ def en_closed_form(n, order=20):
     if n < 2 or n % 2:
         raise ValueError("even n >= 2 required")
     if n == 2:  # G(q^2)/8 + (G(q^{1/2}) + G(-q^{1/2}))/4
-        g = g_series(_g_order(1, order, 1))
-        term_q2 = g.truncate((order + 2) // 2).substitute_power("q", 2) * Fraction(1, 8)
-        return _certified(term_q2 + _half_argument(g, Fraction(1, 4)), order)
+        return _en_terms(1, Fraction(1, 8), Fraction(1, 4), order)
     coeff = Fraction((-1) ** (n // 2 + 1) * comb(n - 2, n // 2 - 1), 2 * 4 ** (n // 2))
     g2 = g_series(_g_order(n // 2, order, 0)).substitute_power("q", 2)
     return _certified(g2 ** (n // 2) * coeff, order)
@@ -210,33 +212,25 @@ def gluing_check(n, order=20):
 
     The prediction (Z(E(4))/Z(E(2)))^{(n-2)/2} * Z(E(2)) never matches for
     even n >= 6; the report carries both leading values and the first q-power
-    where the series differ.
+    where the series differ.  Both sides are certified through q^order: Z(E(n))
+    at `order`, Z(E(2)) and Z(E(4)) at order + n - 2, as Z(E(2)) has valuation
+    -2 and each of the (n-2)/2 factors 1/Z(E(2)) costs two powers of q.
     """
     if n < 6 or n % 2:
         raise ValueError("gluing comparison needs even n >= 6")
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
-    # padding for the division by Z(E(2)) (valuation -2) and the power
-    internal = order + 3 * n + 8
-    lhs = z_vw_kahler(sw_data_en(n), internal)
-    z2 = z_vw_kahler(sw_data_en(2), internal)
-    z4 = z_vw_kahler(sw_data_en(4), internal)
-    ratio = z4 * z2.invert()
-    rhs = ratio ** ((n - 2) // 2) * z2
-    lhs_c = lhs.truncate(order + 1)
-    rhs_c = rhs.truncate(order + 1)
-    diff = lhs_c - rhs_c
-    first = None
-    if not diff.is_zero():
-        exps = sorted(e[0] for e in diff.terms)
-        first = Fraction(exps[0], diff.den)
+    lhs = z_vw_kahler(sw_data_en(n), order)
+    z2 = z_vw_kahler(sw_data_en(2), order + n - 2)
+    z4 = z_vw_kahler(sw_data_en(4), order + n - 2)
+    rhs = _certified((z4 * z2.invert()) ** ((n - 2) // 2) * z2, order)
+    diff = lhs - rhs
+    first = None if diff.is_zero() else str(Fraction(min(diff.terms)[0], diff.den))
     return {
         "n": n,
         "order": order,
         "equal": diff.is_zero(),
-        "first_differing_exponent": None if first is None else str(first),
-        "lhs_leading": _leading(lhs_c),
-        "rhs_leading": _leading(rhs_c),
+        "first_differing_exponent": first,
+        "lhs_leading": _leading(lhs),
+        "rhs_leading": _leading(rhs),
     }
 
 

@@ -18,8 +18,8 @@ each kernel runs one path: products multiply the denominators, and
 `sum` and the BRST rule images, takes their lcm.  The public constructor
 coerces and checks each component.  Kernel results use the trusted
 `_from_terms`, which takes no all-zero tuple, turns real Gaussian numerators
-into ints and divides out one gcd; only `combination`, unary `-`, `zero`,
-`body`, the two products and `vw3d.brst._extract_theta` call it.
+into ints and divides out one gcd; only the checked `__new__`, `combination`,
+unary `-`, `zero`, `body`, the two products and `brst._extract_theta` call it.
 """
 
 from __future__ import annotations

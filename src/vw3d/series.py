@@ -25,11 +25,12 @@ Every `PuiseuxSeries` holds only nonzero `ExactComplex` coefficients keyed by
 exponent tuples of the series' arity, each exponent below its cutoff.  The
 public constructor enforces this by coercing and filtering its input.  Kernel
 outputs that hold it by construction skip that pass through the trusted
-`PuiseuxSeries._from_terms`: `+`, `scale`, `*`, `**`, `invert`, unary `-`,
-`truncate`, `substitute_power`, `rescale`, the integer q-series of `elliptic`
-and the superspace character of `floer`.  `+` and `truncate` drop the terms
-beyond the new cutoff and `scale` by an exact 0 keeps none and returns the
-exact zero, untruncated, since 0 * (s + O(c)) = 0; the rest need no filter.
+`PuiseuxSeries._from_terms`: `+`, `scale`, `*`, `invert`, unary `-`, `_cut`
+(behind `truncate`), `substitute_power`, `rescale`, `ratexpr`'s `Factored.of`,
+`Factored.expanded` and `_exact_quotient`, `elliptic`'s integer q-series and
+`_half_argument`, and `floer`'s superspace character.  `+` and `truncate` drop
+the terms beyond the new cutoff and `scale` by an exact 0 keeps none and returns
+the exact zero, untruncated, since 0 * (s + O(c)) = 0; the rest need no filter.
 
 Products and inversion run one path for every coefficient, on integer
 numerators over one denominator as in FLINT's `fmpq_poly`.  The functions
@@ -185,8 +186,8 @@ class ExactComplex:
             return self.re == other.re and self.im == other.im
         return NotImplemented
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes like the int, Fraction or float it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __bool__(self):
         return bool(self.re or self.im)

@@ -136,6 +136,11 @@ MALFORMED = {
     "second rule for one field": (
         _edited("abelian", "Q eta = 0", "Q eta = 0\n Q eta = phi"),
         "second rule for Q eta: 'Q eta = phi' after 'Q eta = 0'"),
+    # an unindexed head in an indexed family would fail only in apply_q
+    "unindexed head in an indexed family": (
+        _edited("covariant", "Q{a} H1 = - 1/2 dA(eta{a}) - eps{c,d} [phi{a,c}, psi1{d}]",
+                "Q H1 = 0"),
+        r"Q mixes indexed and unindexed heads: 'Q\{a\} .*' and 'Q H1 = 0'"),
 }
 
 

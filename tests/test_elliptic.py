@@ -175,6 +175,23 @@ class TestGluing:
         assert report["first_differing_exponent"] is not None
         assert report["lhs_leading"]["coeff"] == "-5/128"
 
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_matches_the_long_box_reference(self, n):
+        for order in range(17):
+            assert gluing_check(n, order) == _reference_gluing(n, order), order
+
+
+def _reference_gluing(n, order):
+    """The gluing report on one long box: all three Z at order + 3n + 8, both
+    sides cut to order + 1 without a certificate."""
+    z = {m: z_vw_kahler(sw_data_en(m), order + 3 * n + 8) for m in (n, 2, 4)}
+    lhs = z[n].truncate(order + 1)
+    rhs = ((z[4] * z[2].invert()) ** ((n - 2) // 2) * z[2]).truncate(order + 1)
+    diff = lhs - rhs
+    first = None if diff.is_zero() else str(Fraction(min(diff.terms)[0], diff.den))
+    return {"n": n, "order": order, "equal": diff.is_zero(), "first_differing_exponent": first,
+            "lhs_leading": elliptic._leading(lhs), "rhs_leading": elliptic._leading(rhs)}
+
 
 def _reference_z(top, order):
     """Z built on one long box: G on 2 order + 2k + 4, all three substitutions
@@ -249,7 +266,8 @@ class TestPerTermBoxes:
     def test_short_box_raises(self, monkeypatch):
         monkeypatch.setattr(elliptic, "_g_order", lambda k, order, weight: 1)
         for call in (lambda: z_vw_kahler(sw_data_en(2), 10),
-                     lambda: en_closed_form(2, 10), lambda: en_closed_form(6, 10)):
+                     lambda: en_closed_form(2, 10), lambda: en_closed_form(6, 10),
+                     lambda: gluing_check(6, 10)):
             with pytest.raises(SeriesError, match="order 10"):
                 call()
 

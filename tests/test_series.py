@@ -72,6 +72,15 @@ class TestExactComplex:
             assert ExactComplex(tiny).re == Fraction(tiny)
         assert ExactComplex(1e-20) != 0
 
+    def test_real_values_hash_like_the_numbers_they_equal(self):
+        for value in (2, -7, Fraction(2, 3), 0.5):
+            z = ExactComplex(value)
+            assert z == value and hash(z) == hash(value)
+            assert z in {value} and value in {z} and {value: "a"}[z] == "a"
+        gaussian = ExactComplex(Fraction(1, 2), -3)
+        assert hash(gaussian) == hash((Fraction(1, 2), Fraction(-3)))
+        assert {gaussian: "b"}[ExactComplex(Fraction(1, 2), -3)] == "b"
+
     def test_integer_powers(self):
         a = ExactComplex(Fraction(-2, 3))
         assert a ** 3 == Fraction(-8, 27) and a ** -2 == Fraction(9, 4) and a ** 0 == 1
