@@ -15,14 +15,16 @@ Nilpotency up to gauge transformations is a quadratic identity in the fields,
 so it is checked on random exact-rational field configurations.  Operator
 composition Q1(Q2 X) is computed with a shift generator: the substitution
 X -> X + theta * Q1(X) is a superalgebra homomorphism (theta fresh, odd), so
-evaluating the rule for Q2 X on the shifted state and extracting the theta
-coefficient implements the signed Leibniz rule exactly.  That theta part is
-linear in the shift (theta^2 = 0), so a weighted sum of compositions
-sum_ab w_ab Q_a(Q_b X) applies each inner operator once, on the state shifted
-by theta * sum_a w_ab Q_a X.  Each state memoises what its closure checks
-share: the outer images Q_a X per convention, the shifted states built from
-them, and the gauge brackets [X, B] per basis element.  A derived state (from
-`dataclasses.replace`) starts with an empty memo.
+the theta coefficient of the rule for Q2 X on the shifted state implements the
+signed Leibniz rule exactly.  Only that theta-linear part is evaluated, as a
+tangent map (theta^2 = 0): theta * Y_k for a field term, [X_u, theta * Y_v] +
+[theta * Y_u, X_v] for a bracket; no shifted state is built.  It is linear in
+the shift, so a weighted sum sum_ab w_ab Q_a(Q_b X) evaluates each inner
+operator once, with Y = sum_a w_ab Q_a X.  Each state memoises what its
+closure checks share: the outer images Q_a X per convention, the maps
+key -> theta * Y built from them, and the gauge brackets [X, B] per basis
+element.  A derived state (from `dataclasses.replace`) starts with an empty
+memo.
 
 The expected value of a closure bracket is a gauge variation whose parameter
 is fitted exactly (fraction-free elimination over the integer numerators) from
@@ -541,14 +543,22 @@ def random_state(table, seed=0):
 # ----------------------------------------------------------------------
 # rule evaluation
 
-def _rule_image(state, rule, op_index, slot, comp, conv):
-    """A rule's value at one form component: one combination of its compiled terms."""
+def _rule_image(state, rule, op_index, slot, comp, conv, shift=None):
+    """A rule's value at one form component: one combination of its compiled terms,
+    or with `shift` (key -> theta * Y) its theta-linear part on X + theta * Y."""
     values = state.values
     items = []
     for coeff, is_da, refs in state.table.images[rule.family, rule.field_name, op_index, slot]:
         coeff = coeff * conv.da_coef if is_da else coeff
-        args = [values[name, s, comp if own else 0] for name, s, own in refs]
-        items.append((coeff, args[0] if len(args) == 1 else tuple(args)))
+        keys = [(name, s, comp if own else 0) for name, s, own in refs]
+        if shift is None:
+            args = [values[k] for k in keys]
+            items.append((coeff, args[0] if len(args) == 1 else tuple(args)))
+        elif len(keys) == 1:
+            items.append((coeff, shift[keys[0]]))
+        else:
+            u, v = keys
+            items += [(coeff, (values[u], shift[v])), (coeff, (shift[u], values[v]))]
     return GrassmannElement.combination(state.table.ncomp, items)
 
 
@@ -560,10 +570,9 @@ def _resolve_which(which):
     return family, int(op_index)
 
 
-def apply_q(state, which, conv=None):
-    """One application of a BRST operator: the state of Q-images."""
+def _images(state, which, conv, shift=None):
+    """{key: Q_which image} over the state, or its theta-linear part (`_rule_image`)."""
     table = state.table
-    conv = conv or default_convention(table)
     family, op_index = _resolve_which(which)
     out = {}
     for key in table.state_keys():
@@ -573,8 +582,13 @@ def apply_q(state, which, conv=None):
             raise RuleMissingError(f"no printed rule for {family} {fname}")
         if (family, fname, op_index, slot) not in table.images:
             raise TableFormatError(f"operator index mismatch for {family} {fname}")
-        out[key] = _rule_image(state, rule, op_index, slot, comp, conv)
-    return replace(state, values=out)
+        out[key] = _rule_image(state, rule, op_index, slot, comp, conv, shift)
+    return out
+
+
+def apply_q(state, which, conv=None):
+    """One application of a BRST operator: the state of Q-images."""
+    return replace(state, values=_images(state, which, conv or default_convention(state.table)))
 
 
 def gauge_variation(state, lam):
@@ -586,13 +600,6 @@ def gauge_variation(state, lam):
 
 # ----------------------------------------------------------------------
 # composition via the shift generator
-
-def _shifted_state(state, images, gen_index):
-    theta = GrassmannElement.generator(gen_index, (1,))
-    return replace(state, values={key: value + grassmann_mul(theta, images[key])
-                                  if images[key].terms else value
-                                  for key, value in state.values.items()})
-
 
 def _extract_theta(element, gen_index):
     """Y in element = theta * Y + (theta-free part).  theta is the highest
@@ -614,19 +621,21 @@ def _outer_images(state, which, conv):
 
 
 def _shifted(state, combo, conv):
-    """X + theta * sum_a w_a Q_a X over combo ((a, w), ...), theta the next free generator."""
+    """{key: theta * sum_a w_a Q_a X} over combo ((a, w), ...), theta the next free
+    generator; memoised per combo and convention."""
     key = ("shifted", combo, conv)
-    shifted = state.memo.get(key)
-    if shifted is None:
+    shift = state.memo.get(key)
+    if shift is None:
         images = [(_outer_images(state, a, conv), w) for a, w in combo]
         if len(images) == 1 and images[0][1] == 1:  # one pair: the outer images themselves
-            shift = images[0][0]
+            ys = images[0][0]
         else:
-            shift = {k: GrassmannElement.combination(state.table.ncomp,
-                                                     [(w, v[k]) for v, w in images])
-                     for k in state.values}
-        shifted = state.memo[key] = _shifted_state(state, shift, state.n_generators)
-    return shifted
+            ys = {k: GrassmannElement.combination(state.table.ncomp, [(w, v[k]) for v, w in images])
+                  for k in state.values}
+        theta = GrassmannElement.generator(state.n_generators, (1,))
+        shift = state.memo[key] = {k: grassmann_mul(theta, y) if y.terms else y
+                                   for k, y in ys.items()}
+    return shift
 
 
 def compose(state, which_outer, which_inner, conv=None):
@@ -636,10 +645,11 @@ def compose(state, which_outer, which_inner, conv=None):
 
 
 def _compose_sum(state, weights, conv):
-    """Sum of w * Q_a(Q_b X) over weights {(a, b): w}, one inner application per b.
+    """Sum of w * Q_a(Q_b X) over weights {(a, b): w}, one inner evaluation per b.
 
-    The theta part of Q_b(X + theta Y) is linear in Y (theta^2 = 0), so the pairs
-    sharing an inner operator b compose once, on Y = sum_a w_ab Q_a X.
+    Q_b(X + theta Y) is evaluated only in its theta-linear part, which is linear
+    in Y (theta^2 = 0), so the pairs sharing an inner operator b compose once,
+    on Y = sum_a w_ab Q_a X; the theta coefficient is Q_b's signed Leibniz rule.
     """
     combos = {}
     for (a, b), w in weights.items():
@@ -647,7 +657,7 @@ def _compose_sum(state, weights, conv):
     gen_index = state.n_generators
     parts = {}
     for b, combo in combos.items():
-        for key, value in apply_q(_shifted(state, tuple(combo), conv), b, conv).values.items():
+        for key, value in _images(state, b, conv, _shifted(state, tuple(combo), conv)).items():
             parts.setdefault(key, []).append(_extract_theta(value, gen_index))
     return {key: values[0] if len(values) == 1 else GrassmannElement.sum(state.table.ncomp, values)
             for key, values in parts.items()}

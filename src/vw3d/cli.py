@@ -273,7 +273,10 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--order", type=int, default=None,
-                        help="series truncation order (default 20)")
+                        help="series truncation order, at least 1 (default 20); inclusive "
+                             "for elliptic (through q^ORDER) and floer --molien (n = 0..ORDER), "
+                             "exclusive for verlinde --series/--limit and floer --hf/--conjecture "
+                             "(exponents below ORDER); other modes ignore it")
     common.add_argument("--seed", type=int)
     parser = argparse.ArgumentParser(
         prog="vw3d",

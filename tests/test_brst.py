@@ -34,7 +34,7 @@ from vw3d.brst import (
     random_state,
     residual_report,
 )
-from vw3d.grassmann import GrassmannElement, koszul_sign, lie_bracket
+from vw3d.grassmann import GrassmannElement, grassmann_mul, koszul_sign, lie_bracket
 from vw3d.series import ExactComplex, _numerator
 
 ZERO_FORM_SECTOR = {"phi", "phibar", "C", "eta", "zeta"}
@@ -220,7 +220,6 @@ class TestApply:
         # the shift substitution X -> X + theta QX realizes Q as a linear
         # left derivation: evaluating a X + b Y on the shifted state and
         # extracting theta gives a QX + b QY
-        from vw3d.brst import _extract_theta, _shifted_state
         table = get_table("nonabelian")
         state = random_state(table, seed=11)
         conv = default_convention(table)
@@ -231,7 +230,7 @@ class TestApply:
         x = ("phibar", (), 0)
         y = ("C", (), 0)
         expr_on_shifted = shifted.values[x].scale(a) + shifted.values[y].scale(b)
-        assert _extract_theta(expr_on_shifted, gen) == \
+        assert brstmod._extract_theta(expr_on_shifted, gen) == \
             images[x].scale(a) + images[y].scale(b)
 
     def test_missing_rule_raises(self):
@@ -239,6 +238,21 @@ class TestApply:
         state = random_state(table, seed=0)
         with pytest.raises(RuleMissingError):
             apply_q(state, "Qp")
+
+    def test_compose_raises_as_apply_q_does(self):
+        # the outer images and the inner evaluation share apply_q's rule lookup
+        state = random_state(get_table("nonabelian"), seed=0)
+        with pytest.raises(RuleMissingError) as want:
+            apply_q(state, "Qp")
+        assert "Qp D2" in str(want.value)
+        for outer, inner in (("Qp", "Qp"), ("Q", "Qp"), ("Qp", "Q")):
+            with pytest.raises(RuleMissingError) as got:
+                compose(state, outer, inner)
+            assert str(got.value) == str(want.value)
+        covariant = random_state(get_table("covariant"), seed=0)
+        for outer, inner in ((("Q", 1), "Q"), ("Q", ("Q", 1))):
+            with pytest.raises(TableFormatError, match="operator index mismatch for Q A"):
+                compose(covariant, outer, inner)
 
 
 class TestGaugeVariation:
@@ -287,6 +301,16 @@ class TestNilpotency:
             state = random_state(table, seed=seed)
             res = q_squared_residual(state, "Q", param_field="phi")
             assert all(v.is_zero() for v in res.values())
+
+    @pytest.mark.xfail(strict=True, reason="a seeded state gives each odd component one "
+                       "generator, so [eta, eta] = 0 and Q^2 phi = -1/2 [[eta, eta], phi] "
+                       "cannot show; an exact proof of closure would name phi")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_repeated_odd_field_residual_is_reported(self, seed):
+        table = load_table("vacuous", "dim 4\nalgebra su2\nfield phi scalar even\n"
+                           "field eta scalar odd\nQ phi = [eta, phi]\nQ eta = 0")
+        report = check_closure(random_state(table, seed=seed), ("Q", "Q"))
+        assert "phi" in report["failing_fields"]
 
     def test_qzeta_equals_bracket(self):
         # Q zeta = i [C, phi] and Q^2 C reproduces it
@@ -740,6 +764,9 @@ class TestFractionFreeSolve:
         assert _solve_exact([]) == []
 
 
+TWISTOR_POINTS = [((1, 2), (3, 1)), ((0, -1), (2, 0)), ((-3, 1), (-1, -2)), ((0, 0), (1, -1))]
+
+
 def _twistor_weights(s, r, keep_zero=False):
     """check_twistor's weights s_a s_b, s_a r_b, ...; keep_zero keeps the zero products."""
     coeffs = {("Q", 1): s[0], ("Q", 2): s[1], ("Qbar", 1): r[0], ("Qbar", 2): r[1]}
@@ -764,19 +791,74 @@ def _assert_same_images(got, want):
         assert got[key].terms.keys() == value.terms.keys(), key
 
 
+# -- the explicit shift that the theta-linear evaluation of `_compose_sum` replaced --
+
+def _shifted_state(state, shift, gen_index):
+    """X + theta * Y on every key where Y is nonzero, theta = generator gen_index."""
+    theta = GrassmannElement.generator(gen_index, (1,))
+    return replace(state, values={key: value + grassmann_mul(theta, shift[key])
+                                  if shift[key].terms else value
+                                  for key, value in state.values.items()})
+
+
+def _koszul_extract(element, gen_index):
+    """Y in element = theta * Y + (theta-free part), one Koszul sign per term."""
+    bit = 1 << gen_index
+    terms = {}
+    for mask, comps in element.terms.items():
+        if mask & bit:
+            rest = mask ^ bit
+            terms[rest] = comps if koszul_sign(bit, rest) > 0 else tuple(-c for c in comps)
+    return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms, element.den)
+
+
+def _shifted_compose_sum(state, weights, conv):
+    """Reference for `_compose_sum`: per inner operator b, apply_q on the whole
+    state X + theta * sum_a w_ab Q_a X, theta extracted, parts summed per key."""
+    combos, parts, gen = {}, {}, state.n_generators
+    for (a, b), w in weights.items():
+        combos.setdefault(b, []).append((a, w))
+    for b, combo in combos.items():
+        images = [(apply_q(state, a, conv).values, w) for a, w in combo]
+        shift = {k: images[0][0][k] if len(images) == 1 and images[0][1] == 1 else
+                 GrassmannElement.combination(state.table.ncomp, [(w, v[k]) for v, w in images])
+                 for k in state.values}
+        for key, value in apply_q(_shifted_state(state, shift, gen), b, conv).values.items():
+            parts.setdefault(key, []).append(_koszul_extract(value, gen))
+    return {key: values[0] if len(values) == 1 else GrassmannElement.sum(state.table.ncomp, values)
+            for key, values in parts.items()}
+
+
+def _assert_same_ordered_images(got, want):
+    """Same keys in order, and per key the same element, mask order included; an
+    exact zero has no parity of its own, so only nonzero elements compare it."""
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if value.terms:
+            _assert_same_element(got[key], value)
+        else:
+            assert got[key].is_zero(), key
+
+
 class TestGroupedComposition:
     def test_compose_matches_explicit_shift(self):
-        # one pair: Q_b applied to X + theta * Q_a X, theta part extracted
+        # compose, each closure check's weights and the twistor weights: the
+        # theta-linear evaluation equals the inner operator applied to X + theta Y
         for name in SHIPPED_TABLES:
             table = get_table(name)
             conv = default_convention(table)
-            state = random_state(table, seed=1)
-            gen = state.n_generators
-            for a, b in closure_pairs(table):
-                shifted = brstmod._shifted_state(state, apply_q(state, a, conv).values, gen)
-                want = {key: brstmod._extract_theta(value, gen)
-                        for key, value in apply_q(shifted, b, conv).values.items()}
-                _assert_same_images(compose(state, a, b, conv), want)
+            for seed in range(3):
+                state = random_state(table, seed=seed)
+                cases = []
+                for a, b in closure_pairs(table):
+                    cases.append({(a, b): 1})
+                    if a != b:
+                        cases.append({(a, b): 1, (b, a): 1})
+                if name == "threed":
+                    cases += [_twistor_weights(s, r) for s, r in TWISTOR_POINTS]
+                for weights in cases:
+                    _assert_same_ordered_images(brstmod._compose_sum(state, weights, conv),
+                                                _shifted_compose_sum(state, weights, conv))
 
     def test_closure_pairs_match_per_pair_loop(self):
         for name in SHIPPED_TABLES:
@@ -791,22 +873,12 @@ class TestGroupedComposition:
     def test_extract_theta_matches_koszul_reference(self, monkeypatch):
         # theta is the highest generator, so one sign per element must equal
         # the per-term Koszul sign of theta * rest
-        def reference(element, gen_index):
-            bit = 1 << gen_index
-            terms = {}
-            for mask, comps in element.terms.items():
-                if mask & bit:
-                    rest = mask ^ bit
-                    terms[rest] = comps if koszul_sign(bit, rest) > 0 else tuple(-c for c in comps)
-            return GrassmannElement._from_terms(element.ncomp, element.parity ^ 1, terms,
-                                                element.den)
-
         extracted = []
         original = brstmod._extract_theta
 
         def checked(element, gen_index):
             got = original(element, gen_index)
-            _assert_same_element(got, reference(element, gen_index))
+            _assert_same_element(got, _koszul_extract(element, gen_index))
             extracted.append(got)
             return got
 
@@ -823,8 +895,7 @@ class TestGroupedComposition:
                     brstmod._compose_sum(state, _twistor_weights(s, r), conv)
         assert sum(not e.is_zero() for e in extracted) > 900
 
-    @pytest.mark.parametrize("s, r", [((1, 2), (3, 1)), ((0, -1), (2, 0)),
-                                      ((-3, 1), (-1, -2)), ((0, 0), (1, -1))])
+    @pytest.mark.parametrize("s, r", TWISTOR_POINTS)
     def test_twistor_weights_match_per_pair_loop(self, s, r):
         table = get_table("threed")
         conv = default_convention(table)
@@ -841,19 +912,20 @@ class TestAgainstFoldEvaluator:
 
     @staticmethod
     def _run(monkeypatch):
-        # apply_q and _compose_sum are looked up at call time, so the recording
-        # wrappers see every outer, inner and grouped evaluation of the checks
+        # _images and _compose_sum are looked up at call time, so the recording
+        # wrappers see every outer image, theta-linear inner evaluation and
+        # grouped sum of the checks
         images = []
 
-        def recording(fn, values):
+        def recording(fn):
             def wrapper(*args):
                 result = fn(*args)
-                images.append(values(result))
+                images.append(dict(result))
                 return result
             return wrapper
 
-        monkeypatch.setattr(brstmod, "apply_q", recording(apply_q, lambda s: s.values))
-        monkeypatch.setattr(brstmod, "_compose_sum", recording(brstmod._compose_sum, dict))
+        monkeypatch.setattr(brstmod, "_images", recording(brstmod._images))
+        monkeypatch.setattr(brstmod, "_compose_sum", recording(brstmod._compose_sum))
         reports = []
         for name in SHIPPED_TABLES:
             table = get_table(name)
@@ -892,19 +964,33 @@ class TestSharedWork:
         monkeypatch.setattr(brstmod, "apply_q", counting)
         return calls
 
-    def test_threed_calibration_shares_outer_images(self, applied):
-        # 3 seeds x (4 outer images + 16 inner applications), not 32 per seed
+    @pytest.fixture
+    def inner(self, monkeypatch):
+        # the theta-linear inner evaluations: _images called with a shift
+        calls = []
+        original = brstmod._images
+
+        def counting(state, which, conv, shift=None):
+            if shift is not None:
+                calls.append(which)
+            return original(state, which, conv, shift)
+
+        monkeypatch.setattr(brstmod, "_images", counting)
+        return calls
+
+    def test_threed_calibration_shares_outer_images(self, applied, inner):
+        # 3 seeds x (4 outer images + 16 inner evaluations), not 32 per seed
         _, report = calibrate_signs("threed")
         assert report["stage"] == "identity-toggles"
-        assert len(applied) <= 60
+        assert len(applied) == 12 and len(inner) == 48
 
-    def test_twistor_composes_once_per_inner_operator(self, applied):
+    def test_twistor_composes_once_per_inner_operator(self, applied, inner):
         state = random_state(get_table("threed"), seed=0)
         assert check_twistor(state, (1, 2), (3, 1))["exact_zero"]
-        assert len(applied) == 8
+        assert sorted(applied) == sorted(inner) == [("Q", 1), ("Q", 2), ("Qbar", 1), ("Qbar", 2)]
         # the outer images are shared with later checks of the same state
         assert check_closure(state, (("Q", 1), ("Qbar", 2)))["exact_zero"]
-        assert len(applied) == 10
+        assert len(applied) == 4 and len(inner) == 6
 
     def test_apply_q_builds_one_element_per_key(self, monkeypatch):
         # each rule image is one combination: no per-term or per-bracket element
